@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import bijections, qseries
-from .marked import enumerate_kmarked, kmarked_rank_distribution
+from .marked import enumerate_kmarked, kmarked_rank_counts
 from .serialize import document_to_symbol, format_symbol, render, symbol_to_document
 from .symbols import DurfeeSymbol, Flavor
 from .verify import Bounds, SUITES, run_suite
@@ -53,7 +53,11 @@ def _load_document(path: str | None) -> dict:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    dist = kmarked_rank_distribution(args.n, args.k, args.flavor)
+    try:
+        dist = kmarked_rank_counts(args.n, args.k, args.flavor)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     header = [f"m{i}" for i in range(1, args.k + 1)] + ["count"]
     print(f"# n={args.n} k={args.k} flavor={args.flavor.value}")
     print("\t".join(header))

@@ -23,13 +23,21 @@ between the two rows of vector k.
 
 The i-th rank is len(alpha^i) - len(beta^i) - 1 for i < k and
 len(alpha^k) - len(beta^k) for i = k.
+
+Counts by rank vector come two independent ways.
+:func:`kmarked_rank_distribution` tallies :func:`enumerate_kmarked`; it is the
+oracle, costs time exponential in n and stops at the weight guard.
+:func:`kmarked_rank_counts` is a transfer DP that builds no symbol, runs in
+polynomial time with no weight guard, and backs :func:`count_kmarked`,
+:func:`total_kmarked`, the marked rank series and ``durfee count``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .partitions import (
     Partition,
@@ -208,26 +216,194 @@ def enumerate_kmarked(
 @lru_cache(maxsize=None)
 def kmarked_rank_distribution(
     n: int, k: int, flavor: Flavor = Flavor.ORDINARY
-) -> dict[tuple[int, ...], int]:
-    """Map from rank vector to the number of k-marked symbols of ``n`` attaining it."""
+) -> Mapping[tuple[int, ...], int]:
+    """Map from rank vector to the number of k-marked symbols of ``n`` attaining it,
+    tallied over :func:`enumerate_kmarked`.
+
+    This is the enumeration oracle that :func:`kmarked_rank_counts` is checked
+    against.  The returned mapping is read-only because it is cached.
+    """
     counts: dict[tuple[int, ...], int] = {}
     for s in enumerate_kmarked(n, k, flavor):
         r = s.ranks
         counts[r] = counts.get(r, 0) + 1
-    return counts
+    return MappingProxyType(counts)
+
+
+# A two-variable series in the counting DP below: index w of the list holds
+# {rank contribution: count} for weight w, where top-row parts count +1 and
+# bottom-row parts -1.
+_Series = list[dict[int, int]]
+
+
+def _times_pairs_of(x: _Series, v: int) -> _Series:
+    """``x`` times 1 / ((1 - z q^v)(1 - q^v / z)): any number of parts ``v``
+    added to the top row and to the bottom row."""
+    y = [dict(row) for row in x]
+    for shift in (1, -1):
+        for w in range(v, len(y)):
+            row = y[w]
+            for r, c in y[w - v].items():
+                row[r + shift] = row.get(r + shift, 0) + c
+    return y
+
+
+def _combine(x: _Series, y: _Series, sign: int = 1, shift: int = 0) -> _Series:
+    """``x + sign * q^shift * y``, truncated to the length of ``x``."""
+    out = [dict(row) for row in x]
+    for w in range(shift, len(out)):
+        row = out[w]
+        for r, c in y[w - shift].items():
+            c = row.get(r, 0) + sign * c
+            if c:
+                row[r] = c
+            else:
+                del row[r]
+    return out
+
+
+def _pair_tables(
+    parts: list[int], top: int
+) -> tuple[list[_Series], list[list[_Series]], list[_Series], _Series]:
+    """Series of single vectors under one subscript, up to weight ``top``.
+
+    ``parts`` lists the allowed entries in ascending order.  H(j, t) counts
+    the pairs of partitions with entries in parts[j..t]; those whose smallest
+    entry is exactly parts[j] number E(j, t) = H(j, t) - H(j + 1, t), or
+    H(t, t) when j = t.  Returns, by part position:
+
+    * ``top_k[j]``: vector k with smallest entry parts[j], or empty when j is
+      the last position (the next bound is then the cap itself): E(j, last).
+    * ``middle[b][j]``: a vector i < k whose top row's largest entry is at
+      most parts[b] and whose smallest entry is parts[j]: the sum over t of
+      q^parts[t] E(j, t), the forced largest top part parts[t] standing for
+      the rank's -1 shift.
+    * ``bottom[b]``: vector 1 under the bound parts[b], any smallest
+      entry: the sum over t <= b of q^parts[t] H(0, t).
+    * ``plain``: a lone vector with entries up to the cap, H(0, last).
+    """
+    one = [{0: 1}] + [{} for _ in range(top)]
+    zero = [{} for _ in range(top + 1)]
+    middle: list[list[_Series]] = []
+    bottom: list[_Series] = []
+    for t, a in enumerate(parts):
+        column = [one]  # column[-1] is H(j + 1, t) while building H(j, t)
+        for j in range(t, -1, -1):
+            column.append(_times_pairs_of(column[-1], parts[j]))
+        column.reverse()  # column[j] = H(j, t) and column[t + 1] = 1
+        exact = [_combine(column[j], column[j + 1], -1) for j in range(t)] + [column[t]]
+        previous = middle[-1] + [zero] if t else [zero]
+        middle.append([_combine(previous[j], exact[j], 1, a) for j in range(t + 1)])
+        bottom.append(_combine(bottom[-1] if t else zero, column[0], 1, a))
+    return exact, middle, bottom, column[0]
+
+
+def _last_two(
+    vector2: list[_Series], bottom: list[_Series], left: int
+) -> dict[tuple[int, ...], int]:
+    """Vectors 1 and 2 weighing ``left`` together, by (rank 1, rank 2);
+    ``vector2[j]`` is vector 2 with smallest entry parts[j]."""
+    out: dict[tuple[int, ...], int] = {}
+    for j, series in enumerate(vector2):
+        below = bottom[j]
+        for w in range(left):  # vector 1 weighs at least 1
+            lows = below[left - w].items()
+            for r2, c2 in series[w].items():
+                for r1, c1 in lows:
+                    out[(r1, r2)] = out.get((r1, r2), 0) + c1 * c2
+    return out
+
+
+def _subscript_counts(
+    rem: int, k: int, parts: list[int], result: dict[tuple[int, ...], int]
+) -> None:
+    """Add to ``result`` the symbols of one subscript whose vectors weigh
+    ``rem`` in total, by rank vector."""
+    top_k, middle, bottom, plain = _pair_tables(parts, rem)
+    if k <= 2:
+        if k == 2:
+            lasts = _last_two(top_k, bottom, rem)
+        else:
+            lasts = {(r,): c for r, c in plain[rem].items()}
+        for ranks, c in lasts.items():
+            result[ranks] = result.get(ranks, 0) + c
+        return
+    # states[(b, w)]: ranks of vectors i+1..k -> count, where weight w is
+    # left and parts[b] bounds the top row of vector i.  Every vector below
+    # k has a nonempty top row, so at least i - 1 weight stays for them.
+    states = {
+        (j, rem - w): {(r,): c for r, c in series[w].items()}
+        for j, series in enumerate(top_k)
+        for w in range(rem - k + 2)
+        if series[w]
+    }
+    for i in range(k - 1, 2, -1):
+        nxt: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+        while states:  # consume the states so their memory can be reused
+            (b, left), table = states.popitem()
+            for j, series in enumerate(middle[b]):
+                for w in range(1, left - i + 2):
+                    if series[w]:
+                        target = nxt.setdefault((j, left - w), {})
+                        for r, c in series[w].items():
+                            for ranks, v in table.items():
+                                ranks = (r,) + ranks
+                                target[ranks] = target.get(ranks, 0) + c * v
+        states = nxt
+    # Vectors 2 and 1 are folded into the result together, so the widest
+    # state tables (ranks of vectors 2..k) are never built.
+    while states:
+        (b, left), table = states.popitem()
+        for lows, c in _last_two(middle[b], bottom, left).items():
+            for ranks, v in table.items():
+                ranks = lows + ranks
+                result[ranks] = result.get(ranks, 0) + c * v
+
+
+@lru_cache(maxsize=None)
+def kmarked_rank_counts(
+    n: int, k: int, flavor: Flavor = Flavor.ORDINARY
+) -> Mapping[tuple[int, ...], int]:
+    """Map from rank vector to the number of k-marked symbols of ``n``
+    attaining it, counted without building any symbol.
+
+    Equal to :func:`kmarked_rank_distribution`.  For each subscript a
+    transfer DP walks the vectors from k down to 1 over the state (weight
+    left, bound on the next top row, ranks so far); the only link between
+    vector i + 1 and vector i is the smallest entry of vector i + 1, which
+    bounds the top row of vector i.  Vectors 2 and 1 must use up the weight
+    left, so they are counted together for each state and folded straight
+    into the result; no state table holds their ranks.  Time is polynomial in
+    ``n`` for fixed ``k``, so no weight guard applies.  The returned mapping
+    is read-only because it is cached.
+    """
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    step = 2 if flavor is Flavor.ODD else 1
+    counts: dict[tuple[int, ...], int] = {}
+    for d in subscript_range(n, flavor):
+        rem = n - frame_weight(d, flavor)
+        if rem >= k - 1:
+            parts = list(range(1, part_cap(d, flavor) + 1, step))
+            _subscript_counts(rem, k, parts, counts)
+    return MappingProxyType(counts)
 
 
 def count_kmarked(m: Sequence[int], n: int, flavor: Flavor = Flavor.ORDINARY) -> int:
-    """Number of k-marked symbols of ``n`` whose rank vector equals ``m``."""
+    """Number of k-marked symbols of ``n`` whose rank vector equals ``m``,
+    from :func:`kmarked_rank_counts`."""
     m = tuple(m)
     if len(m) < 1:
         raise ValueError("rank vector must have length k >= 1")
-    return kmarked_rank_distribution(n, len(m), flavor).get(m, 0)
+    return kmarked_rank_counts(n, len(m), flavor).get(m, 0)
 
 
 def total_kmarked(n: int, k: int, flavor: Flavor = Flavor.ORDINARY) -> int:
-    """Number of k-marked symbols of ``n`` over all rank vectors."""
-    return sum(kmarked_rank_distribution(n, k, flavor).values())
+    """Number of k-marked symbols of ``n`` over all rank vectors, from
+    :func:`kmarked_rank_counts`."""
+    return sum(kmarked_rank_counts(n, k, flavor).values())
 
 
 def balanced_parts(pair: PartitionPair) -> frozenset[int]:

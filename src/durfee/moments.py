@@ -4,7 +4,8 @@ them to marked symbols.
 Everything here is exact integer arithmetic.  The polynomial binomial
 coefficient (negative upper argument allowed) is the only primitive; the
 identities are finite sums over rank distributions computed by exhaustive
-enumeration elsewhere in the package.
+enumeration elsewhere in the package, while the marked totals come from the
+counting DP :func:`durfee.marked.kmarked_rank_counts`.
 """
 
 from __future__ import annotations

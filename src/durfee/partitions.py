@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 Partition = tuple[int, ...]
 
@@ -102,9 +104,10 @@ def durfee_side(p: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def rank_distribution(n: int) -> dict[int, int]:
-    """Map from rank value to the number of partitions of ``n`` attaining it."""
-    return dict(Counter(rank(p) for p in enumerate_partitions(n)))
+def rank_distribution(n: int) -> Mapping[int, int]:
+    """Map from rank value to the number of partitions of ``n`` attaining it;
+    read-only because it is cached."""
+    return MappingProxyType(dict(Counter(rank(p) for p in enumerate_partitions(n))))
 
 
 def count_rank(m: int, n: int) -> int:

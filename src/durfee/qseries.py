@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .marked import kmarked_rank_distribution
+from .marked import kmarked_rank_counts
 from .symbols import Flavor
 
 Rational = Fraction | int
@@ -219,12 +219,15 @@ def marked_rank_gf(
 ) -> QSeries:
     """The k-marked rank generating series evaluated at the point ``x``:
     coefficient of q^n is sum over rank vectors m of
-    count(m; n) * x_1^{m_1} ... x_k^{m_k}, straight from enumeration."""
+    count(m; n) * x_1^{m_1} ... x_k^{m_k}, with the counts taken from the
+    counting DP :func:`durfee.marked.kmarked_rank_counts` (no symbol is
+    built), so the series is independent of the product and partial-fraction
+    forms below."""
     xs = _checked_point(x, k)
     out = QSeries(order)
     for n in range(order + 1):
         acc = Fraction(0)
-        for m, c in kmarked_rank_distribution(n, k, flavor).items():
+        for m, c in kmarked_rank_counts(n, k, flavor).items():
             term = Fraction(c)
             for xi, mi in zip(xs, m):
                 term *= xi**mi

@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .partitions import (
     Partition,
@@ -129,9 +130,10 @@ def enumerate_durfee(n: int, flavor: Flavor = Flavor.ORDINARY) -> Iterator[Durfe
 
 
 @lru_cache(maxsize=None)
-def durfee_rank_distribution(n: int, flavor: Flavor = Flavor.ORDINARY) -> dict[int, int]:
-    """Map from rank value to the number of symbols of weight ``n`` attaining it."""
-    return dict(Counter(s.rank for s in enumerate_durfee(n, flavor)))
+def durfee_rank_distribution(n: int, flavor: Flavor = Flavor.ORDINARY) -> Mapping[int, int]:
+    """Map from rank value to the number of symbols of weight ``n`` attaining
+    it; read-only because it is cached."""
+    return MappingProxyType(dict(Counter(s.rank for s in enumerate_durfee(n, flavor))))
 
 
 def count_durfee_rank(m: int, n: int, flavor: Flavor = Flavor.ORDINARY) -> int:

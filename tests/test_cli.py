@@ -58,6 +58,19 @@ def test_count_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [("--n", "-3"), ("--n", "4", "--k", "0")])
+def test_count_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "count", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_count_past_enumeration_guard(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "50", "--k", "2")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "total\t\t9020018"
+
+
 def test_enumerate_json_lines(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--k", "1")
     assert code == 0

@@ -12,12 +12,14 @@ from durfee.marked import (
     is_strict_shifted_symbol,
     is_valid,
     ith_rank,
+    kmarked_rank_counts,
     kmarked_rank_distribution,
     total_kmarked,
     validate,
 )
 from durfee.moments import marked_count_formula
 from durfee.partitions import bounded_partitions
+from durfee.qseries import odd_rank_gf, rank_gf
 from durfee.symbols import Flavor, enumerate_durfee, frame_weight, part_cap, subscript_range
 
 # the 3-marked symbol of weight 55 used throughout as a fixture
@@ -203,3 +205,52 @@ def test_odd_flavor_formula_spot_checks():
 def test_enumerate_requires_positive_k():
     with pytest.raises(ValueError):
         list(enumerate_kmarked(3, 0))
+
+
+@pytest.mark.parametrize(
+    "flavor,k,max_n",
+    [
+        (Flavor.ORDINARY, 1, 22),
+        (Flavor.ORDINARY, 2, 22),
+        (Flavor.ORDINARY, 3, 22),
+        (Flavor.ORDINARY, 4, 18),
+        (Flavor.ORDINARY, 5, 12),  # two middle vectors
+        (Flavor.ODD, 1, 22),
+        (Flavor.ODD, 2, 22),
+        (Flavor.ODD, 3, 22),
+        (Flavor.ODD, 4, 16),
+        (Flavor.ODD, 5, 13),
+    ],
+)
+def test_rank_counts_match_enumeration(flavor, k, max_n):
+    for n in range(max_n + 1):
+        assert kmarked_rank_counts(n, k, flavor) == kmarked_rank_distribution(n, k, flavor), n
+
+
+@pytest.mark.parametrize("flavor,series", [(Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)])
+def test_rank_counts_match_formula_past_enumeration(flavor, series):
+    # Weight 50 is past the enumeration guard, so the singly-marked counts
+    # N(m, 50) in the closed formula come from the rank series instead.
+    n = 50
+    plain = [series(m, n)[n] for m in range(n + 1)]
+    expected = {}
+    for m1 in range(-n, n + 1):
+        for m2 in range(-n, n + 1):
+            count = sum(plain[s] for s in range(abs(m1) + abs(m2) + 1, n + 1, 2))
+            if count:
+                expected[(m1, m2)] = count
+    assert kmarked_rank_counts(n, 2, flavor) == expected
+
+
+def test_rank_counts_reject_bad_input():
+    with pytest.raises(ValueError, match="nonnegative"):
+        kmarked_rank_counts(-3, 2)
+    with pytest.raises(ValueError, match="k must be"):
+        kmarked_rank_counts(4, 0)
+
+
+@pytest.mark.parametrize("table", [kmarked_rank_counts, kmarked_rank_distribution])
+def test_cached_rank_tables_are_read_only(table):
+    with pytest.raises(TypeError):
+        table(4, 2)[(0, 0)] += 1
+    assert table(4, 2)[(0, 0)] == 2

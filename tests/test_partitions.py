@@ -87,6 +87,12 @@ def test_rank_distribution_sums_and_symmetry():
             assert dist.get(-m) == c
 
 
+def test_rank_distribution_is_read_only():
+    with pytest.raises(TypeError):
+        rank_distribution(4)[0] += 1
+    assert rank_distribution(4)[0] == 1
+
+
 @pytest.mark.parametrize(
     "p,expected",
     [((3, 1), (2, 1, 1)), ((), ()), ((2, 2), (2, 2)), ((5,), (1, 1, 1, 1, 1))],

@@ -67,6 +67,12 @@ def test_bijection_law():
         assert durfee_rank_distribution(n) == rank_distribution(n)
 
 
+def test_durfee_rank_distribution_is_read_only():
+    with pytest.raises(TypeError):
+        durfee_rank_distribution(4)[1] += 1
+    assert durfee_rank_distribution(4)[1] == 1
+
+
 def test_count_examples():
     assert count_durfee_rank(1, 4) == 1
     assert count_durfee_rank(0, 0) == 0  # the weight-0 corpus is empty
