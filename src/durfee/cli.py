@@ -9,7 +9,10 @@ Subcommands::
     durfee series     print generating-series coefficients (TSV)
 
 Exit codes: 0 success, 1 identity failure from ``verify``, 2 usage error.
-Count tables and reports are byte-deterministic for fixed flags.
+Every bad input (a malformed flag, an out-of-range bound, an unreadable or
+invalid symbol document, a pole among the evaluation values) prints one
+``error:`` line to stderr and exits 2; exit 1 only ever means that an identity
+failed.  Count tables and reports are byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -48,8 +51,15 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _load_document(path: str | None) -> dict:
-    text = sys.stdin.read() if path in (None, "-") else open(path, encoding="utf-8").read()
-    return json.loads(text)
+    if path in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"document is not JSON: {exc}") from None
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -77,19 +87,22 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    for s in enumerate_kmarked(args.n, args.k, args.flavor):
-        if args.pretty:
-            print(format_symbol(s))
-        else:
-            print(json.dumps(symbol_to_document(s)))
+    try:
+        for s in enumerate_kmarked(args.n, args.k, args.flavor):
+            if args.pretty:
+                print(format_symbol(s))
+            else:
+                print(json.dumps(symbol_to_document(s)))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    doc = _load_document(args.input)
-    s = document_to_symbol(doc)
     name = args.map
     try:
+        s = document_to_symbol(_load_document(args.input))
         if name == "phi":
             before = s.ranks
             out = bijections.merge_marks(s)
@@ -130,7 +143,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             before = s.ranks
             out = bijections.permute_ranks(s, args.perm)
             after = out.ranks
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render(out, indent=2))
@@ -149,8 +162,12 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    bounds = Bounds(max_n=args.max_n, max_k=args.max_k, order=args.order, x=args.x)
-    results = run_suite(args.suite, bounds)
+    try:
+        bounds = Bounds(max_n=args.max_n, max_k=args.max_k, order=args.order, x=args.x)
+        results = run_suite(args.suite, bounds)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("check\tbound\tstatus\tdetail")
     failed = 0
     for r in results:

@@ -71,7 +71,11 @@ class KMarkedSymbol:
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(ith_rank(self, i) for i in range(1, self.k + 1))
+        """All k ranks in one pass; see :func:`ith_rank`."""
+        ranks = [len(alpha) - len(beta) - 1 for alpha, beta in self.vectors]
+        if ranks:
+            ranks[-1] += 1  # the top-k vector omits the -1 shift
+        return tuple(ranks)
 
 
 @dataclass(frozen=True)

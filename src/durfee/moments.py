@@ -14,8 +14,8 @@ from math import factorial
 from typing import NamedTuple, Sequence
 
 from .marked import total_kmarked
-from .partitions import count_rank, rank_distribution
-from .symbols import Flavor, count_durfee_rank, durfee_rank_distribution
+from .partitions import rank_distribution
+from .symbols import Flavor, durfee_rank_distribution
 
 
 def binom(a: int, b: int) -> int:
@@ -38,12 +38,6 @@ def _flavor_distribution(n: int, flavor: Flavor) -> dict[int, int]:
     if flavor is Flavor.ORDINARY:
         return rank_distribution(n)
     return durfee_rank_distribution(n, Flavor.ODD)
-
-
-def _flavor_count(m: int, n: int, flavor: Flavor) -> int:
-    if flavor is Flavor.ORDINARY:
-        return count_rank(m, n)
-    return count_durfee_rank(m, n, Flavor.ODD)
 
 
 def rank_moment(k: int, n: int) -> int:
@@ -80,7 +74,8 @@ def marked_count_formula(
     total = 0
     j = 0
     while s + 2 * j + k - 1 <= n:
-        total += binom(j + k - 2, k - 2) * _flavor_count(s + 2 * j + k - 1, n, flavor)
+        count = _flavor_distribution(n, flavor).get(s + 2 * j + k - 1, 0)
+        total += binom(j + k - 2, k - 2) * count
         j += 1
     return total
 

@@ -6,9 +6,11 @@ A symbol document lists vectors from index 1 upward::
      "vectors": [{"alpha": [2], "beta": [2]}, ...],
      "derived": {"weight": 55, "ranks": [-1, 0, 1], "balanced_numbers": [1, 2, 0]}}
 
-The ``derived`` block is recomputed on output and ignored (but cross-checked
-when present) on input, so documents round-trip losslessly.  Plain two-row
-symbols are carried as one-vector documents.
+The ``derived`` block is recomputed on output and ignored (but each of its
+fields cross-checked when present) on input, so documents round-trip
+losslessly.  Input must satisfy the marking conditions of
+:func:`durfee.marked.validate`.  Plain two-row symbols are carried as
+one-vector documents.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .marked import KMarkedSymbol, PartitionPair, balanced_numbers
+from .marked import KMarkedSymbol, PartitionPair, balanced_numbers, validate
 from .symbols import DurfeeSymbol, Flavor
 
 _SUBSCRIPT_DIGITS = "₀₁₂₃₄₅₆₇₈₉"
@@ -33,11 +35,15 @@ def symbol_to_document(s: KMarkedSymbol | DurfeeSymbol) -> dict[str, Any]:
         "flavor": s.flavor.value,
         "d": s.d,
         "vectors": [{"alpha": list(v.alpha), "beta": list(v.beta)} for v in s.vectors],
-        "derived": {
-            "weight": s.weight,
-            "ranks": list(s.ranks),
-            "balanced_numbers": list(balanced_numbers(s)),
-        },
+        "derived": _derived(s),
+    }
+
+
+def _derived(s: KMarkedSymbol) -> dict[str, Any]:
+    return {
+        "weight": s.weight,
+        "ranks": list(s.ranks),
+        "balanced_numbers": list(balanced_numbers(s)),
     }
 
 
@@ -52,11 +58,17 @@ def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed symbol document: {exc}") from None
     s = KMarkedSymbol(vectors, d, flavor)
+    verdict = validate(s)
+    if not verdict:
+        raise ValueError(f"invalid symbol document: {verdict.reason}")
     derived = doc.get("derived")
-    if derived is not None and "weight" in derived and int(derived["weight"]) != s.weight:
-        raise ValueError(
-            f"document weight {derived['weight']} disagrees with rows ({s.weight})"
-        )
+    if derived is None:
+        return s
+    if not isinstance(derived, dict):
+        raise ValueError("malformed symbol document: derived must be an object")
+    for key, value in _derived(s).items():
+        if key in derived and derived[key] != value:
+            raise ValueError(f"document {key} {derived[key]} disagrees with rows ({value})")
     return s
 
 

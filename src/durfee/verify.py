@@ -2,9 +2,15 @@
 
 Every check compares quantities computed along independent routes (direct
 enumeration against closed formulas, forward maps against their inverses,
-series built three different ways) and reports the first counterexample on
-failure.  The driver runs checks serially by default; set DURFEE_THREADS > 1
-to fan independent checks out to worker processes.
+series built three different ways).  A check is a generator that yields one
+detail string per counterexample and nothing else.  ``_check`` registers it
+in :data:`CHECKS` under a name, with a bound description and data parameters
+(a flavor, a route name), so one generator can serve several names.  The one
+driver that ``_check`` builds makes every report row: PASS when the generator
+yields nothing, else FAIL with ``counterexample: `` and the first detail.
+Checks look library routines up on their modules as they run, so a patched
+or traced routine is the one called.  Checks run serially by default; set
+DURFEE_THREADS > 1 to fan them out to worker processes.
 """
 
 from __future__ import annotations
@@ -13,13 +19,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterable, Sequence
+from itertools import combinations, permutations, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bijections, marked, moments, qseries
 from .marked import PartitionPair, enumerate_kmarked, kmarked_rank_distribution
-from .partitions import count_rank, enumerate_partitions, rank_distribution
-from .symbols import Flavor, durfee_rank_distribution, enumerate_durfee
+from .partitions import MAX_WEIGHT, count_rank, enumerate_partitions, rank_distribution
+from .symbols import Flavor, count_durfee_rank, durfee_rank_distribution, enumerate_durfee
 
 
 @dataclass(frozen=True)
@@ -28,6 +34,14 @@ class Bounds:
     max_k: int = 3
     order: int = 8
     x: tuple[Fraction, ...] = (Fraction(2), Fraction(3), Fraction(5))
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.max_n <= MAX_WEIGHT:
+            raise ValueError(f"max_n must be in 0..{MAX_WEIGHT}, got {self.max_n}")
+        if self.max_k not in (2, 3):
+            raise ValueError(f"max_k must be 2 or 3, got {self.max_k}")
+        if self.order < 0:
+            raise ValueError(f"order must be nonnegative, got {self.order}")
 
     def ks(self) -> tuple[int, ...]:
         return tuple(k for k in (2, 3) if k <= self.max_k)
@@ -41,52 +55,60 @@ class CheckResult:
     detail: str = ""
 
 
-def _rank_vectors(n: int, k: int, dist: dict) -> set[tuple[int, ...]]:
-    """All vectors that could conceivably have a nonzero count, plus every
-    vector actually observed."""
+CHECKS: dict[str, Callable[[Bounds], CheckResult]] = {}
+
+
+def _check(name: str, bound: Callable[[Bounds], str], **params):
+    """Register the decorated generator as check ``name`` with ``params``;
+    stacked registrations apply bottom-up, so the lowest enters CHECKS first."""
+    def register(gen: Callable[..., Iterator[str]]):
+        def run(b: Bounds) -> CheckResult:
+            detail = next(gen(b, **params), None)
+            if detail is None:
+                return CheckResult(name, bound(b), True)
+            return CheckResult(name, bound(b), False, "counterexample: " + detail)
+
+        CHECKS[name] = run
+        return gen
+
+    return register
+
+
+def _k_and_n(b: Bounds) -> str:
+    return f"k in {b.ks()}, n <= {b.max_n}"
+
+
+def _series_bound(b: Bounds) -> str:
+    return f"k in {b.ks()}, order {b.order}, x = {tuple(str(v) for v in b.x)}"
+
+
+def _rank_vectors(n: int, k: int, dist: dict, signed: bool = True) -> set[tuple[int, ...]]:
+    """All vectors (nonnegative ones unless ``signed``) that could
+    conceivably have a nonzero count, plus every vector actually observed."""
     lim = max(0, n - k + 1)
     vecs = set(dist)
-    for m in product(range(-lim, lim + 1), repeat=k):
+    for m in product(range(-lim if signed else 0, lim + 1), repeat=k):
         if sum(abs(x) for x in m) <= lim:
             vecs.add(m)
     return vecs
 
 
-def check_theorem_main_ordinary(b: Bounds) -> CheckResult:
-    bound = f"k in {b.ks()}, n <= {b.max_n}"
-    for k in b.ks():
+@_check("theorem-main-odd", lambda b: f"k = 2, n <= {b.max_n}", flavor=Flavor.ODD, ks=(2,))
+@_check("theorem-main-ordinary", _k_and_n, flavor=Flavor.ORDINARY)
+def _theorem_main(b: Bounds, flavor: Flavor, ks: tuple[int, ...] | None = None):
+    """Enumerated counts by rank vector against the closed formula."""
+    for k in ks or b.ks():
         for n in range(b.max_n + 1):
-            dist = kmarked_rank_distribution(n, k)
+            dist = kmarked_rank_distribution(n, k, flavor)
             for m in _rank_vectors(n, k, dist):
-                expect = moments.marked_count_formula(m, n)
+                expect = moments.marked_count_formula(m, n, flavor)
                 got = dist.get(m, 0)
                 if got != expect:
-                    return CheckResult(
-                        "theorem-main-ordinary", bound, False,
-                        f"counterexample: n={n} k={k} m={m} enumerated={got} formula={expect}",
-                    )
-    return CheckResult("theorem-main-ordinary", bound, True)
-
-
-def check_theorem_main_odd(b: Bounds) -> CheckResult:
-    bound = f"k = 2, n <= {b.max_n}"
-    for n in range(b.max_n + 1):
-        dist = kmarked_rank_distribution(n, 2, Flavor.ODD)
-        for m in _rank_vectors(n, 2, dist):
-            expect = moments.marked_count_formula(m, n, Flavor.ODD)
-            got = dist.get(m, 0)
-            if got != expect:
-                return CheckResult(
-                    "theorem-main-odd", bound, False,
-                    f"counterexample: n={n} m={m} enumerated={got} formula={expect}",
-                )
-    return CheckResult("theorem-main-odd", bound, True)
+                    yield f"n={n} k={k} m={m} enumerated={got} formula={expect}"
 
 
 def _rank_orbit(m: tuple[int, ...]) -> set[tuple[int, ...]]:
     """All images of ``m`` under coordinate permutations and sign flips."""
-    from itertools import permutations
-
     orbit: set[tuple[int, ...]] = set()
     for perm in permutations(m):
         for signs in product((1, -1), repeat=len(m)):
@@ -94,35 +116,28 @@ def _rank_orbit(m: tuple[int, ...]) -> set[tuple[int, ...]]:
     return orbit
 
 
-def check_rank_symmetry_tables(b: Bounds) -> CheckResult:
+@_check("rank-symmetry-tables", _k_and_n)
+def _rank_symmetry_tables(b: Bounds):
     """Count tables invariant under coordinate permutations and sign flips,
     checked over the whole orbit of every observed vector."""
-    bound = f"k in {b.ks()}, n <= {b.max_n}"
     for k in b.ks():
         for n in range(b.max_n + 1):
-            dist = kmarked_rank_distribution(n, k)
+            dist = kmarked_rank_distribution(n, k, Flavor.ORDINARY)
             for m, c in dist.items():
                 for image in _rank_orbit(m):
                     if dist.get(image, 0) != c:
-                        return CheckResult(
-                            "rank-symmetry-tables", bound, False,
-                            f"counterexample: n={n} k={k} count {c} at {m} "
-                            f"but {dist.get(image, 0)} at {image}",
-                        )
-    return CheckResult("rank-symmetry-tables", bound, True)
+                        yield f"n={n} k={k} count {c} at {m} but {dist.get(image, 0)} at {image}"
 
 
-def check_permute_corpus(b: Bounds) -> CheckResult:
+@_check("permute-corpus", lambda b: f"{_k_and_n(b)}, transpositions")
+def _permute_corpus(b: Bounds):
     """The composite rank-permuting map is a bijection of each corpus onto
     itself, realizing every transposition."""
-    bound = f"k in {b.ks()}, n <= {b.max_n}, transpositions"
     for k in b.ks():
-        transpositions = []
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                perm = list(range(1, k + 1))
-                perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-                transpositions.append(tuple(perm))
+        transpositions = [
+            tuple({i: j, j: i}.get(p, p) for p in range(1, k + 1))
+            for i, j in combinations(range(1, k + 1), 2)
+        ]
         for n in range(b.max_n + 1):
             corpus = list(enumerate_kmarked(n, k))
             members = set(corpus)
@@ -131,132 +146,73 @@ def check_permute_corpus(b: Bounds) -> CheckResult:
                 for s in corpus:
                     im = bijections.permute_ranks(s, perm)
                     if im.ranks != tuple(s.ranks[p - 1] for p in perm):
-                        return CheckResult(
-                            "permute-corpus", bound, False,
-                            f"counterexample: n={n} k={k} perm={perm} ranks {s.ranks} -> {im.ranks}",
-                        )
+                        yield f"n={n} k={k} perm={perm} ranks {s.ranks} -> {im.ranks}"
                     if im not in members or im in seen:
-                        return CheckResult(
-                            "permute-corpus", bound, False,
-                            f"counterexample: n={n} k={k} perm={perm} image not fresh member for {s}",
-                        )
+                        yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
                     seen.add(im)
-    return CheckResult("permute-corpus", bound, True)
 
 
-def check_moment_identity_ordinary(b: Bounds) -> CheckResult:
-    bound = f"k in (1, 2), n <= {b.max_n}"
-    for k in (1, 2):
+@_check("moment-identity-odd", lambda b: f"k = 1, n <= {b.max_n}", flavor=Flavor.ODD, ks=(1,))
+@_check(
+    "moment-identity-ordinary", lambda b: f"k in (1, 2), n <= {b.max_n}",
+    flavor=Flavor.ORDINARY, ks=(1, 2),
+)
+def _moment_identity(b: Bounds, flavor: Flavor, ks: tuple[int, ...]):
+    for k in ks:
         for n in range(b.max_n + 1):
-            res = moments.check_moment_identity(k, n)
+            res = moments.check_moment_identity(k, n, flavor)
             if not res.equal:
-                return CheckResult(
-                    "moment-identity-ordinary", bound, False,
-                    f"counterexample: k={k} n={n} marked={res.marked_total} moment={res.moment}",
-                )
-    return CheckResult("moment-identity-ordinary", bound, True)
+                yield f"k={k} n={n} marked={res.marked_total} moment={res.moment}"
 
 
-def check_moment_identity_odd(b: Bounds) -> CheckResult:
-    bound = f"k = 1, n <= {b.max_n}"
-    for n in range(b.max_n + 1):
-        res = moments.check_moment_identity(1, n, Flavor.ODD)
-        if not res.equal:
-            return CheckResult(
-                "moment-identity-odd", bound, False,
-                f"counterexample: n={n} marked={res.marked_total} moment={res.moment}",
-            )
-    return CheckResult("moment-identity-odd", bound, True)
-
-
-def check_solution_count(b: Bounds) -> CheckResult:
-    nmax = min(b.max_n, 12)
-    bound = f"n <= {nmax}, k <= 3"
+@_check("solution-count", lambda b: f"n <= {min(b.max_n, 12)}, k <= 3")
+def _solution_count(b: Bounds):
     for k in (1, 2, 3):
-        for n in range(nmax + 1):
+        for n in range(min(b.max_n, 12) + 1):
             closed = moments.solution_count(n, k)
             brute = moments.solution_count_brute(n, k)
             if closed != brute:
-                return CheckResult(
-                    "solution-count", bound, False,
-                    f"counterexample: n={n} k={k} closed={closed} brute={brute}",
-                )
-    return CheckResult("solution-count", bound, True)
+                yield f"n={n} k={k} closed={closed} brute={brute}"
 
 
-def _series_triple(flavor: Flavor, b: Bounds, which: str) -> CheckResult:
-    name = f"{which}-{flavor.value}"
-    bound = f"k in {b.ks()}, order {b.order}, x = {tuple(str(v) for v in b.x)}"
+@_check("partial-fractions-odd", _series_bound, flavor=Flavor.ODD, route="partial")
+@_check("partial-fractions-ordinary", _series_bound, flavor=Flavor.ORDINARY, route="partial")
+@_check("product-form-odd", _series_bound, flavor=Flavor.ODD, route="product")
+@_check("product-form-ordinary", _series_bound, flavor=Flavor.ORDINARY, route="product")
+def _marked_series(b: Bounds, flavor: Flavor, route: str):
+    """The marked rank series against its product or partial-fraction form."""
     for k in b.ks():
         xs = b.x[:k]
         lhs = qseries.marked_rank_gf(xs, k, b.order, flavor)
-        rhs = (
-            qseries.marked_rank_gf_product(xs, k, b.order, flavor)
-            if which == "product-form"
-            else qseries.marked_rank_gf_partial_fractions(xs, k, b.order, flavor)
-        )
+        if route == "product":
+            rhs = qseries.marked_rank_gf_product(xs, k, b.order, flavor)
+        else:
+            rhs = qseries.marked_rank_gf_partial_fractions(xs, k, b.order, flavor)
         if lhs != rhs:
             for n in range(b.order + 1):
                 if lhs[n] != rhs[n]:
-                    return CheckResult(
-                        name, bound, False,
-                        f"counterexample: k={k} coefficient of q^{n}: {lhs[n]} vs {rhs[n]}",
-                    )
-    return CheckResult(name, bound, True)
+                    yield f"k={k} coefficient of q^{n}: {lhs[n]} vs {rhs[n]}"
 
 
-def check_product_form_ordinary(b: Bounds) -> CheckResult:
-    return _series_triple(Flavor.ORDINARY, b, "product-form")
-
-
-def check_product_form_odd(b: Bounds) -> CheckResult:
-    return _series_triple(Flavor.ODD, b, "product-form")
-
-
-def check_partial_fractions_ordinary(b: Bounds) -> CheckResult:
-    return _series_triple(Flavor.ORDINARY, b, "partial-fractions")
-
-
-def check_partial_fractions_odd(b: Bounds) -> CheckResult:
-    return _series_triple(Flavor.ODD, b, "partial-fractions")
-
-
-def check_rank_gf(b: Bounds) -> CheckResult:
-    bound = f"|m| <= 6, n <= {b.max_n}"
+@_check("odd-rank-gf", lambda b: f"|m| <= 6, n <= {b.max_n}", flavor=Flavor.ODD)
+@_check("rank-gf", lambda b: f"|m| <= 6, n <= {b.max_n}", flavor=Flavor.ORDINARY)
+def _rank_gf(b: Bounds, flavor: Flavor):
+    """Rank series coefficients against enumerated rank counts: partitions
+    for the ordinary flavor, odd symbols for the odd one."""
+    ordinary = flavor is Flavor.ORDINARY
     for m in range(-6, 7):
-        series = qseries.rank_gf(m, b.max_n)
+        series = (qseries.rank_gf if ordinary else qseries.odd_rank_gf)(m, b.max_n)
         for n in range(b.max_n + 1):
-            if series[n] != count_rank(m, n):
-                return CheckResult(
-                    "rank-gf", bound, False,
-                    f"counterexample: m={m} n={n} series={series[n]} count={count_rank(m, n)}",
-                )
-    return CheckResult("rank-gf", bound, True)
-
-
-def check_odd_rank_gf(b: Bounds) -> CheckResult:
-    bound = f"|m| <= 6, n <= {b.max_n}"
-    for m in range(-6, 7):
-        series = qseries.odd_rank_gf(m, b.max_n)
-        for n in range(b.max_n + 1):
-            got = durfee_rank_distribution(n, Flavor.ODD).get(m, 0)
+            got = count_rank(m, n) if ordinary else count_durfee_rank(m, n, flavor)
             if series[n] != got:
-                return CheckResult(
-                    "odd-rank-gf", bound, False,
-                    f"counterexample: m={m} n={n} series={series[n]} count={got}",
-                )
-    return CheckResult("odd-rank-gf", bound, True)
+                yield f"m={m} n={n} series={series[n]} count={got}"
 
 
-def check_durfee_bijection(b: Bounds) -> CheckResult:
-    bound = f"1 <= n <= {b.max_n}"
+@_check("durfee-bijection", lambda b: f"1 <= n <= {b.max_n}")
+def _durfee_bijection(b: Bounds):
     for n in range(1, b.max_n + 1):
         if durfee_rank_distribution(n) != rank_distribution(n):
-            return CheckResult(
-                "durfee-bijection", bound, False,
-                f"counterexample: n={n} symbol ranks != partition ranks",
-            )
-    return CheckResult("durfee-bijection", bound, True)
+            yield f"n={n} symbol ranks != partition ranks"
 
 
 def _pairs_upto(total: int) -> Iterable[PartitionPair]:
@@ -267,23 +223,17 @@ def _pairs_upto(total: int) -> Iterable[PartitionPair]:
                     yield PartitionPair(pa, pb)
 
 
-def check_pair_roundtrips(b: Bounds) -> CheckResult:
-    bound = f"|alpha| + |beta| <= {b.max_n}"
+@_check("pair-roundtrips", lambda b: f"|alpha| + |beta| <= {b.max_n}")
+def _pair_roundtrips(b: Bounds):
     for pair in _pairs_upto(b.max_n):
-        if not pair.alpha:
-            continue
-        if pair.beta and pair.beta[0] > pair.alpha[0]:
+        if not pair.alpha or (pair.beta and pair.beta[0] > pair.alpha[0]):
             continue
         image = bijections.to_strict_shifted(pair)
         r = len(marked.balanced_parts(pair))
         if not marked.is_strict_shifted_pair(image):
-            return CheckResult(
-                "pair-roundtrips", bound, False, f"counterexample: image of {pair} not strict shifted"
-            )
+            yield f"image of {pair} not strict shifted"
         if bijections.from_strict_shifted(image, r) != pair:
-            return CheckResult(
-                "pair-roundtrips", bound, False, f"counterexample: {pair} fails the round trip"
-            )
+            yield f"{pair} fails the round trip"
     for pair in _pairs_upto(b.max_n):
         if not marked.is_strict_shifted_pair(pair):
             continue
@@ -291,108 +241,68 @@ def check_pair_roundtrips(b: Bounds) -> CheckResult:
         for r in range(span):
             back = bijections.from_strict_shifted(pair, r)
             if len(marked.balanced_parts(back)) != r:
-                return CheckResult(
-                    "pair-roundtrips", bound, False,
-                    f"counterexample: {pair} r={r} preimage balance != r",
-                )
+                yield f"{pair} r={r} preimage balance != r"
             if bijections.to_strict_shifted(back) != pair:
-                return CheckResult(
-                    "pair-roundtrips", bound, False,
-                    f"counterexample: {pair} r={r} fails the reverse round trip",
-                )
-    return CheckResult("pair-roundtrips", bound, True)
+                yield f"{pair} r={r} fails the reverse round trip"
 
 
-def check_deficiencies(b: Bounds) -> CheckResult:
-    bound = f"|alpha| + |beta| <= {b.max_n}"
+@_check("deficiency-nonnegative", lambda b: f"|alpha| + |beta| <= {b.max_n}")
+def _deficiencies(b: Bounds):
     for pair in _pairs_upto(b.max_n):
         if pair.beta and (not pair.alpha or pair.beta[0] > pair.alpha[0]):
             continue
         defs = marked.deficiencies(pair)
         if any(d < 0 for d in defs):
-            return CheckResult(
-                "deficiency-nonnegative", bound, False, f"counterexample: {pair} -> {defs}"
-            )
+            yield f"{pair} -> {defs}"
         bal = marked.balanced_parts(pair)
         for j, d in enumerate(defs, 1):
             fits = j >= len(pair.alpha) or pair.alpha[j] <= pair.beta[j - 1]
             if (j in bal) != (d == 0 and fits):
-                return CheckResult(
-                    "deficiency-nonnegative", bound, False,
-                    f"counterexample: {pair} index {j} balance/deficiency disagree",
-                )
+                yield f"{pair} index {j} balance/deficiency disagree"
             if not fits and d < 1:
-                return CheckResult(
-                    "deficiency-nonnegative", bound, False,
-                    f"counterexample: {pair} index {j} oversized part with deficiency {d}",
-                )
-    return CheckResult("deficiency-nonnegative", bound, True)
+                yield f"{pair} index {j} oversized part with deficiency {d}"
 
 
-def check_lift_roundtrip(b: Bounds) -> CheckResult:
-    bound = f"k = 2, n <= {b.max_n}"
+@_check("lift-roundtrip", lambda b: f"k = 2, n <= {b.max_n}")
+def _lift_roundtrip(b: Bounds):
     for n in range(b.max_n + 1):
         for s in enumerate_kmarked(n, 2):
             lifted = bijections.symbol_to_strict_shifted(s)
             nb = marked.balanced_numbers(s)
             if not marked.is_strict_shifted_symbol(lifted):
-                return CheckResult(
-                    "lift-roundtrip", bound, False, f"counterexample: lift of {s} not strict shifted"
-                )
-            if any(
-                lifted.ranks[i] != s.ranks[i] + 2 * nb[i] for i in range(s.k - 1)
-            ) or lifted.ranks[-1] != s.ranks[-1]:
-                return CheckResult(
-                    "lift-roundtrip", bound, False, f"counterexample: rank shift wrong for {s}"
-                )
+                yield f"lift of {s} not strict shifted"
+            shifted = tuple(r + 2 * t for r, t in zip(s.ranks[:-1], nb)) + s.ranks[-1:]
+            if lifted.ranks != shifted:
+                yield f"rank shift wrong for {s}"
             if bijections.symbol_from_strict_shifted(lifted, nb) != s:
-                return CheckResult(
-                    "lift-roundtrip", bound, False, f"counterexample: {s} fails the round trip"
-                )
-    return CheckResult("lift-roundtrip", bound, True)
+                yield f"{s} fails the round trip"
 
 
-def check_flip_involution(b: Bounds) -> CheckResult:
-    bound = f"k = 2, n <= {b.max_n}, both positions"
+@_check("flip-involution", lambda b: f"k = 2, n <= {b.max_n}, both positions")
+def _flip_involution(b: Bounds):
     for n in range(b.max_n + 1):
         for s in enumerate_kmarked(n, 2):
             for p in (1, 2):
                 t = bijections.flip_rank(s, p)
-                expected = list(s.ranks)
-                expected[p - 1] = -expected[p - 1]
-                if t.ranks != tuple(expected):
-                    return CheckResult(
-                        "flip-involution", bound, False,
-                        f"counterexample: {s} position {p} flips to {t.ranks}",
-                    )
+                flipped = tuple(-r if i == p else r for i, r in enumerate(s.ranks, 1))
+                if t.ranks != flipped:
+                    yield f"{s} position {p} flips to {t.ranks}"
                 if bijections.flip_rank(t, p) != s:
-                    return CheckResult(
-                        "flip-involution", bound, False,
-                        f"counterexample: {s} position {p} not an involution",
-                    )
-    return CheckResult("flip-involution", bound, True)
+                    yield f"{s} position {p} not an involution"
 
 
-def check_merge_split_roundtrips(b: Bounds) -> CheckResult:
-    bound = f"k in {b.ks()}, n <= {b.max_n}"
+@_check("merge-split-roundtrips", _k_and_n)
+def _merge_split_roundtrips(b: Bounds):
     for k in b.ks():
         for n in range(b.max_n + 1):
             for s in enumerate_kmarked(n, k):
-                if not marked.is_strict_shifted_symbol(s):
-                    continue
-                if any(r < 0 for r in s.ranks):
+                if not marked.is_strict_shifted_symbol(s) or any(r < 0 for r in s.ranks):
                     continue
                 ds = bijections.merge_marks(s)
                 if ds.rank != sum(s.ranks) + k - 1:
-                    return CheckResult(
-                        "merge-split-roundtrips", bound, False,
-                        f"counterexample: merged rank wrong for {s}",
-                    )
+                    yield f"merged rank wrong for {s}"
                 if bijections.split_marks(ds, s.ranks) != s:
-                    return CheckResult(
-                        "merge-split-roundtrips", bound, False,
-                        f"counterexample: {s} fails merge-then-split",
-                    )
+                    yield f"{s} fails merge-then-split"
             for ds in enumerate_durfee(n):
                 r = ds.rank - (k - 1)
                 if r < 0:
@@ -403,91 +313,42 @@ def check_merge_split_roundtrips(b: Bounds) -> CheckResult:
                     targets = head + (r - sum(head),)
                     s = bijections.split_marks(ds, targets)
                     if s.ranks != targets or not marked.is_valid(s):
-                        return CheckResult(
-                            "merge-split-roundtrips", bound, False,
-                            f"counterexample: split of {ds} at {targets} invalid",
-                        )
+                        yield f"split of {ds} at {targets} invalid"
                     if bijections.merge_marks(s) != ds:
-                        return CheckResult(
-                            "merge-split-roundtrips", bound, False,
-                            f"counterexample: {ds} at {targets} fails split-then-merge",
-                        )
-    return CheckResult("merge-split-roundtrips", bound, True)
+                        yield f"{ds} at {targets} fails split-then-merge"
 
 
-def check_ss_count_identity(b: Bounds) -> CheckResult:
+@_check("strict-shifted-counts", _k_and_n)
+def _ss_count_identity(b: Bounds):
     """Strict shifted symbols with prescribed nonnegative ranks are counted
     by a single plain rank count."""
-    bound = f"k in {b.ks()}, n <= {b.max_n}"
     for k in b.ks():
         for n in range(b.max_n + 1):
             tally: dict[tuple[int, ...], int] = {}
             for s in enumerate_kmarked(n, k):
                 if marked.is_strict_shifted_symbol(s) and all(r >= 0 for r in s.ranks):
                     tally[s.ranks] = tally.get(s.ranks, 0) + 1
-            lim = max(0, n - k + 1)
-            vecs = set(tally)
-            for m in product(range(lim + 1), repeat=k):
-                if sum(m) <= lim:
-                    vecs.add(m)
-            for m in vecs:
+            for m in _rank_vectors(n, k, tally, signed=False):
                 expect = count_rank(sum(m) + k - 1, n)
                 if tally.get(m, 0) != expect:
-                    return CheckResult(
-                        "strict-shifted-counts", bound, False,
-                        f"counterexample: n={n} k={k} m={m} counted={tally.get(m, 0)} expected={expect}",
-                    )
-    return CheckResult("strict-shifted-counts", bound, True)
+                    yield f"n={n} k={k} m={m} counted={tally.get(m, 0)} expected={expect}"
 
 
-def check_subscript_labels(b: Bounds) -> CheckResult:
-    bound = f"strict shifted pairs, |alpha| + |beta| <= {b.max_n}"
+@_check("subscript-labels", lambda b: f"strict shifted pairs, |alpha| + |beta| <= {b.max_n}")
+def _subscript_labels(b: Bounds):
     for pair in _pairs_upto(b.max_n):
         if not marked.is_strict_shifted_pair(pair):
             continue
         labels = bijections.subscripts(pair)
         span = len(pair.alpha) - len(pair.beta)
         if labels[0] != 0 or (len(labels) > 1 and labels[1] != 0) or any(g < 0 for g in labels):
-            return CheckResult(
-                "subscript-labels", bound, False, f"counterexample: {pair} labels {labels}"
-            )
+            yield f"{pair} labels {labels}"
         if not set(range(span - 1)) <= set(labels):
-            return CheckResult(
-                "subscript-labels", bound, False,
-                f"counterexample: {pair} labels {labels} miss a value below {span - 1}",
-            )
+            yield f"{pair} labels {labels} miss a value below {span - 1}"
         minima = bijections.subscript_minima(pair)
         if any(minima[i] < minima[i + 1] for i in range(len(minima) - 1)):
-            return CheckResult(
-                "subscript-labels", bound, False,
-                f"counterexample: {pair} minima {minima} not non-increasing",
-            )
-    return CheckResult("subscript-labels", bound, True)
+            yield f"{pair} minima {minima} not non-increasing"
 
-
-CHECKS: dict[str, Callable[[Bounds], CheckResult]] = {
-    "theorem-main-ordinary": check_theorem_main_ordinary,
-    "theorem-main-odd": check_theorem_main_odd,
-    "rank-symmetry-tables": check_rank_symmetry_tables,
-    "permute-corpus": check_permute_corpus,
-    "moment-identity-ordinary": check_moment_identity_ordinary,
-    "moment-identity-odd": check_moment_identity_odd,
-    "solution-count": check_solution_count,
-    "product-form-ordinary": check_product_form_ordinary,
-    "product-form-odd": check_product_form_odd,
-    "partial-fractions-ordinary": check_partial_fractions_ordinary,
-    "partial-fractions-odd": check_partial_fractions_odd,
-    "rank-gf": check_rank_gf,
-    "odd-rank-gf": check_odd_rank_gf,
-    "durfee-bijection": check_durfee_bijection,
-    "pair-roundtrips": check_pair_roundtrips,
-    "deficiency-nonnegative": check_deficiencies,
-    "lift-roundtrip": check_lift_roundtrip,
-    "flip-involution": check_flip_involution,
-    "merge-split-roundtrips": check_merge_split_roundtrips,
-    "strict-shifted-counts": check_ss_count_identity,
-    "subscript-labels": check_subscript_labels,
-}
 
 SUITES: dict[str, tuple[str, ...]] = {
     "main": ("theorem-main-ordinary", "theorem-main-odd", "rank-symmetry-tables"),

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from durfee import cli
 from durfee.marked import KMarkedSymbol, PartitionPair
 from durfee.serialize import render
+from durfee.symbols import Flavor
 from durfee import verify as verify_mod
 from durfee.verify import Bounds, CheckResult, run_checks, run_suite
 
@@ -22,6 +24,11 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_count_table(capsys):
@@ -69,6 +76,10 @@ def test_count_past_enumeration_guard(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "50", "--k", "2")
     assert code == 0
     assert out.strip().splitlines()[-1] == "total\t\t9020018"
+
+
+def test_enumerate_bad_input_is_usage_error(capsys):
+    assert_usage_error(*run_cli(capsys, "enumerate", "--n", "3", "--k", "0"))
 
 
 def test_enumerate_json_lines(capsys):
@@ -141,6 +152,33 @@ def test_map_five_step_chain(tmp_path, capsys):
     assert final["vectors"][1] == {"alpha": [3, 3, 3, 1], "beta": [3, 2, 2, 1, 1]}
 
 
+def test_map_missing_input_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert_usage_error(*run_cli(capsys, "map", "--map", "theta", "--p", "1", "--in", str(missing)))
+
+
+def test_map_non_json_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
+    assert_usage_error(*run_cli(capsys, "map", "--map", "theta", "--p", "1"))
+
+
+def test_map_document_without_flavor(tmp_path, capsys):
+    doc = json.loads(render(ETA))
+    del doc["flavor"]
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(doc))
+    assert_usage_error(*run_cli(capsys, "map", "--map", "theta", "--p", "1", "--in", str(path)))
+
+
+def test_map_invalid_symbol_document(capsys, monkeypatch):
+    # 9 exceeds the entry cap 1 of subscript 1
+    doc = {"d": 1, "flavor": "ordinary", "vectors": [{"alpha": [9], "beta": []}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "map", "--map", "theta", "--p", "1")
+    assert_usage_error(code, out, err)
+    assert "exceeds cap 1" in err
+
+
 def test_map_missing_parameter(tmp_path, capsys):
     path = tmp_path / "eta.json"
     path.write_text(render(ETA))
@@ -183,6 +221,84 @@ def test_verify_reports_counterexample_when_core_is_corrupted(capsys, monkeypatc
     code, out, _ = run_cli(capsys, "verify", "--suite", "main", "--max-n", "6")
     assert code == 1
     assert "FAIL" in out and "counterexample" in out and "m=(0, 0)" in out
+
+
+# ``verify --suite all --max-n 6 --order 5``, byte for byte, as recorded
+# before the checks became registered generators.
+GOLDEN_VERIFY_ALL = [
+    'check\tbound\tstatus\tdetail',
+    'theorem-main-ordinary\tk in (2, 3), n <= 6\tPASS\t',
+    'theorem-main-odd\tk = 2, n <= 6\tPASS\t',
+    'rank-symmetry-tables\tk in (2, 3), n <= 6\tPASS\t',
+    'moment-identity-ordinary\tk in (1, 2), n <= 6\tPASS\t',
+    'moment-identity-odd\tk = 1, n <= 6\tPASS\t',
+    'solution-count\tn <= 6, k <= 3\tPASS\t',
+    "product-form-ordinary\tk in (2, 3), order 5, x = ('2', '3', '5')\tPASS\t",
+    "product-form-odd\tk in (2, 3), order 5, x = ('2', '3', '5')\tPASS\t",
+    'rank-gf\t|m| <= 6, n <= 6\tPASS\t',
+    'odd-rank-gf\t|m| <= 6, n <= 6\tPASS\t',
+    "partial-fractions-ordinary\tk in (2, 3), order 5, x = ('2', '3', '5')\tPASS\t",
+    "partial-fractions-odd\tk in (2, 3), order 5, x = ('2', '3', '5')\tPASS\t",
+    'merge-split-roundtrips\tk in (2, 3), n <= 6\tPASS\t',
+    'strict-shifted-counts\tk in (2, 3), n <= 6\tPASS\t',
+    'flip-involution\tk = 2, n <= 6, both positions\tPASS\t',
+    'permute-corpus\tk in (2, 3), n <= 6, transpositions\tPASS\t',
+    'durfee-bijection\t1 <= n <= 6\tPASS\t',
+    'pair-roundtrips\t|alpha| + |beta| <= 6\tPASS\t',
+    'deficiency-nonnegative\t|alpha| + |beta| <= 6\tPASS\t',
+    'lift-roundtrip\tk = 2, n <= 6\tPASS\t',
+    'subscript-labels\tstrict shifted pairs, |alpha| + |beta| <= 6\tPASS\t',
+    'RESULT\tPASS\t21/21 checks passed',
+]
+
+
+def test_verify_report_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "6", "--order", "5")
+    assert code == 0
+    assert out == "\n".join(GOLDEN_VERIFY_ALL) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--x", "2,2", "--suite", "thm7"),
+        ("--max-k", "2", "--x", "2,2", "--suite", "thm7"),  # pole
+        ("--x", "0,1", "--suite", "thm7"),
+        ("--x", "2", "--suite", "thm7"),
+        ("--order", "-1"),
+        ("--max-k", "5"),
+        ("--max-k", "1"),
+        ("--max-n", "-1"),
+        ("--max-n", "41", "--suite", "main"),
+    ],
+)
+def test_verify_bad_input_is_usage_error(capsys, argv):
+    assert_usage_error(*run_cli(capsys, "verify", *argv))
+
+
+def test_verify_reports_each_series_route_separately(capsys, monkeypatch):
+    # A wrong partial-fraction route must fail exactly the two thm7 rows while
+    # the product-form rows stay PASS.  It is wrong at k = 2 for the ordinary
+    # flavor and at k = 3 for the odd one, so each row's counterexample also
+    # shows which flavor the row ran.
+    original = verify_mod.qseries.marked_rank_gf_partial_fractions
+    wrong = {(Flavor.ORDINARY, 2), (Flavor.ODD, 3)}
+
+    def corrupted(xs, k, order, flavor):
+        series = original(xs, k, order, flavor)
+        if (flavor, k) in wrong:
+            series = series + verify_mod.qseries.QSeries.monomial(1, order, order)
+        return series
+
+    monkeypatch.setattr(verify_mod.qseries, "marked_rank_gf_partial_fractions", corrupted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "4", "--order", "4")
+    assert code == 1
+    rows = {line.split("\t")[0]: line.split("\t") for line in out.splitlines()[1:-1]}
+    failed = {name for name, row in rows.items() if row[2] == "FAIL"}
+    assert failed == {"partial-fractions-ordinary", "partial-fractions-odd"}
+    assert rows["partial-fractions-ordinary"][3].startswith("counterexample: k=2 ")
+    assert rows["partial-fractions-odd"][3].startswith("counterexample: k=3 ")
+    assert rows["product-form-ordinary"][2] == rows["product-form-odd"][2] == "PASS"
 
 
 def test_series_partition(capsys):

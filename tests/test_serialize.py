@@ -61,6 +61,35 @@ def test_weight_cross_check():
         document_to_symbol(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("ranks", [-1, 0, 2]), ("balanced_numbers", [0, 1, 0])]
+)
+def test_derived_cross_checks(key, value):
+    doc = symbol_to_document(SYM55)
+    doc["derived"][key] = value
+    with pytest.raises(ValueError, match=key):
+        document_to_symbol(doc)
+
+
+def test_derived_block_must_be_an_object():
+    doc = symbol_to_document(SYM55)
+    doc["derived"] = [55]
+    with pytest.raises(ValueError, match="malformed"):
+        document_to_symbol(doc)
+
+
+def test_invalid_symbol_documents_rejected():
+    # the top entry 9 exceeds the cap 1 of subscript 1
+    doc = {"d": 1, "flavor": "ordinary", "vectors": [{"alpha": [9], "beta": []}]}
+    with pytest.raises(ValueError, match="invalid symbol document: condition \\(3\\)"):
+        document_to_symbol(doc)
+    odd = symbol_to_document(SYM55)
+    odd["flavor"] = "odd"
+    del odd["derived"]
+    with pytest.raises(ValueError, match="invalid symbol document"):
+        document_to_symbol(odd)
+
+
 def test_malformed_documents_rejected():
     with pytest.raises(ValueError, match="malformed"):
         document_to_symbol({"flavor": "ordinary", "d": 1})
