@@ -68,13 +68,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.ranks is not None and len(args.ranks) != args.k:
+        print(f"error: --ranks needs {args.k} entries", file=sys.stderr)
+        return 2
     header = [f"m{i}" for i in range(1, args.k + 1)] + ["count"]
     print(f"# n={args.n} k={args.k} flavor={args.flavor.value}")
     print("\t".join(header))
     if args.ranks is not None:
-        if len(args.ranks) != args.k:
-            print(f"error: --ranks needs {args.k} entries", file=sys.stderr)
-            return 2
         m = tuple(args.ranks)
         print("\t".join([*(str(x) for x in m), str(dist.get(m, 0))]))
         return 0

@@ -205,6 +205,8 @@ def enumerate_kmarked(
     across weights.  For k = 1 this agrees element-wise with
     :func:`durfee.symbols.enumerate_durfee`.
     """
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
     if k < 1:
         raise ValueError("k must be >= 1")
     odd = flavor is Flavor.ODD

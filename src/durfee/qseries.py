@@ -4,12 +4,17 @@ generating functions used to cross-check the enumeration modules.
 A :class:`QSeries` stores coefficients c_0 .. c_Q as fractions; arithmetic
 discards terms beyond the truncation order, so equality of two series means
 literal agreement of every retained coefficient.
+
+Every generating function below is built on one coefficient list, updated in
+place by two kernels that multiply or divide it by a sparse factor
+(1 - c q^a) in O(order) steps, and wrapped in a :class:`QSeries` at the end.
+Nothing is cached, so every call returns a fresh series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import count
 from typing import Sequence
 
 from .marked import kmarked_rank_counts
@@ -125,44 +130,48 @@ class QSeries:
         return f"QSeries({body} + O(q^{self.order + 1}))"
 
 
+def _times_factor(coeffs: list, c: Rational, a: int) -> None:
+    """Multiply ``coeffs`` in place by (1 - c q^a), a >= 1; the loop runs
+    downward so each ``coeffs[e - a]`` it reads is still the old value."""
+    for e in range(len(coeffs) - 1, a - 1, -1):
+        coeffs[e] -= c * coeffs[e - a]
+
+
+def _divide_factor(coeffs: list, c: Rational, a: int) -> None:
+    """Divide ``coeffs`` in place by (1 - c q^a), a >= 1; the loop runs
+    upward so each ``coeffs[e - a]`` it reads is already the new value."""
+    for e in range(a, len(coeffs)):
+        coeffs[e] += c * coeffs[e - a]
+
+
+def _divide_euler(coeffs: list, step: int) -> None:
+    """Divide ``coeffs`` in place by the product of (1 - q^j), j a multiple of ``step``."""
+    for j in range(step, len(coeffs), step):
+        _divide_factor(coeffs, 1, j)
+
+
 def geometric(coeff: Rational, exponent: int, order: int) -> QSeries:
     """1 / (1 - c q^a) as a truncated series; requires a >= 1."""
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
-    s = QSeries(order)
-    c = Fraction(coeff)
-    power = Fraction(1)
-    e = 0
-    while e <= order:
-        s.coeffs[e] += power
-        power *= c
-        e += exponent
-    return s
+    coeffs = [1] + [0] * order
+    _divide_factor(coeffs, Fraction(coeff), exponent)
+    return QSeries(order, coeffs)
 
 
 def euler_product(order: int, step: int = 1) -> QSeries:
     """The finite product of (1 - q^(step*j)) for step*j <= order."""
-    out = QSeries.one(order)
-    j = step
-    while j <= order:
-        out = out * (QSeries.one(order) - QSeries.monomial(1, j, order))
-        j += step
-    return out
-
-
-@lru_cache(maxsize=None)
-def _inverse_euler(order: int, step: int) -> QSeries:
-    out = QSeries.one(order)
-    j = step
-    while j <= order:
-        out = out * geometric(1, j, order)
-        j += step
-    return out
+    coeffs = [1] + [0] * order
+    for j in range(step, order + 1, step):
+        _times_factor(coeffs, 1, j)
+    return QSeries(order, coeffs)
 
 
 def partition_gf(order: int) -> QSeries:
     """Generating series of partition counts: coefficient of q^n is p(n)."""
-    return _inverse_euler(order, 1)
+    coeffs = [1] + [0] * order
+    _divide_euler(coeffs, 1)
+    return QSeries(order, coeffs)
 
 
 def rank_gf(m: int, order: int) -> QSeries:
@@ -174,35 +183,32 @@ def rank_gf(m: int, order: int) -> QSeries:
     starts at weight 1; the weight-0 coefficient is patched to 1 for m = 0
     because the empty partition has rank 0.
     """
-    acc = QSeries(order)
-    n = 1
-    while True:
+    coeffs = [0] * (order + 1)
+    for n in count(1):
         e = n * (3 * n - 1) // 2 + abs(m) * n
         if e > order:
             break
         sign = 1 if n % 2 == 1 else -1
-        acc += QSeries.monomial(sign, e, order)
-        acc += QSeries.monomial(-sign, e + n, order)
-        n += 1
-    out = partition_gf(order) * acc
+        coeffs[e] += sign
+        if e + n <= order:
+            coeffs[e + n] -= sign
+    _divide_euler(coeffs, 1)
     if m == 0:
-        out.coeffs[0] += 1
-    return out
+        coeffs[0] += 1
+    return QSeries(order, coeffs)
 
 
 def odd_rank_gf(m: int, order: int) -> QSeries:
     """Generating series of odd-flavor symbol counts by rank: coefficient of
     q^n counts the odd symbols of weight n with rank ``m``."""
-    acc = QSeries(order)
-    n = 0
-    while True:
+    coeffs = [0] * (order + 1)
+    for n in count(0):
         e = 3 * n * n + 3 * n + 1 + abs(m) * (2 * n + 1)
         if e > order:
             break
-        sign = 1 if n % 2 == 0 else -1
-        acc += QSeries.monomial(sign, e, order)
-        n += 1
-    return _inverse_euler(order, 2) * acc
+        coeffs[e] += 1 if n % 2 == 0 else -1
+    _divide_euler(coeffs, 2)
+    return QSeries(order, coeffs)
 
 
 def _checked_point(x: Sequence[Rational], k: int) -> tuple[Fraction, ...]:
@@ -252,35 +258,28 @@ def marked_rank_gf_product(
     expansion.)
     """
     xs = _checked_point(x, k)
-    acc = QSeries(order)
-    if flavor is Flavor.ORDINARY:
-        n = 1
-        while True:
-            e = 3 * n * (n - 1) // 2 + k * n
-            if e > order:
-                break
-            sign = 1 if n % 2 == 1 else -1
-            one = QSeries.one(order)
-            qn = QSeries.monomial(1, n, order)
-            term = QSeries.monomial(sign, e, order) * (one + qn) * (one - qn) * (one - qn)
-            for xj in xs:
-                term = term * geometric(xj, n, order) * geometric(1 / xj, n, order)
-            acc += term
-            n += 1
-        return partition_gf(order) * acc
-    n = 0
-    while True:
-        e = 3 * n * n + (2 * k + 1) * n + k
+    ordinary = flavor is Flavor.ORDINARY
+    first = 1 if ordinary else 0
+    acc = [0] * (order + 1)
+    for n in count(first):
+        # term n: sign * q^e times (1 - c q^a) for each (c, a) in numerator,
+        # over (1 - x_j q^step)(1 - q^step / x_j) for each j
+        if ordinary:
+            e, step, numerator = 3 * n * (n - 1) // 2 + k * n, n, ((-1, n), (1, n), (1, n))
+        else:
+            e, step, numerator = 3 * n * n + (2 * k + 1) * n + k, 2 * n + 1, ((1, 4 * n + 2),)
         if e > order:
             break
-        sign = 1 if n % 2 == 0 else -1
-        step = 2 * n + 1
-        term = QSeries.monomial(sign, e, order) - QSeries.monomial(sign, e + 4 * n + 2, order)
+        term = [0] * (order + 1)
+        term[e] = 1 if (n - first) % 2 == 0 else -1
+        for c, a in numerator:
+            _times_factor(term, c, a)
         for xj in xs:
-            term = term * geometric(xj, step, order) * geometric(1 / xj, step, order)
-        acc += term
-        n += 1
-    return _inverse_euler(order, 2) * acc
+            _divide_factor(term, xj, step)
+            _divide_factor(term, 1 / xj, step)
+        acc = [s + t for s, t in zip(acc, term)]
+    _divide_euler(acc, 1 if ordinary else 2)
+    return QSeries(order, acc)
 
 
 def marked_rank_gf_partial_fractions(

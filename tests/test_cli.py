@@ -65,7 +65,9 @@ def test_count_is_deterministic(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("argv", [("--n", "-3"), ("--n", "4", "--k", "0")])
+@pytest.mark.parametrize(
+    "argv", [("--n", "-3"), ("--n", "4", "--k", "0"), ("--n", "3", "--k", "2", "--ranks", "1")]
+)
 def test_count_bad_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "count", *argv)
     assert code == 2 and out == ""
@@ -78,8 +80,9 @@ def test_count_past_enumeration_guard(capsys):
     assert out.strip().splitlines()[-1] == "total\t\t9020018"
 
 
-def test_enumerate_bad_input_is_usage_error(capsys):
-    assert_usage_error(*run_cli(capsys, "enumerate", "--n", "3", "--k", "0"))
+@pytest.mark.parametrize("argv", [("--n", "3", "--k", "0"), ("--n", "-2")])
+def test_enumerate_bad_input_is_usage_error(capsys, argv):
+    assert_usage_error(*run_cli(capsys, "enumerate", *argv))
 
 
 def test_enumerate_json_lines(capsys):

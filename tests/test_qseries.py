@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -170,3 +171,94 @@ def test_evaluation_point_validation():
         marked_rank_gf((0, 2), 2, 4)
     with pytest.raises(ValueError, match="2 evaluation"):
         marked_rank_gf((2, 3, 5), 2, 4)
+
+
+def test_partition_gf_returns_a_fresh_series():
+    partition_gf(6).coeffs[3] += 100
+    assert partition_gf(6)[3] == 3
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("xs, order", [((2, 3), 30), ((2, 3, 5), 24)])
+def test_three_routes_agree_past_the_acceptance_orders(xs, order, flavor):
+    k = len(xs)
+    lhs = marked_rank_gf(xs, k, order, flavor)
+    assert lhs == marked_rank_gf_product(xs, k, order, flavor)
+    assert lhs == marked_rank_gf_partial_fractions(xs, k, order, flavor)
+
+
+GOLDEN_SERIES = {
+    "partition": partition_gf,
+    "rank m=-3": lambda order: rank_gf(-3, order),
+    "rank m=0": lambda order: rank_gf(0, order),
+    "rank m=2": lambda order: rank_gf(2, order),
+    "odd-rank m=0": lambda order: odd_rank_gf(0, order),
+    "odd-rank m=1": lambda order: odd_rank_gf(1, order),
+    "product x=2,3 ordinary": lambda order: marked_rank_gf_product((2, 3), 2, order),
+    "partial x=2,3 ordinary": lambda order: marked_rank_gf_partial_fractions((2, 3), 2, order),
+    "product x=2,3 odd": lambda order: marked_rank_gf_product((2, 3), 2, order, Flavor.ODD),
+    "partial x=2,3 odd": lambda order: marked_rank_gf_partial_fractions(
+        (2, 3), 2, order, Flavor.ODD
+    ),
+    "product x=2,3,5 ordinary": lambda order: marked_rank_gf_product((2, 3, 5), 3, order),
+    "partial x=2,3,5 ordinary": lambda order: marked_rank_gf_partial_fractions(
+        (2, 3, 5), 3, order
+    ),
+    "product x=2,3,5 odd": lambda order: marked_rank_gf_product(
+        (2, 3, 5), 3, order, Flavor.ODD
+    ),
+    "partial x=2,3,5 odd": lambda order: marked_rank_gf_partial_fractions(
+        (2, 3, 5), 3, order, Flavor.ODD
+    ),
+}
+
+# sha256 of the coefficients, one str(c) per line, recorded from the dense
+# series products that the in-place sparse-factor kernels replaced.  The
+# partial-fraction form stops at order 60: at order 200 its k = 1 counting
+# DP alone takes over a minute.
+GOLDEN_DIGESTS = {
+    ("partition", 8): "4a2b1064fb4fcfb15a494453841d9423da36776ab620fde17bb2a37c55705c23",
+    ("partition", 60): "63252b634e674c2eb3bc82d7b41c9f268e04f61900206aa1dd656b65603e19f5",
+    ("partition", 200): "21d4b35eb5ea22fd9aae39b1b1ed7d11df77949c336b355baffa53fa3b4424ac",
+    ("rank m=-3", 8): "161a82f9bfc236629210edbc5ba923270bb11a50e2bc52882f5b03a3f8a321af",
+    ("rank m=-3", 60): "7b93833e522c34b0c59462c110055cb70d3cbf15a509cf928631eb6a33252192",
+    ("rank m=-3", 200): "dbbcdc25e804c19e480d6fe7c03acf8d05e98f037c20edbdea43abf50198fc86",
+    ("rank m=0", 8): "bab9497b348cedccdb2d48ebc7274196a79e2c41d300538cbbf364ac077888b2",
+    ("rank m=0", 60): "dd978e52cd93dcae1a1785f2bc6c5660829de82238d68ae73b44be48e5875e8e",
+    ("rank m=0", 200): "cbfacefa894d353f3a1a7b9e3ab79473a548f82b4953cc2ed7109ba54de1362f",
+    ("rank m=2", 8): "6c6c2fdf8ed0c0a829a63e8b2092e15c35c5499bc6de5a6d6ecaecc3403410f8",
+    ("rank m=2", 60): "87f8ac4cb772b1530a2da9cfcb2c85d018c7cb22325348741a74df77240e26bd",
+    ("rank m=2", 200): "a480f866559dcb52fdf8833a7cfb34b395cd167dfaead0ebbf5ddcf99f74479a",
+    ("odd-rank m=0", 8): "130c822cafc76b78a07d6261a6081bcc9c85431ae0f5914d831b14add80ee2ba",
+    ("odd-rank m=0", 60): "5bc563b030b9cf8fd1e367334f8812af1bee7126b7c8a60520fe3e070e79cb48",
+    ("odd-rank m=0", 200): "bf7788d65ebee920dcb6d0c7cfedf98e55ddd046021e23479c71addce46b6045",
+    ("odd-rank m=1", 8): "837a42296de105f48af85948437e9de0ada37a66fe5fbad0ea330a838a4911d6",
+    ("odd-rank m=1", 60): "8cd81ca7a87ef8227afba46d63409867dd9bebde8d1bcba3061532947f62b688",
+    ("odd-rank m=1", 200): "5cf5f3cf60a39755752b40cc88addd8a936a75e6b151f378b2155b8ee51f94bc",
+    ("product x=2,3 ordinary", 8): "bb6e509ac7525f340956e3fa315141ff9969d3f45d32d230ffe73e70dd0912c7",
+    ("product x=2,3 ordinary", 60): "b03eb9e4c7a08fedd8e4bc020c9021030d7a08b84e8226d8a836b5e73047c700",
+    ("product x=2,3 ordinary", 200): "f347da298c64adda0e6dad6665bf550af29de1ae21dbe68cca933f17a097dee2",
+    ("partial x=2,3 ordinary", 8): "bb6e509ac7525f340956e3fa315141ff9969d3f45d32d230ffe73e70dd0912c7",
+    ("partial x=2,3 ordinary", 60): "b03eb9e4c7a08fedd8e4bc020c9021030d7a08b84e8226d8a836b5e73047c700",
+    ("product x=2,3 odd", 8): "a1c833b02309ec4df9a6b3c3447571933f179d53738c6c245713573df736c248",
+    ("product x=2,3 odd", 60): "58a386020dde854175393a89b01091facbcbe616230aaafd7f016cdf26f7becc",
+    ("product x=2,3 odd", 200): "48fa9725f3b7585c71bd66ab78ef7e08d0ac1d0e31fa990bc0a84ff26bbb37de",
+    ("partial x=2,3 odd", 8): "a1c833b02309ec4df9a6b3c3447571933f179d53738c6c245713573df736c248",
+    ("partial x=2,3 odd", 60): "58a386020dde854175393a89b01091facbcbe616230aaafd7f016cdf26f7becc",
+    ("product x=2,3,5 ordinary", 8): "19dd82c76f7933fce33503d7eb42226b10f89c807354fe2b545224d66cac061d",
+    ("product x=2,3,5 ordinary", 60): "aab3044d31946d2a8b6f9b1011e04f1b18de36d71cb7d6ae1dc0138f6c7851ea",
+    ("product x=2,3,5 ordinary", 200): "288f6f379ab97260f58aafb4212fa98cf8f6d7da244b5b32185db0e0cdc5bcfa",
+    ("partial x=2,3,5 ordinary", 8): "19dd82c76f7933fce33503d7eb42226b10f89c807354fe2b545224d66cac061d",
+    ("partial x=2,3,5 ordinary", 60): "aab3044d31946d2a8b6f9b1011e04f1b18de36d71cb7d6ae1dc0138f6c7851ea",
+    ("product x=2,3,5 odd", 8): "6de7268ada1913ef69aec40c8608612d1bf03d6c973b9ed811a0a0c73656b4d6",
+    ("product x=2,3,5 odd", 60): "9725cdd68d1c8e0a20746c31667b966bde840e123790b917744321079d4bc81c",
+    ("product x=2,3,5 odd", 200): "30971d3451ec08e0c348de2df29076dd0603748878b202b75053b4ed62e706b4",
+    ("partial x=2,3,5 odd", 8): "6de7268ada1913ef69aec40c8608612d1bf03d6c973b9ed811a0a0c73656b4d6",
+    ("partial x=2,3,5 odd", 60): "9725cdd68d1c8e0a20746c31667b966bde840e123790b917744321079d4bc81c",
+}
+
+
+@pytest.mark.parametrize("name, order", list(GOLDEN_DIGESTS))
+def test_series_coefficients_are_pinned(name, order):
+    text = "\n".join(str(c) for c in GOLDEN_SERIES[name](order).coeffs)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name, order]
