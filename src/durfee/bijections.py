@@ -20,7 +20,6 @@ whole-vector interlacing bounds never move.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from .marked import (
@@ -177,7 +176,7 @@ def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
     new_vectors = tuple(
         to_strict_shifted(v) if i < s.k else v for i, v in enumerate(s.vectors, 1)
     )
-    return replace(s, vectors=new_vectors)
+    return KMarkedSymbol(new_vectors, s.d, s.flavor)
 
 
 def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSymbol:
@@ -197,7 +196,7 @@ def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSym
             new_vectors.append(from_strict_shifted(vec, ti))
         except ValueError as exc:
             raise ValueError(f"vector {i}: {exc}") from None
-    return replace(s, vectors=tuple(new_vectors))
+    return KMarkedSymbol(tuple(new_vectors), s.d, s.flavor)
 
 
 def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
@@ -219,7 +218,7 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
         top = tuple(sorted(beta + (alpha[0],), reverse=True))
         new = PartitionPair(top, alpha[1:])
     vectors = s.vectors[: p - 1] + (new,) + s.vectors[p:]
-    return replace(s, vectors=vectors)
+    return KMarkedSymbol(vectors, s.d, s.flavor)
 
 
 def permute_ranks(s: KMarkedSymbol, perm: Sequence[int]) -> KMarkedSymbol:

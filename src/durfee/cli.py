@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import bijections, qseries
-from .marked import enumerate_kmarked, kmarked_rank_counts
+from .marked import KMarkedSymbol, enumerate_kmarked, kmarked_rank_counts
 from .serialize import document_to_symbol, format_symbol, render, symbol_to_document
 from .symbols import DurfeeSymbol, Flavor
 from .verify import Bounds, SUITES, run_suite
@@ -99,63 +99,47 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+# --map name -> (the flag it needs, or None; its function in ``bijections``)
+_MAPS = {
+    "phi": (None, "merge_marks"),
+    "phi-inv": ("ranks", "split_marks"),
+    "psi": (None, "symbol_to_strict_shifted"),
+    "psi-inv": ("t", "symbol_from_strict_shifted"),
+    "theta": ("p", "flip_rank"),
+    "symmetry": ("perm", "permute_ranks"),
+}
+
+
+def _ranks(x: KMarkedSymbol | DurfeeSymbol) -> tuple[int, ...]:
+    return (x.rank,) if isinstance(x, DurfeeSymbol) else x.ranks
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     name = args.map
+    param, function = _MAPS[name]
     try:
         s = document_to_symbol(_load_document(args.input))
-        if name == "phi":
-            before = s.ranks
-            out = bijections.merge_marks(s)
-            after = (out.rank,)
-        elif name == "phi-inv":
-            if args.ranks is None:
-                print("error: phi-inv needs --ranks", file=sys.stderr)
-                return 2
+        extra = () if param is None else (getattr(args, param),)
+        if None in extra:
+            print(f"error: {name} needs --{param}", file=sys.stderr)
+            return 2
+        if name == "phi-inv":
             if s.k != 1:
                 print("error: phi-inv input must be a one-vector document", file=sys.stderr)
                 return 2
-            ds = DurfeeSymbol(s.vectors[0].alpha, s.vectors[0].beta, s.d, s.flavor)
-            before = (ds.rank,)
-            out = bijections.split_marks(ds, args.ranks)
-            after = out.ranks
-        elif name == "psi":
-            before = s.ranks
-            out = bijections.symbol_to_strict_shifted(s)
-            after = out.ranks
-        elif name == "psi-inv":
-            if args.t is None:
-                print("error: psi-inv needs --t", file=sys.stderr)
-                return 2
-            before = s.ranks
-            out = bijections.symbol_from_strict_shifted(s, args.t)
-            after = out.ranks
-        elif name == "theta":
-            if args.p is None:
-                print("error: theta needs --p", file=sys.stderr)
-                return 2
-            before = s.ranks
-            out = bijections.flip_rank(s, args.p)
-            after = out.ranks
-        else:  # symmetry
-            if args.perm is None:
-                print("error: symmetry needs --perm", file=sys.stderr)
-                return 2
-            before = s.ranks
-            out = bijections.permute_ranks(s, args.perm)
-            after = out.ranks
+            s = DurfeeSymbol(s.vectors[0].alpha, s.vectors[0].beta, s.d, s.flavor)
+        out = getattr(bijections, function)(s, *extra)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render(out, indent=2))
     print(f"# map: {name}", file=sys.stderr)
-    params = {
-        "ranks": args.ranks, "t": args.t, "p": args.p, "perm": args.perm,
-    }
+    params = {key: getattr(args, key) for key in ("ranks", "t", "p", "perm")}
     used = {k: v for k, v in params.items() if v is not None}
     if used:
         print(f"# params: {used}", file=sys.stderr)
-    print(f"# ranks before: {list(before)}", file=sys.stderr)
-    print(f"# ranks after: {list(after)}", file=sys.stderr)
+    print(f"# ranks before: {list(_ranks(s))}", file=sys.stderr)
+    print(f"# ranks after: {list(_ranks(out))}", file=sys.stderr)
     if args.pretty:
         print(f"# {format_symbol(out)}", file=sys.stderr)
     return 0

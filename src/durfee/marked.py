@@ -71,7 +71,7 @@ class KMarkedSymbol:
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        """All k ranks in one pass; see :func:`ith_rank`."""
+        """All k ranks in one pass: len(alpha^i) - len(beta^i) - 1 for i < k."""
         ranks = [len(alpha) - len(beta) - 1 for alpha, beta in self.vectors]
         if ranks:
             ranks[-1] += 1  # the top-k vector omits the -1 shift
@@ -88,12 +88,10 @@ class ValidationResult:
 
 
 def ith_rank(s: KMarkedSymbol, i: int) -> int:
-    """Rank of vector ``i`` (1-based); the top-k vector omits the -1 shift."""
+    """Rank of vector ``i`` (1-based): entry ``i`` of :attr:`KMarkedSymbol.ranks`."""
     if not 1 <= i <= s.k:
         raise ValueError(f"vector index {i} out of range 1..{s.k}")
-    alpha, beta = s.vectors[i - 1]
-    base = len(alpha) - len(beta)
-    return base if i == s.k else base - 1
+    return s.ranks[i - 1]
 
 
 def _alpha_bounds(s: KMarkedSymbol) -> list[int]:
@@ -326,29 +324,21 @@ def _subscript_counts(
     """Add to ``result`` the symbols of one subscript whose vectors weigh
     ``rem`` in total, by rank vector."""
     top_k, middle, bottom, plain = _pair_tables(parts, rem)
-    if k <= 2:
-        if k == 2:
-            lasts = _last_two(top_k, bottom, rem)
-        else:
-            lasts = {(r,): c for r, c in plain[rem].items()}
-        for ranks, c in lasts.items():
-            result[ranks] = result.get(ranks, 0) + c
+    if k == 1:
+        for r, c in plain[rem].items():
+            result[(r,)] = result.get((r,), 0) + c
         return
     # states[(b, w)]: ranks of vectors i+1..k -> count, where weight w is
-    # left and parts[b] bounds the top row of vector i.  Every vector below
-    # k has a nonempty top row, so at least i - 1 weight stays for them.
-    states = {
-        (j, rem - w): {(r,): c for r, c in series[w].items()}
-        for j, series in enumerate(top_k)
-        for w in range(rem - k + 2)
-        if series[w]
-    }
-    for i in range(k - 1, 2, -1):
+    # left and parts[b] bounds the top row of vector i; b is None while no
+    # vector is placed, so vector i = k draws from top_k.  Every vector below
+    # i has a nonempty top row, so at least i - 1 weight stays for them.
+    states = {(None, rem): {(): 1}}
+    for i in range(k, 2, -1):
         nxt: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
         while states:  # consume the states so their memory can be reused
             (b, left), table = states.popitem()
-            for j, series in enumerate(middle[b]):
-                for w in range(1, left - i + 2):
+            for j, series in enumerate(top_k if b is None else middle[b]):
+                for w in range(left - i + 2):
                     if series[w]:
                         target = nxt.setdefault((j, left - w), {})
                         for r, c in series[w].items():
@@ -360,7 +350,7 @@ def _subscript_counts(
     # state tables (ranks of vectors 2..k) are never built.
     while states:
         (b, left), table = states.popitem()
-        for lows, c in _last_two(middle[b], bottom, left).items():
+        for lows, c in _last_two(top_k if b is None else middle[b], bottom, left).items():
             for ranks, v in table.items():
                 ranks = lows + ranks
                 result[ranks] = result.get(ranks, 0) + c * v

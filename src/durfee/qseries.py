@@ -61,9 +61,6 @@ class QSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
-
     def _coerce(self, other) -> "QSeries":
         if isinstance(other, QSeries):
             if other.order != self.order:

@@ -9,14 +9,11 @@ in :data:`CHECKS` under a name, with a bound description and data parameters
 driver that ``_check`` builds makes every report row: PASS when the generator
 yields nothing, else FAIL with ``counterexample: `` and the first detail.
 Checks look library routines up on their modules as they run, so a patched
-or traced routine is the one called.  Checks run serially by default; set
-DURFEE_THREADS > 1 to fan them out to worker processes.
+or traced routine is the one called.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -368,33 +365,12 @@ SUITES: dict[str, tuple[str, ...]] = {
 SUITES["all"] = tuple(dict.fromkeys(name for s in SUITES.values() for name in s))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DURFEE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def run_checks(names: Sequence[str], bounds: Bounds) -> list[CheckResult]:
+    """Run the named checks once each, in the order first named."""
+    return [CHECKS[name](bounds) for name in dict.fromkeys(names)]
 
 
-def _run_one(args: tuple[str, Bounds]) -> CheckResult:
-    name, bounds = args
-    return CHECKS[name](bounds)
-
-
-def run_checks(
-    names: Sequence[str], bounds: Bounds, workers: int | None = None
-) -> list[CheckResult]:
-    """Run the named checks, preserving their order in the report."""
-    names = list(dict.fromkeys(names))
-    workers = _worker_count() if workers is None else max(1, workers)
-    if workers == 1 or len(names) <= 1:
-        return [CHECKS[name](bounds) for name in names]
-    with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:
-        results = list(pool.map(_run_one, [(name, bounds) for name in names]))
-    return results
-
-
-def run_suite(suite: str, bounds: Bounds, workers: int | None = None) -> list[CheckResult]:
+def run_suite(suite: str, bounds: Bounds) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return run_checks(SUITES[suite], bounds, workers)
+    return run_checks(SUITES[suite], bounds)

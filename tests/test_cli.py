@@ -1,9 +1,14 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from durfee import cli
+from durfee import bijections, cli
 from durfee.marked import KMarkedSymbol, PartitionPair
 from durfee.serialize import render
 from durfee.symbols import Flavor
@@ -196,6 +201,64 @@ def test_map_precondition_error(tmp_path, capsys):
     assert code == 2 and "strict shifted" in err
 
 
+def _map_inputs() -> dict:
+    flipped = bijections.flip_rank(ETA, 1)
+    lifted = bijections.symbol_to_strict_shifted(flipped)
+    merged = bijections.merge_marks(lifted)
+    split = bijections.split_marks(merged, (1, 6, 0))
+    return {"eta": ETA, "flipped": flipped, "lifted": lifted, "merged": merged, "split": split}
+
+
+# (map, input symbol, extra flags) -> (exit code, sha256 of stdout or None
+# for an empty stdout, full stderr), recorded before cmd_map became a table.
+GOLDEN_MAP = [
+    (("phi", "lifted", ()), (
+        0, "db48963224a8866841526122eaf6c33b5980d545fff3fbef68e6015c04c304e0",
+        "# map: phi\n# ranks before: [2, 5, 0]\n# ranks after: [9]\n",
+    )),
+    (("phi-inv", "merged", ("--ranks", "1,6,0")), (
+        0, "c22df79fb30d3e7d89ff42271dc686a6ec39e36e5c4ca61e0445ad6972e57ae7",
+        "# map: phi-inv\n# params: {'ranks': (1, 6, 0)}\n"
+        "# ranks before: [9]\n# ranks after: [1, 6, 0]\n",
+    )),
+    (("psi", "flipped", ()), (
+        0, "df1c90c70f2dc819eb68529f78d3a59bde67c289d57ecc783d00eb2b13a66b26",
+        "# map: psi\n# ranks before: [2, 1, 0]\n# ranks after: [2, 5, 0]\n",
+    )),
+    (("psi-inv", "split", ("--t", "0,2,0")), (
+        0, "b58c000b16fb68b0cde566874cf6f1d53f29a3e5db35fd084cd926037762b3d7",
+        "# map: psi-inv\n# params: {'t': (0, 2, 0)}\n"
+        "# ranks before: [1, 6, 0]\n# ranks after: [1, 2, 0]\n",
+    )),
+    (("theta", "eta", ("--p", "1")), (
+        0, "bcd3d5c19d6c48a933031b48dfb7eb574e297fc4348a63612a7832222ee84963",
+        "# map: theta\n# params: {'p': 1}\n# ranks before: [-2, 1, 0]\n# ranks after: [2, 1, 0]\n",
+    )),
+    (("symmetry", "eta", ("--perm", "2,1,3", "--pretty")), (
+        0, "2c1d0ba7f0fa007594b40caa8e6ca30cc14516a3669d8ef6ac38f945b2c9567e",
+        "# map: symmetry\n# params: {'perm': (2, 1, 3)}\n"
+        "# ranks before: [-2, 1, 0]\n# ranks after: [1, -2, 0]\n"
+        "# ( 6₃ 3₂ 3₂ 3₂ 1₂ 1₁ 1₁ / 5₃ 3₂ 2₂ 2₂ 1₂ 1₂ )₆\n",
+    )),
+    (("phi-inv", "merged", ()), (2, None, "error: phi-inv needs --ranks\n")),
+    (("psi-inv", "split", ()), (2, None, "error: psi-inv needs --t\n")),
+    (("theta", "eta", ()), (2, None, "error: theta needs --p\n")),
+    (("symmetry", "eta", ()), (2, None, "error: symmetry needs --perm\n")),
+    (("phi-inv", "eta", ("--ranks", "1,6,0")), (
+        2, None, "error: phi-inv input must be a one-vector document\n",
+    )),
+]
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN_MAP)
+def test_map_output_is_byte_identical(capsys, monkeypatch, case, expected):
+    name, source, extra = case
+    monkeypatch.setattr("sys.stdin", io.StringIO(render(_map_inputs()[source])))
+    code, out, err = run_cli(capsys, "map", "--map", name, *extra)
+    digest = hashlib.sha256(out.encode()).hexdigest() if out else None
+    assert (code, digest, err) == expected
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "main", "--max-n", "6")
     assert code == 0
@@ -323,13 +386,25 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-def test_run_checks_parallel_matches_serial():
+def test_run_checks_returns_results_in_order():
     bounds = Bounds(max_n=5, max_k=2, order=4, x=verify_mod.Bounds().x)
     names = ["theorem-main-ordinary", "solution-count", "rank-gf"]
-    serial = run_checks(names, bounds, workers=1)
-    parallel = run_checks(names, bounds, workers=3)
-    assert serial == parallel
-    assert all(isinstance(r, CheckResult) and r.ok for r in serial)
+    results = run_checks(names, bounds)
+    assert [r.name for r in results] == names
+    assert all(isinstance(r, CheckResult) and r.ok for r in results)
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = (
+        "import sys, durfee.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_unknown_suite_rejected():

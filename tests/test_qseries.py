@@ -178,6 +178,12 @@ def test_partition_gf_returns_a_fresh_series():
     assert partition_gf(6)[3] == 3
 
 
+def test_series_is_unhashable():
+    # coeffs is a mutable list, so a content hash would change under mutation
+    with pytest.raises(TypeError):
+        hash(partition_gf(3))
+
+
 @pytest.mark.parametrize("flavor", list(Flavor))
 @pytest.mark.parametrize("xs, order", [((2, 3), 30), ((2, 3, 5), 24)])
 def test_three_routes_agree_past_the_acceptance_orders(xs, order, flavor):
