@@ -12,13 +12,16 @@ Exit codes: 0 success, 1 identity failure from ``verify``, 2 usage error.
 Every bad input (a malformed flag, an out-of-range bound, an unreadable or
 invalid symbol document, a pole among the evaluation values) prints one
 ``error:`` line to stderr and exits 2; exit 1 only ever means that an identity
-failed.  Count tables and reports are byte-deterministic for fixed flags.
+failed.  A reader that closes stdout early (``| head -1``) stops the command
+silently with status 141, as a shell reports for a writer stopped by SIGPIPE.
+Count tables and reports are byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -63,14 +66,9 @@ def _load_document(path: str | None) -> dict:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    try:
-        dist = kmarked_rank_counts(args.n, args.k, args.flavor)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.ranks is not None and len(args.ranks) != args.k:
-        print(f"error: --ranks needs {args.k} entries", file=sys.stderr)
-        return 2
+        raise ValueError(f"--ranks needs {args.k} entries")
+    dist = kmarked_rank_counts(args.n, args.k, args.flavor)
     header = [f"m{i}" for i in range(1, args.k + 1)] + ["count"]
     print(f"# n={args.n} k={args.k} flavor={args.flavor.value}")
     print("\t".join(header))
@@ -87,15 +85,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        for s in enumerate_kmarked(args.n, args.k, args.flavor):
-            if args.pretty:
-                print(format_symbol(s))
-            else:
-                print(json.dumps(symbol_to_document(s)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for s in enumerate_kmarked(args.n, args.k, args.flavor):
+        if args.pretty:
+            print(format_symbol(s))
+        else:
+            print(json.dumps(symbol_to_document(s)))
     return 0
 
 
@@ -117,27 +111,22 @@ def _ranks(x: KMarkedSymbol | DurfeeSymbol) -> tuple[int, ...]:
 def cmd_map(args: argparse.Namespace) -> int:
     name = args.map
     param, function = _MAPS[name]
-    try:
-        s = document_to_symbol(_load_document(args.input))
-        extra = () if param is None else (getattr(args, param),)
-        if None in extra:
-            print(f"error: {name} needs --{param}", file=sys.stderr)
-            return 2
-        if name == "phi-inv":
-            if s.k != 1:
-                print("error: phi-inv input must be a one-vector document", file=sys.stderr)
-                return 2
-            s = DurfeeSymbol(s.vectors[0].alpha, s.vectors[0].beta, s.d, s.flavor)
-        out = getattr(bijections, function)(s, *extra)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for flag in ("ranks", "t", "p", "perm"):
+        if flag != param and getattr(args, flag) is not None:
+            raise ValueError(f"{name} takes no --{flag}")
+    s = document_to_symbol(_load_document(args.input))
+    extra = () if param is None else (getattr(args, param),)
+    if None in extra:
+        raise ValueError(f"{name} needs --{param}")
+    if name == "phi-inv":
+        if s.k != 1:
+            raise ValueError("phi-inv input must be a one-vector document")
+        s = DurfeeSymbol(s.vectors[0].alpha, s.vectors[0].beta, s.d, s.flavor)
+    out = getattr(bijections, function)(s, *extra)
     print(render(out, indent=2))
     print(f"# map: {name}", file=sys.stderr)
-    params = {key: getattr(args, key) for key in ("ranks", "t", "p", "perm")}
-    used = {k: v for k, v in params.items() if v is not None}
-    if used:
-        print(f"# params: {used}", file=sys.stderr)
+    if extra:
+        print("# params:", {param: extra[0]}, file=sys.stderr)
     print(f"# ranks before: {list(_ranks(s))}", file=sys.stderr)
     print(f"# ranks after: {list(_ranks(out))}", file=sys.stderr)
     if args.pretty:
@@ -146,12 +135,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        bounds = Bounds(max_n=args.max_n, max_k=args.max_k, order=args.order, x=args.x)
-        results = run_suite(args.suite, bounds)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    bounds = Bounds(max_n=args.max_n, max_k=args.max_k, order=args.order, x=args.x)
+    results = run_suite(args.suite, bounds)
     print("check\tbound\tstatus\tdetail")
     failed = 0
     for r in results:
@@ -164,29 +149,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
+def _marked_series(function):
+    """A ``--gf`` entry for a marked rank series, one vector per ``--x`` value."""
+    def series(args: argparse.Namespace) -> qseries.QSeries:
+        if args.x is None:
+            raise ValueError(f"{args.gf} needs --x")
+        return function(args.x, len(args.x), args.order, args.flavor)
+    return series
+
+
+# --gf name -> the series it prints, built from the parsed flags
+_SERIES = {
+    "partition": lambda args: qseries.partition_gf(args.order),
+    "rank": lambda args: qseries.rank_gf(args.m, args.order),
+    "odd-rank": lambda args: qseries.odd_rank_gf(args.m, args.order),
+    "rk": _marked_series(qseries.marked_rank_gf),
+    "rk-product": _marked_series(qseries.marked_rank_gf_product),
+    "rk-partial": _marked_series(qseries.marked_rank_gf_partial_fractions),
+}
+
+
 def cmd_series(args: argparse.Namespace) -> int:
-    gf = args.gf
-    try:
-        if gf == "partition":
-            series = qseries.partition_gf(args.order)
-        elif gf == "rank":
-            series = qseries.rank_gf(args.m, args.order)
-        elif gf == "odd-rank":
-            series = qseries.odd_rank_gf(args.m, args.order)
-        else:
-            if args.x is None:
-                print(f"error: {gf} needs --x", file=sys.stderr)
-                return 2
-            k = len(args.x)
-            fn = {
-                "rk": qseries.marked_rank_gf,
-                "rk-product": qseries.marked_rank_gf_product,
-                "rk-partial": qseries.marked_rank_gf_partial_fractions,
-            }[gf]
-            series = fn(args.x, k, args.order, args.flavor)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    series = _SERIES[args.gf](args)
     print("n\tcoefficient")
     for n, c in enumerate(series.coeffs):
         print(f"{n}\t{c}")
@@ -217,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="apply a bijection to a symbol document")
     p.add_argument(
         "--map", required=True,
-        choices=["phi", "phi-inv", "psi", "psi-inv", "theta", "symmetry"],
+        choices=list(_MAPS),
         help="phi merges marks; phi-inv splits by --ranks; psi lifts to strict "
         "shifted; psi-inv drops by --t; theta flips rank --p; symmetry permutes by --perm",
     )
@@ -238,10 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("series", help="print series coefficients")
-    p.add_argument(
-        "--gf", required=True,
-        choices=["partition", "rank", "odd-rank", "rk", "rk-product", "rk-partial"],
-    )
+    p.add_argument("--gf", required=True, choices=list(_SERIES))
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--x", type=_fraction_list, default=None)
@@ -253,7 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # Later flushes, at exit too, go to devnull instead of failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -267,54 +267,54 @@ def _combine(x: _Series, y: _Series, sign: int = 1, shift: int = 0) -> _Series:
 
 
 def _pair_tables(
-    parts: list[int], top: int
-) -> tuple[list[_Series], list[list[_Series]], list[_Series], _Series]:
+    parts: list[int], top: int, k: int
+) -> tuple[list[_Series], list[list[_Series]]]:
     """Series of single vectors under one subscript, up to weight ``top``.
 
     ``parts`` lists the allowed entries in ascending order.  H(j, t) counts
     the pairs of partitions with entries in parts[j..t]; those whose smallest
     entry is exactly parts[j] number E(j, t) = H(j, t) - H(j + 1, t), or
-    H(t, t) when j = t.  Returns, by part position:
+    H(t, t) when j = t.  Returns, by part position, only what ``k`` vectors
+    read:
 
     * ``top_k[j]``: vector k with smallest entry parts[j], or empty when j is
       the last position (the next bound is then the cap itself): E(j, last).
+      This needs only the last column t, so it is all that k = 1 builds.
     * ``middle[b][j]``: a vector i < k whose top row's largest entry is at
-      most parts[b] and whose smallest entry is parts[j]: the sum over t of
-      q^parts[t] E(j, t), the forced largest top part parts[t] standing for
-      the rank's -1 shift.
-    * ``bottom[b]``: vector 1 under the bound parts[b], any smallest
-      entry: the sum over t <= b of q^parts[t] H(0, t).
-    * ``plain``: a lone vector with entries up to the cap, H(0, last).
+      most parts[b] and whose smallest entry is parts[j]: the sum over t <= b
+      of q^parts[t] E(j, t), the forced largest top part parts[t] standing
+      for the rank's -1 shift.  Empty when k = 1.
     """
     one = [{0: 1}] + [{} for _ in range(top)]
     zero = [{} for _ in range(top + 1)]
     middle: list[list[_Series]] = []
-    bottom: list[_Series] = []
-    for t, a in enumerate(parts):
+    for t in range(0 if k > 1 else len(parts) - 1, len(parts)):
         column = [one]  # column[-1] is H(j + 1, t) while building H(j, t)
         for j in range(t, -1, -1):
             column.append(_times_pairs_of(column[-1], parts[j]))
         column.reverse()  # column[j] = H(j, t) and column[t + 1] = 1
         exact = [_combine(column[j], column[j + 1], -1) for j in range(t)] + [column[t]]
-        previous = middle[-1] + [zero] if t else [zero]
-        middle.append([_combine(previous[j], exact[j], 1, a) for j in range(t + 1)])
-        bottom.append(_combine(bottom[-1] if t else zero, column[0], 1, a))
-    return exact, middle, bottom, column[0]
+        if k > 1:
+            previous = middle[-1] + [zero] if t else [zero]
+            middle.append([_combine(previous[j], exact[j], 1, parts[t]) for j in range(t + 1)])
+    return exact, middle
 
 
-def _last_two(
-    vector2: list[_Series], bottom: list[_Series], left: int
+def _tail(
+    i: int, vectors: list[_Series], middle: list[list[_Series]], left: int
 ) -> dict[tuple[int, ...], int]:
-    """Vectors 1 and 2 weighing ``left`` together, by (rank 1, rank 2);
-    ``vector2[j]`` is vector 2 with smallest entry parts[j]."""
+    """Vectors i down to 1 weighing ``left`` together, by (rank 1, ...,
+    rank i).  ``vectors[j]`` is vector i with smallest entry parts[j]; the
+    vectors below draw from ``middle``, and vector 1 takes the weight left."""
     out: dict[tuple[int, ...], int] = {}
-    for j, series in enumerate(vector2):
-        below = bottom[j]
-        for w in range(left):  # vector 1 weighs at least 1
-            lows = below[left - w].items()
-            for r2, c2 in series[w].items():
-                for r1, c1 in lows:
-                    out[(r1, r2)] = out.get((r1, r2), 0) + c1 * c2
+    for j, series in enumerate(vectors):
+        for w in range(left - i + 2) if i > 1 else (left,):
+            if series[w]:
+                below = _tail(i - 1, middle[j], middle, left - w) if i > 1 else {(): 1}
+                for r, c in series[w].items():
+                    for lows, v in below.items():
+                        lows += (r,)
+                        out[lows] = out.get(lows, 0) + c * v
     return out
 
 
@@ -323,11 +323,7 @@ def _subscript_counts(
 ) -> None:
     """Add to ``result`` the symbols of one subscript whose vectors weigh
     ``rem`` in total, by rank vector."""
-    top_k, middle, bottom, plain = _pair_tables(parts, rem)
-    if k == 1:
-        for r, c in plain[rem].items():
-            result[(r,)] = result.get((r,), 0) + c
-        return
+    top_k, middle = _pair_tables(parts, rem, k)
     # states[(b, w)]: ranks of vectors i+1..k -> count, where weight w is
     # left and parts[b] bounds the top row of vector i; b is None while no
     # vector is placed, so vector i = k draws from top_k.  Every vector below
@@ -346,13 +342,15 @@ def _subscript_counts(
                                 ranks = (r,) + ranks
                                 target[ranks] = target.get(ranks, 0) + c * v
         states = nxt
-    # Vectors 2 and 1 are folded into the result together, so the widest
-    # state tables (ranks of vectors 2..k) are never built.
+    # Vectors 2 and 1 (vector 1 alone when k = 1) are folded into the result
+    # together, so the widest state tables (ranks of vectors 2..k) are never
+    # built.
     while states:
         (b, left), table = states.popitem()
-        for lows, c in _last_two(top_k if b is None else middle[b], bottom, left).items():
+        lows = _tail(min(k, 2), top_k if b is None else middle[b], middle, left)
+        for low, c in lows.items():
             for ranks, v in table.items():
-                ranks = lows + ranks
+                ranks = low + ranks
                 result[ranks] = result.get(ranks, 0) + c * v
 
 

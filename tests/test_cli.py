@@ -79,6 +79,16 @@ def test_count_bad_input_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_count_checks_ranks_before_counting(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the table was computed before --ranks was checked")
+
+    monkeypatch.setattr(cli, "kmarked_rank_counts", fail)
+    code, out, err = run_cli(capsys, "count", "--n", "40", "--k", "3", "--ranks", "1")
+    assert_usage_error(code, out, err)
+    assert err == "error: --ranks needs 3 entries\n"
+
+
 def test_count_past_enumeration_guard(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "50", "--k", "2")
     assert code == 0
@@ -199,6 +209,22 @@ def test_map_precondition_error(tmp_path, capsys):
     path.write_text(render(ETA))
     code, _, err = run_cli(capsys, "map", "--map", "phi", "--in", str(path))
     assert code == 2 and "strict shifted" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("psi", "--p", "7", "--perm", "9,9"),
+        ("phi", "--ranks", "1,1"),
+        ("theta", "--p", "1", "--t", "0"),
+        ("symmetry", "--perm", "2,1,3", "--p", "1"),
+    ],
+)
+def test_map_rejects_flags_the_map_ignores(capsys, argv):
+    name, *flags = argv
+    code, out, err = run_cli(capsys, "map", "--map", name, *flags)
+    assert_usage_error(code, out, err)
+    assert err.startswith(f"error: {name} takes no --")
 
 
 def _map_inputs() -> dict:
@@ -384,6 +410,19 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--n", "not-a-number"])
     assert exc.value.code == 2
+
+
+def test_closed_stdout_is_not_a_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "durfee.cli", "enumerate", "--n", "19", "--k", "3"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert err == b"" and code == 141
 
 
 def test_run_checks_returns_results_in_order():

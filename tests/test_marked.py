@@ -17,7 +17,7 @@ from durfee.marked import (
     total_kmarked,
     validate,
 )
-from durfee.moments import marked_count_formula
+from durfee.moments import binom, marked_count_formula
 from durfee.partitions import bounded_partitions
 from durfee.qseries import odd_rank_gf, rank_gf
 from durfee.symbols import Flavor, enumerate_durfee, frame_weight, part_cap, subscript_range
@@ -240,6 +240,23 @@ def test_rank_counts_match_formula_past_enumeration(flavor, series):
             if count:
                 expected[(m1, m2)] = count
     assert kmarked_rank_counts(n, 2, flavor) == expected
+
+
+@pytest.mark.parametrize("flavor,series", [(Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)])
+def test_single_vector_counts_match_rank_series_past_enumeration(flavor, series):
+    n = 120
+    expected = {(m,): c for m in range(-n, n + 1) if (c := series(m, n)[n])}
+    assert kmarked_rank_counts(n, 1, flavor) == expected
+
+
+@pytest.mark.parametrize("flavor,series", [(Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)])
+@pytest.mark.parametrize("n,k", [(40, 2), (28, 3), (20, 4)])
+def test_marked_totals_match_symmetrized_moment_past_enumeration(flavor, series, n, k):
+    # (k+1)-marked symbols of n number the 2k-th symmetrized moment of the
+    # ranks, sum_m binom(m + floor((2k-1)/2), 2k) N(m, n); past the
+    # enumeration guard N(m, n) comes from the rank series.
+    moment = sum(binom(m + (2 * k - 1) // 2, 2 * k) * series(m, n)[n] for m in range(-n, n + 1))
+    assert total_kmarked(n, k + 1, flavor) == moment
 
 
 def test_rank_counts_reject_bad_input():
