@@ -12,38 +12,76 @@ Four families of maps live here, each with its inverse:
   vector-wise lift of the previous pair of maps (vector k untouched);
 * :func:`flip_rank` - negate one coordinate of the rank vector.
 
-:func:`permute_ranks` composes all of the above to realize an arbitrary
-permutation of the rank vector.  Every stage preserves validity: rank flips
-and balanced transfers rearrange entries within one vector, so the
-whole-vector interlacing bounds never move.
+Each stage is one private core over a list of :class:`PartitionPair`
+vectors (flip, lift, merge, split, drop-back, and the one-pass top-part
+labels); the public maps are thin wrappers that check their arguments and
+build the symbol.  :func:`permuted_images` composes the cores to realize
+arbitrary permutations of the rank vector: it lifts a symbol once (flip the
+negative ranks, transfer the balanced parts, merge) and rebuilds one image
+per permutation (split, drop back, flip back); :func:`permute_ranks` is its
+one-permutation case.  Every stage preserves validity: rank flips and
+balanced transfers rearrange entries within one vector, so the whole-vector
+interlacing bounds never move.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .marked import (
-    KMarkedSymbol,
-    PartitionPair,
-    balanced_numbers,
-    balanced_parts,
-    is_strict_shifted_pair,
-    is_strict_shifted_symbol,
-)
+from .marked import KMarkedSymbol, PartitionPair, balanced_parts, is_strict_shifted_pair
 from .symbols import DurfeeSymbol
 
 
-def merge_marks(s: KMarkedSymbol) -> DurfeeSymbol:
-    """Merge all top rows and all bottom rows of a strict shifted symbol.
+def _flip(vecs: list[PartitionPair], p: int) -> None:
+    """Negate the p-th rank of ``vecs`` in place (1 <= p <= len(vecs))."""
+    alpha, beta = vecs[p - 1]
+    if p == len(vecs):
+        vecs[p - 1] = PartitionPair(beta, alpha)
+        return
+    if not alpha:
+        raise ValueError(f"vector {p} has no top part")
+    vecs[p - 1] = PartitionPair(tuple(sorted(beta + alpha[:1], reverse=True)), alpha[1:])
 
-    The result has the same weight, subscript, and flavor, and its rank is
-    the sum of the input ranks plus k - 1.
-    """
-    if not is_strict_shifted_symbol(s):
+
+def _lift_pair(pair: PartitionPair, bal: frozenset[int]) -> PartitionPair:
+    """Move the bottom parts at the 1-based indices ``bal`` into the top row."""
+    alpha, beta = pair
+    if beta and (not alpha or beta[0] > alpha[0]):
+        raise ValueError("largest bottom part exceeds largest top part")
+    moved = tuple(beta[j - 1] for j in bal)
+    kept = tuple(b for j, b in enumerate(beta, 1) if j not in bal)
+    return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept)
+
+
+def _lift(vecs: list[PartitionPair]) -> tuple[int, ...]:
+    """Lift vectors 1 .. k-1 in place; return the balanced numbers (t_k = 0)."""
+    t = []
+    for i in range(len(vecs) - 1):
+        bal = balanced_parts(vecs[i])
+        vecs[i] = _lift_pair(vecs[i], bal)
+        t.append(len(bal))
+    t.append(0)
+    return tuple(t)
+
+
+def _merge(vecs: Sequence[PartitionPair]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """All top rows and all bottom rows of a strict shifted vector list."""
+    if not all(is_strict_shifted_pair(v) for v in vecs[:-1]):
         raise ValueError("not strict shifted")
-    gamma = tuple(sorted((x for v in s.vectors for x in v.alpha), reverse=True))
-    delta = tuple(sorted((x for v in s.vectors for x in v.beta), reverse=True))
-    return DurfeeSymbol(gamma, delta, s.d, s.flavor)
+    gamma = tuple(sorted((x for v in vecs for x in v.alpha), reverse=True))
+    delta = tuple(sorted((x for v in vecs for x in v.beta), reverse=True))
+    return gamma, delta
+
+
+def _check_targets(rank: int, m: tuple[int, ...]) -> None:
+    k = len(m)
+    if k < 1:
+        raise ValueError("need at least one rank target")
+    if k > 1 and any(x < 0 for x in m):
+        # one target is the identity map, which tolerates a negative rank
+        raise ValueError("rank targets must be nonnegative")
+    if rank != sum(m) + k - 1:
+        raise ValueError("rank != sum(m_i) + k - 1")
 
 
 def _split_point(gamma: tuple, delta: tuple, m: int, extra: int) -> int:
@@ -57,6 +95,88 @@ def _split_point(gamma: tuple, delta: tuple, m: int, extra: int) -> int:
     return 0
 
 
+def _split(gamma: tuple, delta: tuple, m: Sequence[int]) -> list[PartitionPair]:
+    """Cut vectors k, k-1, ..., 2 off the front of the merged rows for the
+    checked rank targets ``m``; what is left is vector 1."""
+    k = len(m)
+    vecs = [PartitionPair((), ())] * k
+    for i in range(k, 1, -1):
+        extra = 0 if i == k else 1
+        j = _split_point(gamma, delta, m[i - 1], extra)
+        take = m[i - 1] + j + extra
+        vecs[i - 1] = PartitionPair(gamma[:take], delta[:j])
+        gamma, delta = gamma[take:], delta[j:]
+    vecs[0] = PartitionPair(gamma, delta)
+    return vecs
+
+
+def _labels(alpha: tuple, beta: tuple) -> list[int]:
+    """Label of every top part: 0 for the first, and for the i-th (i >= 2) the
+    top parts before it after the first, minus the bottom parts >= it.  Both
+    rows are non-increasing, so the bottom parts >= alpha_i are a prefix that
+    only grows with i."""
+    out = [0]
+    ge = 0
+    for i in range(1, len(alpha)):
+        a = alpha[i]
+        while ge < len(beta) and beta[ge] >= a:
+            ge += 1
+        out.append(i - 1 - ge)
+    return out
+
+
+def _label_min_indices(pair: PartitionPair) -> list[int]:
+    """0-based index of the smallest top part per label value 0, 1, ....
+
+    The top row is non-increasing, so the smallest part with a label is its
+    last one; among equal smallest values that keeps the latest index, which
+    is only a determinism tie-break since equal parts carry distinct labels.
+    """
+    alpha, beta = pair
+    last = {lab: idx for idx, lab in enumerate(_labels(alpha, beta))}
+    return [last[i] for i in range(len(alpha) - len(beta) - 1)]
+
+
+def _require_strict_shifted(pair: PartitionPair) -> None:
+    if not is_strict_shifted_pair(pair):
+        raise ValueError("not strict shifted")
+
+
+def _drop_pair(pair: PartitionPair, r: int) -> PartitionPair:
+    """Move ``r`` top parts back down, the smallest with each label 0 .. r-1."""
+    _require_strict_shifted(pair)
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    alpha, beta = pair
+    if r > 0 and len(alpha) - len(beta) - 1 < r:
+        raise ValueError("insufficient length difference")
+    if r == 0:
+        return pair
+    moved_idx = set(_label_min_indices(pair)[:r])
+    new_alpha = tuple(a for i, a in enumerate(alpha) if i not in moved_idx)
+    new_beta = tuple(sorted(beta + tuple(alpha[i] for i in moved_idx), reverse=True))
+    return PartitionPair(new_alpha, new_beta)
+
+
+def _drop(vecs: list[PartitionPair], t: Sequence[int]) -> None:
+    """Drop vectors 1 .. k-1 in place by the balanced numbers ``t``."""
+    for i in range(len(vecs) - 1):
+        try:
+            vecs[i] = _drop_pair(vecs[i], t[i])
+        except ValueError as exc:
+            raise ValueError(f"vector {i + 1}: {exc}") from None
+
+
+def merge_marks(s: KMarkedSymbol) -> DurfeeSymbol:
+    """Merge all top rows and all bottom rows of a strict shifted symbol.
+
+    The result has the same weight, subscript, and flavor, and its rank is
+    the sum of the input ranks plus k - 1.
+    """
+    gamma, delta = _merge(s.vectors)
+    return DurfeeSymbol(gamma, delta, s.d, s.flavor)
+
+
 def split_marks(ds: DurfeeSymbol, targets: Sequence[int]) -> KMarkedSymbol:
     """Rebuild a strict shifted k-marked symbol with the given rank targets.
 
@@ -66,24 +186,8 @@ def split_marks(ds: DurfeeSymbol, targets: Sequence[int]) -> KMarkedSymbol:
     inverse to :func:`merge_marks`.
     """
     m = tuple(targets)
-    k = len(m)
-    if k < 1:
-        raise ValueError("need at least one rank target")
-    if k > 1 and any(x < 0 for x in m):
-        # one target is the identity map, which tolerates a negative rank
-        raise ValueError("rank targets must be nonnegative")
-    if ds.rank != sum(m) + k - 1:
-        raise ValueError("rank != sum(m_i) + k - 1")
-    gamma, delta = ds.alpha, ds.beta
-    vectors_rev: list[PartitionPair] = []
-    for i in range(k, 1, -1):
-        extra = 0 if i == k else 1
-        j = _split_point(gamma, delta, m[i - 1], extra)
-        take = m[i - 1] + j + extra
-        vectors_rev.append(PartitionPair(gamma[:take], delta[:j]))
-        gamma, delta = gamma[take:], delta[j:]
-    vectors_rev.append(PartitionPair(gamma, delta))
-    return KMarkedSymbol(tuple(reversed(vectors_rev)), ds.d, ds.flavor)
+    _check_targets(ds.rank, m)
+    return KMarkedSymbol(tuple(_split(ds.alpha, ds.beta, m)), ds.d, ds.flavor)
 
 
 def subscripts(pair: PartitionPair) -> tuple[int, ...]:
@@ -94,36 +198,14 @@ def subscripts(pair: PartitionPair) -> tuple[int, ...]:
     Labels cover 0 .. (length difference - 2), which drives
     :func:`from_strict_shifted`.
     """
-    if not is_strict_shifted_pair(pair):
-        raise ValueError("not strict shifted")
-    alpha, beta = pair
-    out = [0]
-    for i in range(2, len(alpha) + 1):
-        ge = sum(1 for b in beta if b >= alpha[i - 1])
-        out.append((i - 2) - ge)
-    return tuple(out)
-
-
-def _label_min_indices(pair: PartitionPair) -> tuple[int, ...]:
-    """0-based index of the smallest top part per label value 0, 1, ....
-
-    Among equal smallest values the latest index is kept; since equal parts
-    carry distinct labels this is only a determinism tie-break.
-    """
-    labels = subscripts(pair)
-    alpha = pair.alpha
-    best: dict[int, int] = {}
-    for idx, (part, lab) in enumerate(zip(alpha, labels)):
-        cur = best.get(lab)
-        if cur is None or part <= alpha[cur]:
-            best[lab] = idx
-    span = len(pair.alpha) - len(pair.beta) - 1
-    return tuple(best[i] for i in range(span))
+    _require_strict_shifted(pair)
+    return tuple(_labels(pair.alpha, pair.beta))
 
 
 def subscript_minima(pair: PartitionPair) -> tuple[int, ...]:
     """The smallest top part for each label 0 .. (length difference - 2);
     a non-increasing sequence."""
+    _require_strict_shifted(pair)
     return tuple(pair.alpha[i] for i in _label_min_indices(pair))
 
 
@@ -134,14 +216,7 @@ def to_strict_shifted(pair: PartitionPair) -> PartitionPair:
     strict shifted and its length difference grows by twice the number of
     balanced parts.
     """
-    alpha, beta = pair
-    if beta and (not alpha or beta[0] > alpha[0]):
-        raise ValueError("largest bottom part exceeds largest top part")
-    bal = balanced_parts(pair)
-    moved = [beta[j - 1] for j in bal]
-    new_alpha = tuple(sorted(list(alpha) + moved, reverse=True))
-    new_beta = tuple(b for j, b in enumerate(beta, 1) if j not in bal)
-    return PartitionPair(new_alpha, new_beta)
+    return _lift_pair(pair, balanced_parts(pair))
 
 
 def from_strict_shifted(pair: PartitionPair, r: int) -> PartitionPair:
@@ -153,19 +228,7 @@ def from_strict_shifted(pair: PartitionPair, r: int) -> PartitionPair:
     the resulting difference may well be negative (a pair whose bottom row
     is entirely balanced inverts through here).
     """
-    if not is_strict_shifted_pair(pair):
-        raise ValueError("not strict shifted")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    alpha, beta = pair
-    if r > 0 and len(alpha) - len(beta) - 1 < r:
-        raise ValueError("insufficient length difference")
-    if r == 0:
-        return pair
-    moved_idx = set(_label_min_indices(pair)[:r])
-    new_alpha = tuple(a for i, a in enumerate(alpha) if i not in moved_idx)
-    new_beta = tuple(sorted(list(beta) + [alpha[i] for i in moved_idx], reverse=True))
-    return PartitionPair(new_alpha, new_beta)
+    return _drop_pair(pair, r)
 
 
 def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
@@ -173,10 +236,9 @@ def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
 
     The i-th rank grows by twice the i-th balanced number for i < k.
     """
-    new_vectors = tuple(
-        to_strict_shifted(v) if i < s.k else v for i, v in enumerate(s.vectors, 1)
-    )
-    return KMarkedSymbol(new_vectors, s.d, s.flavor)
+    vecs = list(s.vectors)
+    _lift(vecs)
+    return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
 
 
 def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSymbol:
@@ -187,16 +249,9 @@ def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSym
         raise ValueError("balanced-number vector must have length k")
     if t[-1] != 0:
         raise ValueError("the k-th balanced number is 0 by definition")
-    new_vectors: list[PartitionPair] = []
-    for i, (vec, ti) in enumerate(zip(s.vectors, t), 1):
-        if i == s.k:
-            new_vectors.append(vec)
-            continue
-        try:
-            new_vectors.append(from_strict_shifted(vec, ti))
-        except ValueError as exc:
-            raise ValueError(f"vector {i}: {exc}") from None
-    return KMarkedSymbol(tuple(new_vectors), s.d, s.flavor)
+    vecs = list(s.vectors)
+    _drop(vecs, t)
+    return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
 
 
 def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
@@ -206,45 +261,52 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
     the top row's largest part as the new top, and the rest of the old top
     becomes the new bottom.  Applying the map twice restores the symbol.
     """
+    if not 1 <= p <= s.k:
+        raise ValueError(f"vector index {p} out of range 1..{s.k}")
+    vecs = list(s.vectors)
+    _flip(vecs, p)
+    return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
+
+
+def permuted_images(
+    s: KMarkedSymbol, perms: Iterable[Sequence[int]]
+) -> Iterator[KMarkedSymbol]:
+    """Yield, per permutation, the symbol whose i-th rank is the perm(i)-th
+    rank of ``s``.
+
+    Each ``perm`` lists perm(1) .. perm(k) as a permutation of 1..k.  The
+    composite route: flip every negative rank to its absolute value, lift to
+    the strict shifted world and merge the marks, all once; then per
+    permutation split the marks again with the permuted magnitudes (the
+    balanced-number budget stays attached to positions, so the k-th stays 0),
+    drop back, and restore the signs at their new positions.
+    """
     k = s.k
-    if not 1 <= p <= k:
-        raise ValueError(f"vector index {p} out of range 1..{k}")
-    alpha, beta = s.vectors[p - 1]
-    if p == k:
-        new = PartitionPair(beta, alpha)
-    else:
-        if not alpha:
-            raise ValueError(f"vector {p} has no top part")
-        top = tuple(sorted(beta + (alpha[0],), reverse=True))
-        new = PartitionPair(top, alpha[1:])
-    vectors = s.vectors[: p - 1] + (new,) + s.vectors[p:]
-    return KMarkedSymbol(vectors, s.d, s.flavor)
+    perms = [tuple(perm) for perm in perms]
+    for perm in perms:
+        if sorted(perm) != list(range(1, k + 1)):
+            raise ValueError("perm must be a permutation of 1..k")
+    m = s.ranks
+    vecs = list(s.vectors)
+    for i in range(1, k + 1):
+        if m[i - 1] < 0:
+            _flip(vecs, i)
+    t = _lift(vecs)
+    gamma, delta = _merge(vecs)
+    mags = [abs(x) for x in m]
+    # a permutation only reorders the magnitudes, so one check covers them all
+    _check_targets(len(gamma) - len(delta), tuple(x + 2 * y for x, y in zip(mags, t)))
+    for perm in perms:
+        targets = [mags[perm[i] - 1] + 2 * t[i] for i in range(k)]
+        rebuilt = _split(gamma, delta, targets)
+        _drop(rebuilt, t)
+        for i in range(1, k + 1):
+            if m[perm[i - 1] - 1] < 0:
+                _flip(rebuilt, i)
+        yield KMarkedSymbol(tuple(rebuilt), s.d, s.flavor)
 
 
 def permute_ranks(s: KMarkedSymbol, perm: Sequence[int]) -> KMarkedSymbol:
-    """Return a symbol whose i-th rank is the perm(i)-th rank of ``s``.
-
-    ``perm`` lists perm(1) .. perm(k) as a permutation of 1..k.  The composite
-    route: flip every negative rank to its absolute value, lift to the strict
-    shifted world, merge the marks, split them again with the permuted
-    magnitudes (the balanced-number budget stays attached to positions, so
-    the k-th stays 0), unlift, then restore the signs at their new positions.
-    """
-    k = s.k
-    perm = tuple(perm)
-    if sorted(perm) != list(range(1, k + 1)):
-        raise ValueError("perm must be a permutation of 1..k")
-    m = s.ranks
-    cur = s
-    for i in range(1, k + 1):
-        if m[i - 1] < 0:
-            cur = flip_rank(cur, i)
-    t = balanced_numbers(cur)
-    merged = merge_marks(symbol_to_strict_shifted(cur))
-    targets = [abs(m[perm[i - 1] - 1]) + 2 * t[i - 1] for i in range(1, k)]
-    targets.append(abs(m[perm[k - 1] - 1]))
-    rebuilt = symbol_from_strict_shifted(split_marks(merged, targets), t)
-    for i in range(1, k + 1):
-        if m[perm[i - 1] - 1] < 0:
-            rebuilt = flip_rank(rebuilt, i)
-    return rebuilt
+    """Return a symbol whose i-th rank is the perm(i)-th rank of ``s``: the
+    one-permutation case of :func:`permuted_images`."""
+    return next(permuted_images(s, (perm,)))

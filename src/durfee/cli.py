@@ -154,15 +154,16 @@ def _marked_series(function):
     def series(args: argparse.Namespace) -> qseries.QSeries:
         if args.x is None:
             raise ValueError(f"{args.gf} needs --x")
-        return function(args.x, len(args.x), args.order, args.flavor)
-    return series
+        return function(args.x, len(args.x), args.order, args.flavor or Flavor.ORDINARY)
+    return (("x", "flavor"), series)
 
 
-# --gf name -> the series it prints, built from the parsed flags
+# --gf name -> (the optional flags it reads; the series it prints, built from
+# the parsed flags, with --m defaulting to 0 and --flavor to ordinary)
 _SERIES = {
-    "partition": lambda args: qseries.partition_gf(args.order),
-    "rank": lambda args: qseries.rank_gf(args.m, args.order),
-    "odd-rank": lambda args: qseries.odd_rank_gf(args.m, args.order),
+    "partition": ((), lambda args: qseries.partition_gf(args.order)),
+    "rank": (("m",), lambda args: qseries.rank_gf(args.m or 0, args.order)),
+    "odd-rank": (("m",), lambda args: qseries.odd_rank_gf(args.m or 0, args.order)),
     "rk": _marked_series(qseries.marked_rank_gf),
     "rk-product": _marked_series(qseries.marked_rank_gf_product),
     "rk-partial": _marked_series(qseries.marked_rank_gf_partial_fractions),
@@ -170,7 +171,11 @@ _SERIES = {
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    series = _SERIES[args.gf](args)
+    flags, build = _SERIES[args.gf]
+    for flag in ("m", "x", "flavor"):
+        if flag not in flags and getattr(args, flag) is not None:
+            raise ValueError(f"{args.gf} takes no --{flag}")
+    series = build(args)
     print("n\tcoefficient")
     for n, c in enumerate(series.coeffs):
         print(f"{n}\t{c}")
@@ -224,9 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="print series coefficients")
     p.add_argument("--gf", required=True, choices=list(_SERIES))
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--x", type=_fraction_list, default=None)
-    p.add_argument("--flavor", type=_flavor, metavar="{ordinary,odd}", default=Flavor.ORDINARY)
+    p.add_argument("--m", type=int, default=None, help="rank (rank, odd-rank; default 0)")
+    p.add_argument("--x", type=_fraction_list, default=None, help="x1,...,xk (rk forms)")
+    p.add_argument(
+        "--flavor", type=_flavor, metavar="{ordinary,odd}", default=None,
+        help="rk forms only (default ordinary)",
+    )
     p.set_defaults(func=cmd_series)
 
     return parser

@@ -129,24 +129,28 @@ def _rank_symmetry_tables(b: Bounds):
 @_check("permute-corpus", lambda b: f"{_k_and_n(b)}, transpositions")
 def _permute_corpus(b: Bounds):
     """The composite rank-permuting map is a bijection of each corpus onto
-    itself, realizing every transposition."""
+    itself, realizing every transposition.  Each symbol is lifted once for
+    all transpositions; one byte per corpus member and transposition records
+    the images met so far."""
     for k in b.ks():
         transpositions = [
             tuple({i: j, j: i}.get(p, p) for p in range(1, k + 1))
             for i, j in combinations(range(1, k + 1), 2)
         ]
         for n in range(b.max_n + 1):
-            corpus = list(enumerate_kmarked(n, k))
-            members = set(corpus)
-            for perm in transpositions:
-                seen = set()
-                for s in corpus:
-                    im = bijections.permute_ranks(s, perm)
-                    if im.ranks != tuple(s.ranks[p - 1] for p in perm):
-                        yield f"n={n} k={k} perm={perm} ranks {s.ranks} -> {im.ranks}"
-                    if im not in members or im in seen:
+            index = {s: i for i, s in enumerate(enumerate_kmarked(n, k))}
+            seen = [bytearray(len(index)) for _ in transpositions]
+            for s in index:
+                ranks = s.ranks
+                images = bijections.permuted_images(s, transpositions)
+                for perm, hit, im in zip(transpositions, seen, images):
+                    if im.ranks != tuple(ranks[p - 1] for p in perm):
+                        yield f"n={n} k={k} perm={perm} ranks {ranks} -> {im.ranks}"
+                    j = index.get(im)
+                    if j is None or hit[j]:
                         yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
-                    seen.add(im)
+                    else:
+                        hit[j] = 1
 
 
 @_check("moment-identity-odd", lambda b: f"k = 1, n <= {b.max_n}", flavor=Flavor.ODD, ks=(1,))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from durfee.bijections import (
@@ -263,3 +265,57 @@ def test_strict_shifted_counts_are_plain_rank_counts():
                 if sum(m) + k - 1 <= n
             )
             assert sum(tally.values()) == expected_total, (n, k)
+
+
+NOT_SHIFTED = PartitionPair((2, 2), (2,))
+TWO_ONES = KMarkedSymbol((PartitionPair((1,), ()), PartitionPair((1,), ())), 1)
+
+
+# the error cases that the example tests above do not already cover
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: split_marks(DurfeeSymbol((3, 2), (1,), 3), ()), "at least one rank target"),
+        (lambda: from_strict_shifted(PartitionPair((3, 1), ()), -1), "r must be nonnegative"),
+        (lambda: subscripts(NOT_SHIFTED), "not strict shifted"),
+        (lambda: subscript_minima(NOT_SHIFTED), "not strict shifted"),
+        (lambda: flip_rank(TWO_ONES, 0), r"vector index 0 out of range 1\.\.2"),
+        (lambda: flip_rank(TWO_ONES, 3), r"vector index 3 out of range 1\.\.2"),
+        (lambda: flip_rank(KMarkedSymbol((PartitionPair((), (1,)), TWO_ONES.vectors[1]), 1), 1),
+         "vector 1 has no top part"),
+    ],
+    ids=[
+        "split-no-targets", "from-negative-r", "subscripts-not-shifted", "minima-not-shifted",
+        "flip-p-low", "flip-p-high", "flip-no-top-part",
+    ],
+)
+def test_public_maps_keep_their_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+# sha256 of every image of permute_ranks over each corpus, recorded before the
+# composite was rebuilt on shared pair-level cores.  Key: (k, flavor, max n).
+PINNED_IMAGES = {
+    (2, Flavor.ORDINARY, 10): "e94f0be946f1c8ad128ea3cbdfa1a2a16c51a006f5f44922480ad414b34e80cf",
+    (2, Flavor.ODD, 10): "09b02b6ca8360d0ada8ac185fdf65b03089cd6e436f8c98c664e62eb81c82efb",
+    (3, Flavor.ORDINARY, 10): "c0682de032bf68bf709664fd80626e6bd232ff7b3059bb07621d5af43f600853",
+    (3, Flavor.ODD, 10): "c79ed24a6963ce1986dbf5a214dabbecc6e861de08a4f7bacb589c6a10a736b1",
+    (4, Flavor.ORDINARY, 8): "a5d358886b277f0f83ed5fa72f17be046bc63fd011ca0a47096e94cda3257fba",
+    (4, Flavor.ODD, 8): "1dc4baa67d477fcc2c1055c4d1b5502244b5419a2a77e3513cdc503cb3356ce7",
+}
+
+
+def test_permute_ranks_images_are_pinned():
+    from itertools import permutations
+
+    got = {}
+    for k, flavor, max_n in PINNED_IMAGES:
+        perms = list(permutations(range(1, k + 1)))
+        digest = hashlib.sha256()
+        for n in range(max_n + 1):
+            for s in enumerate_kmarked(n, k, flavor):
+                images = [permute_ranks(s, perm) for perm in perms]
+                digest.update(repr([(im.vectors, im.d) for im in images]).encode())
+        got[k, flavor, max_n] = digest.hexdigest()
+    assert got == PINNED_IMAGES

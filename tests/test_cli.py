@@ -315,6 +315,48 @@ def test_verify_reports_counterexample_when_core_is_corrupted(capsys, monkeypatc
     assert "FAIL" in out and "counterexample" in out and "m=(0, 0)" in out
 
 
+def _phi_rows_with_permuted_images(capsys, monkeypatch, patched):
+    monkeypatch.setattr(verify_mod.bijections, "permuted_images", patched)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "phi", "--max-n", "6")
+    assert code == 1
+    return {line.split("\t")[0]: line for line in out.splitlines()[1:-1]}
+
+
+# The PASS rows of ``verify --suite phi --max-n 6``, byte for byte.
+GOLDEN_PHI_PASS = {
+    "merge-split-roundtrips": "merge-split-roundtrips\tk in (2, 3), n <= 6\tPASS\t",
+    "strict-shifted-counts": "strict-shifted-counts\tk in (2, 3), n <= 6\tPASS\t",
+    "flip-involution": "flip-involution\tk = 2, n <= 6, both positions\tPASS\t",
+    "durfee-bijection": "durfee-bijection\t1 <= n <= 6\tPASS\t",
+}
+
+
+def test_permute_corpus_fails_on_a_repeated_image(capsys, monkeypatch):
+    # Two symbols of one weight and rank vector get the same images: every
+    # image still has the right ranks, but one is no longer fresh.
+    original = bijections.permuted_images
+    first: dict = {}
+
+    def repeating(s, perms):
+        return first.setdefault((s.k, s.weight, s.ranks), list(original(s, perms)))
+
+    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, repeating)
+    fail = rows.pop("permute-corpus").split("\t")
+    assert fail[2] == "FAIL" and "image not fresh member" in fail[3]
+    assert rows == GOLDEN_PHI_PASS
+
+
+def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
+    def unpermuted(s, perms):
+        return [s for _ in perms]
+
+    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, unpermuted)
+    fail = rows.pop("permute-corpus").split("\t")
+    assert fail[2] == "FAIL" and fail[3].startswith("counterexample: ")
+    assert " ranks " in fail[3] and "not fresh" not in fail[3]
+    assert rows == GOLDEN_PHI_PASS
+
+
 # ``verify --suite all --max-n 6 --order 5``, byte for byte, as recorded
 # before the checks became registered generators.
 GOLDEN_VERIFY_ALL = [
@@ -399,6 +441,37 @@ def test_series_partition(capsys):
     assert out.strip().splitlines()[1:] == [
         "0\t1", "1\t1", "2\t2", "3\t3", "4\t5", "5\t7", "6\t11",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("partition", "--x", "2", "--m", "5", "--flavor", "odd"), "m"),
+        (("partition", "--x", "2"), "x"),
+        (("partition", "--flavor", "ordinary"), "flavor"),
+        (("rank", "--x", "2"), "x"),
+        (("odd-rank", "--m", "1", "--flavor", "odd"), "flavor"),
+        (("rk", "--x", "2,3", "--m", "0"), "m"),
+        (("rk-product", "--x", "2", "--m", "1"), "m"),
+        (("rk-partial", "--x", "2,3", "--m", "0"), "m"),
+    ],
+)
+def test_series_rejects_flags_the_series_ignores(capsys, argv, flag):
+    name, *flags = argv
+    code, out, err = run_cli(capsys, "series", "--gf", name, "--order", "3", *flags)
+    assert_usage_error(code, out, err)
+    assert err == f"error: {name} takes no --{flag}\n"
+
+
+def test_series_defaults_apply_inside_the_entries(capsys):
+    for default, explicit in [
+        (("rank",), ("rank", "--m", "0")),
+        (("odd-rank",), ("odd-rank", "--m", "0")),
+        (("rk", "--x", "2,3"), ("rk", "--x", "2,3", "--flavor", "ordinary")),
+    ]:
+        first = run_cli(capsys, "series", "--order", "6", "--gf", *default)
+        assert first == run_cli(capsys, "series", "--order", "6", "--gf", *explicit)
+        assert first[0] == 0
 
 
 def test_series_pole_is_usage_error(capsys):
