@@ -10,10 +10,11 @@ Subcommands::
 
 Exit codes: 0 success, 1 identity failure from ``verify``, 2 usage error.
 Every bad input (a malformed flag, an out-of-range bound, an unreadable or
-invalid symbol document, a pole among the evaluation values) prints one
-``error:`` line to stderr and exits 2; exit 1 only ever means that an identity
-failed.  A reader that closes stdout early (``| head -1``) stops the command
-silently with status 141, as a shell reports for a writer stopped by SIGPIPE.
+invalid symbol document, a pole among the evaluation values, a series order
+too large to hold in memory) prints one ``error:`` line to stderr and exits
+2; exit 1 only ever means that an identity failed.  A reader that closes
+stdout early (``| head -1``) stops the command silently with status 141, as a
+shell reports for a writer stopped by SIGPIPE.
 Count tables and reports are byte-deterministic for fixed flags.
 """
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from . import bijections, qseries
 from .marked import KMarkedSymbol, enumerate_kmarked, kmarked_rank_counts
-from .serialize import document_to_symbol, format_symbol, render, symbol_to_document
+from .serialize import display_lines, document_lines, document_to_symbol, format_symbol, render
 from .symbols import DurfeeSymbol, Flavor
 from .verify import Bounds, SUITES, run_suite
 
@@ -84,12 +85,25 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``enumerate`` writes its lines in blocks of at least this many characters
+#: (half the capacity of a Linux pipe): one write call per block instead of
+#: one print per line, so a reader on a pipe gets few reads of even size.
+_BLOCK_CHARS = 1 << 15
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    for s in enumerate_kmarked(args.n, args.k, args.flavor):
-        if args.pretty:
-            print(format_symbol(s))
-        else:
-            print(json.dumps(symbol_to_document(s)))
+    lines = display_lines if args.pretty else document_lines
+    block: list[str] = []
+    size = 0
+    for line in lines(enumerate_kmarked(args.n, args.k, args.flavor)):
+        block.append(line)
+        size += len(line) + 1
+        if size >= _BLOCK_CHARS:
+            sys.stdout.write("\n".join(block) + "\n")
+            block.clear()
+            size = 0
+    if block:
+        sys.stdout.write("\n".join(block) + "\n")
     return 0
 
 
@@ -250,7 +264,10 @@ def main(argv: list[str] | None = None) -> int:
         # Later flushes, at exit too, go to devnull instead of failing again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (OSError, ValueError) as exc:
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

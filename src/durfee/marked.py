@@ -41,6 +41,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .partitions import (
     Partition,
+    _check_weight,
     bounded_partitions,
     bounded_partitions_upto,
     is_partition,
@@ -189,8 +190,10 @@ def _vector_tails(
             smallest = alpha[-1:] + beta[-1:]
             next_ub = min(smallest) if smallest else ub
             spent = sum(alpha) + sum(beta)
+            # One pair object is shared by every symbol that holds this vector.
+            pair = (PartitionPair(alpha, beta),)
             for tail in _vector_tails(i - 1, budget - spent, next_ub, k, cap, odd):
-                yield (PartitionPair(alpha, beta),) + tail
+                yield pair + tail
 
 
 def enumerate_kmarked(
@@ -201,10 +204,10 @@ def enumerate_kmarked(
     Canonical order: ascending subscript, then per vector from index k down
     to 1 the top row and bottom row each in decreasing lexicographic order
     across weights.  For k = 1 this agrees element-wise with
-    :func:`durfee.symbols.enumerate_durfee`.
+    :func:`durfee.symbols.enumerate_durfee`.  A weight outside the
+    enumeration guard raises before the first symbol.
     """
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
+    _check_weight(n)
     if k < 1:
         raise ValueError("k must be >= 1")
     odd = flavor is Flavor.ODD
@@ -407,13 +410,17 @@ def balanced_parts(pair: PartitionPair) -> frozenset[int]:
     zeros) and the number of top parts after the first that strictly exceed
     beta_j equals the number of unbalanced parts before position j.  The scan
     runs left to right because each verdict depends on the earlier ones.
+    Both rows are non-increasing, so the top parts above beta_j are a prefix
+    of alpha[1:] that only grows with j: one pointer walk counts them all.
     """
     alpha, beta = pair
     balanced: set[int] = set()
     unbalanced_seen = 0
+    larger = 0  # top parts after the first that strictly exceed beta_j
     for j, bj in enumerate(beta, start=1):
+        while larger + 1 < len(alpha) and alpha[larger + 1] > bj:
+            larger += 1
         fits = j >= len(alpha) or alpha[j] <= bj
-        larger = sum(1 for a in alpha[1:] if a > bj)
         if fits and larger == unbalanced_seen:
             balanced.add(j)
         else:

@@ -11,15 +11,26 @@ fields cross-checked when present) on input, so documents round-trip
 losslessly.  Input must satisfy the marking conditions of
 :func:`durfee.marked.validate`.  Plain two-row symbols are carried as
 one-vector documents.
+
+A stream of symbols is written by one line writer per output form:
+:func:`document_lines` yields each symbol's one-line JSON document (the text
+of ``json.dumps(symbol_to_document(s))``, built without a dict) and
+:func:`display_lines` its one-line display.  Consecutive symbols of an
+enumeration share most of their vectors, so each writer remembers the
+previous symbol's vectors with their facts (JSON fragment, rank term,
+balanced count and weight, or display fragments) and recomputes the facts of
+a position only when its vector changes.  Memory is O(k) whatever the length
+of the stream.  :func:`render` without indent and :func:`format_symbol` of a
+k-marked symbol are the writers' one-symbol cases.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable, Iterator
 
-from .marked import KMarkedSymbol, PartitionPair, balanced_numbers, validate
-from .symbols import DurfeeSymbol, Flavor
+from .marked import KMarkedSymbol, PartitionPair, balanced_numbers, balanced_parts, validate
+from .symbols import DurfeeSymbol, Flavor, frame_weight
 
 _SUBSCRIPT_DIGITS = "₀₁₂₃₄₅₆₇₈₉"
 
@@ -28,9 +39,14 @@ def _subscript(n: int) -> str:
     return "".join(_SUBSCRIPT_DIGITS[int(ch)] for ch in str(n))
 
 
-def symbol_to_document(s: KMarkedSymbol | DurfeeSymbol) -> dict[str, Any]:
+def _marked(s: KMarkedSymbol | DurfeeSymbol) -> KMarkedSymbol:
     if isinstance(s, DurfeeSymbol):
-        s = KMarkedSymbol((PartitionPair(s.alpha, s.beta),), s.d, s.flavor)
+        return KMarkedSymbol((PartitionPair(s.alpha, s.beta),), s.d, s.flavor)
+    return s
+
+
+def symbol_to_document(s: KMarkedSymbol | DurfeeSymbol) -> dict[str, Any]:
+    s = _marked(s)
     return {
         "flavor": s.flavor.value,
         "d": s.d,
@@ -73,6 +89,8 @@ def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
 
 
 def render(s: KMarkedSymbol | DurfeeSymbol, indent: int | None = 2) -> str:
+    if indent is None:
+        return next(document_lines((s,)))
     return json.dumps(symbol_to_document(s), indent=indent)
 
 
@@ -80,17 +98,79 @@ def parse(text: str) -> KMarkedSymbol:
     return document_to_symbol(json.loads(text))
 
 
+def document_lines(symbols: Iterable[KMarkedSymbol | DurfeeSymbol]) -> Iterator[str]:
+    """``json.dumps(symbol_to_document(s))`` for each symbol, built as text.
+
+    Per position the writer keeps the previous symbol's vector with its JSON
+    fragment, rank term, balanced count (0 for vector k) and weight, and
+    recomputes them only when the vector there changes.
+    """
+    last: tuple[PartitionPair | None, ...] = ()
+    flavor = d = None
+    for s in symbols:
+        s = _marked(s)
+        if s.d != d or s.flavor is not flavor:
+            flavor, d = s.flavor, s.d
+            head = f'{{"flavor": "{flavor.value}", "d": {d}, "vectors": ['
+            frame = frame_weight(d, flavor)
+        vectors = s.vectors
+        k = len(vectors)
+        if k != len(last):
+            last = (None,) * k
+            fragments, ranks, balanced, weights = [""] * k, [""] * k, ["0"] * k, [0] * k
+        for i, v in enumerate(vectors):
+            if v != last[i]:
+                alpha, beta = v
+                fragments[i] = f'{{"alpha": {list(alpha)}, "beta": {list(beta)}}}'
+                weights[i] = sum(alpha) + sum(beta)
+                if i < k - 1:
+                    ranks[i] = str(len(alpha) - len(beta) - 1)
+                    balanced[i] = str(len(balanced_parts(v)))
+                else:
+                    ranks[i] = str(len(alpha) - len(beta))
+        last = vectors
+        yield (
+            f'{head}{", ".join(fragments)}], "derived": {{"weight": {frame + sum(weights)}, '
+            f'"ranks": [{", ".join(ranks)}], "balanced_numbers": [{", ".join(balanced)}]}}}}'
+        )
+
+
+def display_lines(symbols: Iterable[KMarkedSymbol]) -> Iterator[str]:
+    """One-line display of each symbol in the traditional orientation (vector
+    k leftmost), entries carrying their vector index as a subscript.
+
+    Per position the writer keeps the previous symbol's vector with its two
+    display fragments, and rebuilds them, from one subscript string per
+    vector index, only when the vector there changes.
+    """
+    last: tuple[PartitionPair | None, ...] = ()
+    d = None
+    for s in symbols:
+        if s.d != d:
+            d = s.d
+            d_mark = _subscript(d)
+        vectors = s.vectors
+        k = len(vectors)
+        if k != len(last):
+            last = (None,) * k
+            marks = [_subscript(i) for i in range(1, k + 1)]
+            # Display order: vector k first, so vector i sits at index k - i.
+            tops, bottoms = [""] * k, [""] * k
+        for i, v in enumerate(vectors):
+            if v != last[i]:
+                mark = marks[i]
+                tops[k - 1 - i] = " ".join(f"{x}{mark}" for x in v.alpha)
+                bottoms[k - 1 - i] = " ".join(f"{x}{mark}" for x in v.beta)
+        last = vectors
+        yield f"( {' '.join(filter(None, tops))} / {' '.join(filter(None, bottoms))} ){d_mark}"
+
+
 def format_symbol(s: KMarkedSymbol | DurfeeSymbol) -> str:
     """One-line display in the traditional orientation (vector k leftmost),
-    entries carrying their vector index as a subscript."""
+    entries carrying their vector index as a subscript; a plain symbol's
+    entries carry none."""
     if isinstance(s, DurfeeSymbol):
         top = " ".join(str(x) for x in s.alpha)
         bottom = " ".join(str(x) for x in s.beta)
         return f"( {top} / {bottom} ){_subscript(s.d)}"
-    tops: list[str] = []
-    bottoms: list[str] = []
-    for i in range(s.k, 0, -1):
-        alpha, beta = s.vectors[i - 1]
-        tops.extend(f"{x}{_subscript(i)}" for x in alpha)
-        bottoms.extend(f"{x}{_subscript(i)}" for x in beta)
-    return f"( {' '.join(tops)} / {' '.join(bottoms)} ){_subscript(s.d)}"
+    return next(display_lines((s,)))

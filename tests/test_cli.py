@@ -227,6 +227,32 @@ def test_map_rejects_flags_the_map_ignores(capsys, argv):
     assert err.startswith(f"error: {name} takes no --")
 
 
+def test_enumerate_past_guard_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "41", "--k", "2")
+    assert_usage_error(code, out, err)
+    assert "41" in err
+
+
+# enumerate flags -> (exit code, sha256 of stdout), recorded before the
+# documents and displays were written by the streaming line writers.
+GOLDEN_ENUMERATE = [
+    (("--n", "12", "--k", "3"),
+     (0, "6ca88748373ff5d9a2cb6f23d178a9d1871a15f13b74d5aaa913b18ff7a63c52")),
+    (("--n", "13", "--k", "2", "--flavor", "odd"),
+     (0, "b1eba675a84904e0a4c840225ae508aaf195460ccd32986a96d334665c81f3bc")),
+    (("--n", "10", "--k", "4", "--pretty"),
+     (0, "9ec38144f4c7f91aac6ace51bbb73107aca79d16e12b8ecd799f91e4c0de2a6b")),
+    (("--n", "12", "--k", "1", "--flavor", "odd", "--pretty"),
+     (0, "cc5a193e99911722a0b3286e7349a9fcea94ed315a8d9f4ad2ca5e4acb274fc7")),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_ENUMERATE)
+def test_enumerate_output_is_byte_identical(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, "enumerate", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected
+
+
 def _map_inputs() -> dict:
     flipped = bijections.flip_rank(ETA, 1)
     lifted = bijections.symbol_to_strict_shifted(flipped)
@@ -472,6 +498,27 @@ def test_series_defaults_apply_inside_the_entries(capsys):
         first = run_cli(capsys, "series", "--order", "6", "--gf", *default)
         assert first == run_cli(capsys, "series", "--order", "6", "--gf", *explicit)
         assert first[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--gf", "partition", "--order", "10000000000000000000"),
+        ("verify", "--suite", "cor11", "--order", "10000000000000000000"),
+    ],
+)
+def test_too_large_order_is_usage_error(capsys, argv):
+    assert_usage_error(*run_cli(capsys, *argv))
+
+
+def test_out_of_memory_is_usage_error(capsys, monkeypatch):
+    def exhausted(order):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.qseries, "partition_gf", exhausted)
+    code, out, err = run_cli(capsys, "series", "--gf", "partition", "--order", "5")
+    assert_usage_error(code, out, err)
+    assert err == "error: out of memory\n"
 
 
 def test_series_pole_is_usage_error(capsys):

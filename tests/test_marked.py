@@ -18,7 +18,7 @@ from durfee.marked import (
     validate,
 )
 from durfee.moments import binom, marked_count_formula
-from durfee.partitions import bounded_partitions
+from durfee.partitions import bounded_partitions, enumerate_partitions
 from durfee.qseries import odd_rank_gf, rank_gf
 from durfee.symbols import Flavor, enumerate_durfee, frame_weight, part_cap, subscript_range
 
@@ -159,6 +159,31 @@ def test_balanced_parts_examples():
     assert balanced_parts(PartitionPair((3, 2), ())) == frozenset()
 
 
+def _balanced_parts_by_sum_scan(pair):
+    """The quadratic definition: count the larger top parts afresh per part."""
+    alpha, beta = pair
+    balanced, unbalanced_seen = set(), 0
+    for j, bj in enumerate(beta, start=1):
+        fits = j >= len(alpha) or alpha[j] <= bj
+        if fits and sum(1 for a in alpha[1:] if a > bj) == unbalanced_seen:
+            balanced.add(j)
+        else:
+            unbalanced_seen += 1
+    return balanced
+
+
+def test_balanced_parts_matches_the_sum_scan():
+    pairs = 0
+    for total in range(15):
+        for a in range(total + 1):
+            for alpha in enumerate_partitions(a):
+                for beta in enumerate_partitions(total - a):
+                    pair = PartitionPair(alpha, beta)
+                    assert balanced_parts(pair) == _balanced_parts_by_sum_scan(pair), pair
+                    pairs += 1
+    assert pairs == 7567
+
+
 def test_deficiencies_examples():
     assert deficiencies(PartitionPair((4, 3, 3, 1, 1), (3, 2, 2))) == (0, 2, 1)
     assert deficiencies(PartitionPair((5,), ())) == ()
@@ -205,6 +230,13 @@ def test_odd_flavor_formula_spot_checks():
 def test_enumerate_requires_positive_k():
     with pytest.raises(ValueError):
         list(enumerate_kmarked(3, 0))
+
+
+def test_enumerate_guard_raises_before_the_first_symbol():
+    with pytest.raises(ValueError, match="weight 41 exceeds the supported bound 40"):
+        next(enumerate_kmarked(41, 2))
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        next(enumerate_kmarked(-1, 2))
 
 
 @pytest.mark.parametrize(

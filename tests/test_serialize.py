@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from durfee.marked import KMarkedSymbol, PartitionPair, enumerate_kmarked
 from durfee.serialize import (
+    display_lines,
+    document_lines,
     document_to_symbol,
     format_symbol,
     parse,
@@ -114,3 +117,63 @@ def test_format_symbol():
 def test_json_documents_are_valid_json():
     text = render(SYM55)
     assert json.loads(text)["d"] == 5
+
+
+def _corpus(k, flavor):
+    return [s for n in range(11) for s in enumerate_kmarked(n, k, flavor)]
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_document_lines_match_json_dumps(k, flavor):
+    corpus = _corpus(k, flavor)
+    lines = list(document_lines(corpus))
+    assert len(lines) == len(corpus)
+    for s, line in zip(corpus, lines):
+        assert line == json.dumps(symbol_to_document(s))
+        assert parse(line) == s  # also cross-checks the derived block
+
+
+# sha256 of the display lines (one per line, newline-terminated) of every
+# symbol of weight <= 10, recorded from format_symbol before the line writers
+# existed: (flavor, k) -> (symbols, digest)
+GOLDEN_DISPLAY = {
+    ("ordinary", 1): (138, "21c832eb378f4f13ed397354a2c0bd3241929016d92b34411920619ff2ae09ee"),
+    ("ordinary", 2): (756, "5cfa6547227b6e94be5b8a80bec2c0c7492813e7cc58ebe949af842b5dc3b010"),
+    ("ordinary", 3): (2052, "37d23c30c0f4fc727e3deee3d11f7bcfcb9b577328a4fc5b65916b6eab949a93"),
+    ("ordinary", 4): (3224, "91bc34ac39061ab302b54c123d672d665d92e09ab9b23faa946b64849e460a57"),
+    ("odd", 1): (88, "b485c122cae0b1b09d5ec89f74e2b089a59f07834751a1052ac0f81708332b44"),
+    ("odd", 2): (581, "860e24f7cfd00c2b33cb3db1c59c466af241b70146fd2cd3da98d423602f4c19"),
+    ("odd", 3): (1807, "1d4506b642bca92b1b3bfa209dff17056913ef13f3ca77c993c2b531bd3386d9"),
+    ("odd", 4): (3049, "7e574086cd806ce030eaba7c500c8adb646661fc016c1a3cc58b1555777e1486"),
+}
+
+
+@pytest.mark.parametrize("flavor, k", sorted(GOLDEN_DISPLAY))
+def test_display_lines_are_pinned(flavor, k):
+    corpus = _corpus(k, Flavor(flavor))
+    lines = list(display_lines(corpus))
+    assert lines == [format_symbol(s) for s in corpus]
+    digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+    assert (len(lines), digest) == GOLDEN_DISPLAY[flavor, k]
+
+
+def test_line_writers_follow_changes_of_k_flavor_and_subscript():
+    # Each symbol differs from the one before in k, flavor or subscript, so
+    # every remembered vector fact must be refreshed or reset correctly.
+    odd = next(enumerate_kmarked(9, 2, Flavor.ODD))
+    mixed = [
+        SYM55,
+        DurfeeSymbol((2, 1), (1,), 2),
+        odd,
+        KMarkedSymbol(odd.vectors, odd.d),  # only the flavor changes
+        SYM55,
+        KMarkedSymbol(SYM55.vectors, 6),  # only the subscript changes
+        *enumerate_kmarked(6, 2),
+        KMarkedSymbol((PartitionPair((), ()),), 1),
+    ]
+    assert list(document_lines(mixed)) == [json.dumps(symbol_to_document(s)) for s in mixed]
+    assert [render(s, indent=None) for s in mixed] == list(document_lines(mixed))
+    marked = [s for s in mixed if isinstance(s, KMarkedSymbol)]
+    assert list(display_lines(marked)) == [format_symbol(s) for s in marked]
+    assert format_symbol(KMarkedSymbol((PartitionPair((), ()),), 1)) == "(  /  )₁"
