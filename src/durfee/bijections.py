@@ -22,14 +22,30 @@ per permutation (split, drop back, flip back); :func:`permute_ranks` is its
 one-permutation case.  Every stage preserves validity: rank flips and
 balanced transfers rearrange entries within one vector, so the whole-vector
 interlacing bounds never move.
+
+The three per-vector stages are pure functions of one immutable pair, and
+a corpus holds few distinct vectors, so they are memoized: the flip of a
+vector below k, the lift of one vector with its balanced count, and the
+drop of ``r`` top parts.  Their guards raise on every call, since an
+exception is not cached.  Merge and split read the whole symbol and stay
+uncached.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .marked import KMarkedSymbol, PartitionPair, balanced_parts, is_strict_shifted_pair
 from .symbols import DurfeeSymbol
+
+
+@lru_cache(maxsize=None)
+def _flip_pair(pair: PartitionPair) -> PartitionPair:
+    """Flip of a vector below k with a top part: the bottom row joins the
+    largest top part as the new top, the rest of the old top is the bottom."""
+    alpha, beta = pair
+    return PartitionPair(tuple(sorted(beta + alpha[:1], reverse=True)), alpha[1:])
 
 
 def _flip(vecs: list[PartitionPair], p: int) -> None:
@@ -40,26 +56,28 @@ def _flip(vecs: list[PartitionPair], p: int) -> None:
         return
     if not alpha:
         raise ValueError(f"vector {p} has no top part")
-    vecs[p - 1] = PartitionPair(tuple(sorted(beta + alpha[:1], reverse=True)), alpha[1:])
+    vecs[p - 1] = _flip_pair(vecs[p - 1])
 
 
-def _lift_pair(pair: PartitionPair, bal: frozenset[int]) -> PartitionPair:
-    """Move the bottom parts at the 1-based indices ``bal`` into the top row."""
+@lru_cache(maxsize=None)
+def _lift_pair(pair: PartitionPair) -> tuple[PartitionPair, int]:
+    """Move the balanced bottom parts into the top row; return the lifted
+    pair and the number of parts moved."""
     alpha, beta = pair
     if beta and (not alpha or beta[0] > alpha[0]):
         raise ValueError("largest bottom part exceeds largest top part")
+    bal = balanced_parts(pair)
     moved = tuple(beta[j - 1] for j in bal)
     kept = tuple(b for j, b in enumerate(beta, 1) if j not in bal)
-    return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept)
+    return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept), len(bal)
 
 
 def _lift(vecs: list[PartitionPair]) -> tuple[int, ...]:
     """Lift vectors 1 .. k-1 in place; return the balanced numbers (t_k = 0)."""
     t = []
     for i in range(len(vecs) - 1):
-        bal = balanced_parts(vecs[i])
-        vecs[i] = _lift_pair(vecs[i], bal)
-        t.append(len(bal))
+        vecs[i], r = _lift_pair(vecs[i])
+        t.append(r)
     t.append(0)
     return tuple(t)
 
@@ -142,6 +160,7 @@ def _require_strict_shifted(pair: PartitionPair) -> None:
         raise ValueError("not strict shifted")
 
 
+@lru_cache(maxsize=None)
 def _drop_pair(pair: PartitionPair, r: int) -> PartitionPair:
     """Move ``r`` top parts back down, the smallest with each label 0 .. r-1."""
     _require_strict_shifted(pair)
@@ -216,7 +235,7 @@ def to_strict_shifted(pair: PartitionPair) -> PartitionPair:
     strict shifted and its length difference grows by twice the number of
     balanced parts.
     """
-    return _lift_pair(pair, balanced_parts(pair))
+    return _lift_pair(pair)[0]
 
 
 def from_strict_shifted(pair: PartitionPair, r: int) -> PartitionPair:

@@ -148,7 +148,15 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_order(order: int) -> None:
+    """A series holds order + 1 coefficients in one list, whose length must
+    be an index-sized integer."""
+    if order >= sys.maxsize:
+        raise ValueError(f"--order must be below {sys.maxsize}, got {order}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_order(args.order)
     bounds = Bounds(max_n=args.max_n, max_k=args.max_k, order=args.order, x=args.x)
     results = run_suite(args.suite, bounds)
     print("check\tbound\tstatus\tdetail")
@@ -185,6 +193,7 @@ _SERIES = {
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    _check_order(args.order)
     flags, build = _SERIES[args.gf]
     for flag in ("m", "x", "flavor"):
         if flag not in flags and getattr(args, flag) is not None:

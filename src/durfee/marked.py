@@ -54,7 +54,7 @@ class PartitionPair(NamedTuple):
     beta: Partition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KMarkedSymbol:
     #: vectors[0] is vector 1; displays print vector k first.
     vectors: tuple[PartitionPair, ...]

@@ -21,6 +21,7 @@ from typing import Iterator, Mapping
 
 from .partitions import (
     Partition,
+    _check_weight,
     bounded_partitions,
     bounded_partitions_upto,
     conjugate,
@@ -118,8 +119,10 @@ def enumerate_durfee(n: int, flavor: Flavor = Flavor.ORDINARY) -> Iterator[Durfe
 
     Canonical order: ascending subscript, then top rows in decreasing
     lexicographic order across all admissible weights, then bottom rows
-    likewise.
+    likewise.  A weight outside the enumeration guard raises before the
+    first symbol.
     """
+    _check_weight(n)
     for d in subscript_range(n, flavor):
         rem = n - frame_weight(d, flavor)
         cap = part_cap(d, flavor)

@@ -1,7 +1,9 @@
 import hashlib
+from itertools import permutations
 
 import pytest
 
+from durfee import bijections
 from durfee.bijections import (
     flip_rank,
     from_strict_shifted,
@@ -283,15 +285,19 @@ TWO_ONES = KMarkedSymbol((PartitionPair((1,), ()), PartitionPair((1,), ())), 1)
         (lambda: flip_rank(TWO_ONES, 3), r"vector index 3 out of range 1\.\.2"),
         (lambda: flip_rank(KMarkedSymbol((PartitionPair((), (1,)), TWO_ONES.vectors[1]), 1), 1),
          "vector 1 has no top part"),
+        (lambda: from_strict_shifted(NOT_SHIFTED, 1), "not strict shifted"),
+        (lambda: to_strict_shifted(PartitionPair((2,), (3,))), "largest bottom part exceeds"),
     ],
     ids=[
         "split-no-targets", "from-negative-r", "subscripts-not-shifted", "minima-not-shifted",
-        "flip-p-low", "flip-p-high", "flip-no-top-part",
+        "flip-p-low", "flip-p-high", "flip-no-top-part", "from-not-shifted", "to-oversized-bottom",
     ],
 )
 def test_public_maps_keep_their_errors(call, match):
-    with pytest.raises(ValueError, match=match):
-        call()
+    # twice: the cached stage cores must not remember a rejected input
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 # sha256 of every image of permute_ranks over each corpus, recorded before the
@@ -307,8 +313,6 @@ PINNED_IMAGES = {
 
 
 def test_permute_ranks_images_are_pinned():
-    from itertools import permutations
-
     got = {}
     for k, flavor, max_n in PINNED_IMAGES:
         perms = list(permutations(range(1, k + 1)))
@@ -319,3 +323,51 @@ def test_permute_ranks_images_are_pinned():
                 digest.update(repr([(im.vectors, im.d) for im in images]).encode())
         got[k, flavor, max_n] = digest.hexdigest()
     assert got == PINNED_IMAGES
+
+
+# the per-vector stage cores that keep their results across calls
+STAGE_CACHES = (bijections._flip_pair, bijections._lift_pair, bijections._drop_pair)
+
+
+def _stage_results():
+    """Every image of the cached stages over the n <= 8, k <= 3 corpora."""
+    out = []
+    for flavor in Flavor:
+        for k in (1, 2, 3):
+            perms = list(permutations(range(1, k + 1)))
+            for n in range(9):
+                for s in enumerate_kmarked(n, k, flavor):
+                    lifted = symbol_to_strict_shifted(s)
+                    out.append((
+                        list(bijections.permuted_images(s, perms)),
+                        [flip_rank(s, p) for p in range(1, k + 1)],
+                        lifted,
+                        symbol_from_strict_shifted(lifted, balanced_numbers(s)),
+                    ))
+    return out
+
+
+def test_stage_caches_do_not_change_results(monkeypatch):
+    for cache in STAGE_CACHES:
+        cache.cache_clear()
+    cold = _stage_results()
+    warm = _stage_results()
+    assert all(cache.cache_info().hits > 0 for cache in STAGE_CACHES)
+    for cache in STAGE_CACHES:
+        monkeypatch.setattr(bijections, cache.__name__, cache.__wrapped__)
+    uncached = _stage_results()
+    assert cold == warm == uncached
+
+
+def _immutable(x) -> bool:
+    return isinstance(x, int) or isinstance(x, tuple) and all(_immutable(y) for y in x)
+
+
+def test_stage_caches_hold_tuples():
+    for n in range(9):
+        for s in enumerate_kmarked(n, 3):
+            for pair in s.vectors[:-1]:
+                lifted, r = bijections._lift_pair(pair)
+                assert type(r) is int
+                for image in (bijections._flip_pair(pair), lifted, bijections._drop_pair(lifted, r)):
+                    assert type(image) is PartitionPair and _immutable(image)

@@ -383,6 +383,42 @@ def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
     assert rows == GOLDEN_PHI_PASS
 
 
+# A wrong ordinary table at n = 6 must fail rank-symmetry-tables alone among
+# checks that do not compare that table with the formula.
+_TABLE_NEIGHBOURS = ("theorem-main-odd", "solution-count", "durfee-bijection")
+
+
+@pytest.mark.parametrize("k,rep,member", [(2, (1, 0), (0, -1)), (3, (2, 1, 0), (0, -1, 2))])
+@pytest.mark.parametrize(
+    "corruption", ["member count changed", "member deleted", "representative deleted"]
+)
+def test_rank_symmetry_tables_fails_on_a_corrupted_table(monkeypatch, k, rep, member, corruption):
+    edit = {
+        "member count changed": lambda dist: dist.update({member: dist[member] + 1}),
+        "member deleted": lambda dist: dist.pop(member),
+        "representative deleted": lambda dist: dist.pop(rep),
+    }[corruption]
+    wrong = rep if corruption == "representative deleted" else member
+    original = verify_mod.kmarked_rank_distribution
+    bounds = Bounds(max_n=6)
+    clean = run_checks(("rank-symmetry-tables", *_TABLE_NEIGHBOURS), bounds)
+
+    def corrupted(n, kk, flavor=Flavor.ORDINARY):
+        dist = original(n, kk, flavor)
+        if (n, kk, flavor) != (6, k, Flavor.ORDINARY):
+            return dist
+        dist = dict(dist)
+        edit(dist)
+        return dist
+
+    monkeypatch.setattr(verify_mod, "kmarked_rank_distribution", corrupted)
+    fail, *others = run_checks(("rank-symmetry-tables", *_TABLE_NEIGHBOURS), bounds)
+    assert clean[0].ok and not fail.ok
+    assert fail.detail.startswith(f"counterexample: n=6 k={k} count ")
+    assert str(wrong) in fail.detail
+    assert others == clean[1:]
+
+
 # ``verify --suite all --max-n 6 --order 5``, byte for byte, as recorded
 # before the checks became registered generators.
 GOLDEN_VERIFY_ALL = [
@@ -509,6 +545,14 @@ def test_series_defaults_apply_inside_the_entries(capsys):
 )
 def test_too_large_order_is_usage_error(capsys, argv):
     assert_usage_error(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize("command", [("series", "--gf", "partition"), ("verify", "--suite", "cor11")])
+@pytest.mark.parametrize("order", [str(sys.maxsize), "10000000000000000000"])
+def test_too_large_order_names_the_flag(capsys, command, order):
+    code, out, err = run_cli(capsys, *command, "--order", order)
+    assert_usage_error(code, out, err)
+    assert err == f"error: --order must be below {sys.maxsize}, got {order}\n"
 
 
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):

@@ -105,3 +105,9 @@ def test_enumeration_unique_and_deterministic():
             assert len(set(corpus)) == len(corpus)
             assert corpus == list(enumerate_durfee(n, flavor))
             assert all(s.weight == n for s in corpus)
+
+
+def test_enumerate_guard_raises_before_the_first_symbol():
+    with pytest.raises(ValueError, match="weight 41 exceeds the supported bound 40"):
+        next(enumerate_durfee(41))
+    assert next(enumerate_durfee(40)).weight == 40
