@@ -10,11 +10,11 @@ Subcommands::
 
 Exit codes: 0 success, 1 identity failure from ``verify``, 2 usage error.
 Every bad input (a malformed flag, an out-of-range bound, an unreadable or
-invalid symbol document, a pole among the evaluation values, a series order
-too large to hold in memory) prints one ``error:`` line to stderr and exits
-2; exit 1 only ever means that an identity failed.  A reader that closes
-stdout early (``| head -1``) stops the command silently with status 141, as a
-shell reports for a writer stopped by SIGPIPE.
+invalid symbol document, a pole among the evaluation values, a weight or
+series order too large to hold in memory) prints one ``error:`` line to
+stderr and exits 2; exit 1 only ever means that an identity failed.  A reader
+that closes stdout early (``| head -1``) stops the command silently with
+status 141, as a shell reports for a writer stopped by SIGPIPE.
 Count tables and reports are byte-deterministic for fixed flags.
 """
 
@@ -66,7 +66,16 @@ def _load_document(path: str | None) -> dict:
         raise ValueError(f"document is not JSON: {exc}") from None
 
 
+def _check_size(flag: str, value: int) -> None:
+    """Reject a weight or series order that cannot size a list: a series
+    holds order + 1 coefficients, the counting DP holds series over the
+    weights 0..n, and a list's length must be an index-sized integer."""
+    if value >= sys.maxsize:
+        raise ValueError(f"--{flag} must be below {sys.maxsize}, got {value}")
+
+
 def cmd_count(args: argparse.Namespace) -> int:
+    _check_size("n", args.n)
     if args.ranks is not None and len(args.ranks) != args.k:
         raise ValueError(f"--ranks needs {args.k} entries")
     dist = kmarked_rank_counts(args.n, args.k, args.flavor)
@@ -148,15 +157,8 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_order(order: int) -> None:
-    """A series holds order + 1 coefficients in one list, whose length must
-    be an index-sized integer."""
-    if order >= sys.maxsize:
-        raise ValueError(f"--order must be below {sys.maxsize}, got {order}")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_order(args.order)
+    _check_size("order", args.order)
     bounds = Bounds(max_n=args.max_n, max_k=args.max_k, order=args.order, x=args.x)
     results = run_suite(args.suite, bounds)
     print("check\tbound\tstatus\tdetail")
@@ -193,7 +195,7 @@ _SERIES = {
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    _check_order(args.order)
+    _check_size("order", args.order)
     flags, build = _SERIES[args.gf]
     for flag in ("m", "x", "flavor"):
         if flag not in flags and getattr(args, flag) is not None:

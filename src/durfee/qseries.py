@@ -5,16 +5,23 @@ A :class:`QSeries` stores coefficients c_0 .. c_Q as fractions; arithmetic
 discards terms beyond the truncation order, so equality of two series means
 literal agreement of every retained coefficient.
 
-Every generating function below is built on one coefficient list, updated in
-place by two kernels that multiply or divide it by a sparse factor
+Every generating function below is built on one list of Python ints, updated
+in place by two kernels that multiply or divide it by a sparse factor
 (1 - c q^a) in O(order) steps, and wrapped in a :class:`QSeries` at the end.
-Nothing is cached, so every call returns a fresh series.
+Where a factor has a rational coefficient, the list is held scaled: entry e
+is L^e times the true coefficient of q^e, with L the least common multiple of
+the factors' denominators.  That is the substitution q -> q/L, under which the
+factor (1 - c q^a) becomes (1 - c L^a q^a) with an integer coefficient, so the
+kernels never touch a ``Fraction``.  :func:`_unscaled` divides once, entry e
+by L^e, when the series is wrapped.  Nothing is cached, so every call returns
+a fresh series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Sequence
 
 from .marked import kmarked_rank_counts
@@ -127,33 +134,45 @@ class QSeries:
         return f"QSeries({body} + O(q^{self.order + 1}))"
 
 
-def _times_factor(coeffs: list, c: Rational, a: int) -> None:
-    """Multiply ``coeffs`` in place by (1 - c q^a), a >= 1; the loop runs
-    downward so each ``coeffs[e - a]`` it reads is still the old value."""
+def _times_factor(coeffs: list[int], c: int, a: int) -> None:
+    """Multiply ``coeffs`` in place by (1 - c q^a), a >= 1, for an integer c
+    (a scaled list passes c L^a); the loop runs downward so each
+    ``coeffs[e - a]`` it reads is still the old value."""
     for e in range(len(coeffs) - 1, a - 1, -1):
         coeffs[e] -= c * coeffs[e - a]
 
 
-def _divide_factor(coeffs: list, c: Rational, a: int) -> None:
-    """Divide ``coeffs`` in place by (1 - c q^a), a >= 1; the loop runs
-    upward so each ``coeffs[e - a]`` it reads is already the new value."""
+def _divide_factor(coeffs: list[int], c: int, a: int) -> None:
+    """Divide ``coeffs`` in place by (1 - c q^a), a >= 1, for an integer c
+    (a scaled list passes c L^a); the loop runs upward so each
+    ``coeffs[e - a]`` it reads is already the new value."""
     for e in range(a, len(coeffs)):
         coeffs[e] += c * coeffs[e - a]
 
 
-def _divide_euler(coeffs: list, step: int) -> None:
-    """Divide ``coeffs`` in place by the product of (1 - q^j), j a multiple of ``step``."""
+def _divide_euler(coeffs: list[int], step: int, scale: int) -> None:
+    """Divide ``coeffs``, scaled by ``scale``, in place by the product of
+    (1 - q^j), j a multiple of ``step``: each factor is (1 - scale^j q^j)."""
     for j in range(step, len(coeffs), step):
-        _divide_factor(coeffs, 1, j)
+        _divide_factor(coeffs, scale**j, j)
+
+
+def _unscaled(coeffs: list[int], scale: int) -> QSeries:
+    """The series whose coefficient of q^e is ``coeffs[e] / scale**e``: the
+    one division of a scaled build, one gcd per coefficient."""
+    return QSeries(len(coeffs) - 1, [Fraction(c, scale**e) for e, c in enumerate(coeffs)])
 
 
 def geometric(coeff: Rational, exponent: int, order: int) -> QSeries:
-    """1 / (1 - c q^a) as a truncated series; requires a >= 1."""
+    """1 / (1 - c q^a) as a truncated series; requires a >= 1.  Built scaled
+    by L = the denominator of c, the only factor coefficient."""
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
+    c = Fraction(coeff)
+    scale = c.denominator
     coeffs = [1] + [0] * order
-    _divide_factor(coeffs, Fraction(coeff), exponent)
-    return QSeries(order, coeffs)
+    _divide_factor(coeffs, c.numerator * scale ** (exponent - 1), exponent)
+    return _unscaled(coeffs, scale)
 
 
 def euler_product(order: int, step: int = 1) -> QSeries:
@@ -167,7 +186,7 @@ def euler_product(order: int, step: int = 1) -> QSeries:
 def partition_gf(order: int) -> QSeries:
     """Generating series of partition counts: coefficient of q^n is p(n)."""
     coeffs = [1] + [0] * order
-    _divide_euler(coeffs, 1)
+    _divide_euler(coeffs, 1, 1)
     return QSeries(order, coeffs)
 
 
@@ -189,7 +208,7 @@ def rank_gf(m: int, order: int) -> QSeries:
         coeffs[e] += sign
         if e + n <= order:
             coeffs[e + n] -= sign
-    _divide_euler(coeffs, 1)
+    _divide_euler(coeffs, 1, 1)
     if m == 0:
         coeffs[0] += 1
     return QSeries(order, coeffs)
@@ -204,7 +223,7 @@ def odd_rank_gf(m: int, order: int) -> QSeries:
         if e > order:
             break
         coeffs[e] += 1 if n % 2 == 0 else -1
-    _divide_euler(coeffs, 2)
+    _divide_euler(coeffs, 2, 1)
     return QSeries(order, coeffs)
 
 
@@ -253,8 +272,15 @@ def marked_rank_gf_product(
     in q^{2n+1}.  (Stating the denominator in q^n instead does not reproduce
     the odd rank series; the 2n+1 powers are forced by the term-by-term
     expansion.)
+
+    The sum and the Euler division run on ints scaled by L^e, where L is the
+    lcm of the denominators and |numerators| of the x_j: it clears the
+    denominators of x_j and 1 / x_j, the denominator factors' coefficients.
+    The only division is the one by L^e in :func:`_unscaled`.
     """
     xs = _checked_point(x, k)
+    factors = [v for xj in xs for v in (xj, 1 / xj)]
+    scale = lcm(*(v.denominator for v in factors))
     ordinary = flavor is Flavor.ORDINARY
     first = 1 if ordinary else 0
     acc = [0] * (order + 1)
@@ -268,15 +294,15 @@ def marked_rank_gf_product(
         if e > order:
             break
         term = [0] * (order + 1)
-        term[e] = 1 if (n - first) % 2 == 0 else -1
+        term[e] = (1 if (n - first) % 2 == 0 else -1) * scale**e
         for c, a in numerator:
-            _times_factor(term, c, a)
-        for xj in xs:
-            _divide_factor(term, xj, step)
-            _divide_factor(term, 1 / xj, step)
+            _times_factor(term, c * scale**a, a)
+        lift = scale**step
+        for v in factors:
+            _divide_factor(term, v.numerator * (lift // v.denominator), step)
         acc = [s + t for s, t in zip(acc, term)]
-    _divide_euler(acc, 1 if ordinary else 2)
-    return QSeries(order, acc)
+    _divide_euler(acc, 1 if ordinary else 2, scale)
+    return _unscaled(acc, scale)
 
 
 def marked_rank_gf_partial_fractions(

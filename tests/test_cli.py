@@ -505,6 +505,22 @@ def test_series_partition(capsys):
     ]
 
 
+
+# series flags at non-integer points -> sha256 of stdout, recorded from the
+# Fraction kernels that the integer-scaled product form replaced
+GOLDEN_RATIONAL_SERIES = [
+    (("--gf", "rk-product", "--x", "2/7,-3/5", "--order", "60"),
+     "ec2e98672ffd7a9b0d62005c2c50cc477c5d6495e9d3cb04caf9c1821badae6d"),
+    (("--gf", "rk-product", "--x=-1,1/2,3", "--order", "40", "--flavor", "odd"),
+     "b8f713fd955e7b6be9195ce1d4a3fadf6965fc72001e209ee81ceeb958d93d77"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_RATIONAL_SERIES)
+def test_series_at_rational_points_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "series", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -554,6 +570,17 @@ def test_too_large_order_names_the_flag(capsys, command, order):
     assert_usage_error(code, out, err)
     assert err == f"error: --order must be below {sys.maxsize}, got {order}\n"
 
+
+
+@pytest.mark.parametrize("n", [str(sys.maxsize), "10000000000000000000"])
+def test_too_large_weight_names_the_flag(n):
+    # in a subprocess with a timeout: an unguarded weight counts for minutes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "durfee.cli", "count", "--n", n, "--k", "2"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: --n must be below {sys.maxsize}, got {n}\n"
 
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     def exhausted(order):

@@ -1,8 +1,9 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from durfee.marked import kmarked_rank_distribution
 from durfee.partitions import count_rank
@@ -193,6 +194,83 @@ def test_three_routes_agree_past_the_acceptance_orders(xs, order, flavor):
     assert lhs == marked_rank_gf_partial_fractions(xs, k, order, flavor)
 
 
+
+# The Fraction kernels and product-form loop that the integer-scaled kernels
+# replaced, kept here only as the reference for them.
+def _fraction_times_factor(coeffs, c, a):
+    for e in range(len(coeffs) - 1, a - 1, -1):
+        coeffs[e] -= c * coeffs[e - a]
+
+
+def _fraction_divide_factor(coeffs, c, a):
+    for e in range(a, len(coeffs)):
+        coeffs[e] += c * coeffs[e - a]
+
+
+def _fraction_geometric(c, a, order):
+    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    _fraction_divide_factor(coeffs, Fraction(c), a)
+    return QSeries(order, coeffs)
+
+
+def _fraction_product(xs, k, order, flavor):
+    ordinary = flavor is Flavor.ORDINARY
+    first = 1 if ordinary else 0
+    acc = [Fraction(0)] * (order + 1)
+    for n in itertools.count(first):
+        if ordinary:
+            e, step, numerator = 3 * n * (n - 1) // 2 + k * n, n, ((-1, n), (1, n), (1, n))
+        else:
+            e, step, numerator = 3 * n * n + (2 * k + 1) * n + k, 2 * n + 1, ((1, 4 * n + 2),)
+        if e > order:
+            break
+        term = [Fraction(0)] * (order + 1)
+        term[e] = Fraction(1 if (n - first) % 2 == 0 else -1)
+        for c, a in numerator:
+            _fraction_times_factor(term, c, a)
+        for xj in xs:
+            _fraction_divide_factor(term, xj, step)
+            _fraction_divide_factor(term, 1 / xj, step)
+        acc = [s + t for s, t in zip(acc, term)]
+    for j in range(1 if ordinary else 2, order + 1, 1 if ordinary else 2):
+        _fraction_divide_factor(acc, 1, j)
+    return QSeries(order, acc)
+
+
+# nonzero rationals with |numerator|, denominator <= 12, +-1 among them
+nonzero_st = st.sampled_from([Fraction(1), Fraction(-1)]) | st.builds(
+    Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12)
+)
+
+
+@st.composite
+def points(draw):
+    xs = draw(st.lists(nonzero_st, min_size=1, max_size=3))
+    if len(xs) > 1 and draw(st.booleans()):
+        # x_1 x_2 = 1 is a pole of the partial fractions, not of the product
+        xs[1] = 1 / xs[0]
+    return tuple(xs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(points(), st.sampled_from(list(Flavor)), st.integers(0, 40))
+@example((Fraction(2), Fraction(1, 2)), Flavor.ORDINARY, 40)
+@example((Fraction(-3), Fraction(-1, 3), Fraction(5, 7)), Flavor.ODD, 40)
+def test_product_form_matches_fraction_kernels(xs, flavor, order):
+    k = len(xs)
+    series = marked_rank_gf_product(xs, k, order, flavor)
+    assert series == _fraction_product(xs, k, order, flavor)
+    assert all(type(c) is Fraction for c in series.coeffs)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(nonzero_st, st.integers(1, 8), st.integers(0, 40))
+def test_geometric_matches_fraction_kernel(c, a, order):
+    series = geometric(c, a, order)
+    assert series == _fraction_geometric(c, a, order)
+    assert all(type(v) is Fraction for v in series.coeffs)
+
+
 GOLDEN_SERIES = {
     "partition": partition_gf,
     "rank m=-3": lambda order: rank_gf(-3, order),
@@ -220,8 +298,9 @@ GOLDEN_SERIES = {
 
 # sha256 of the coefficients, one str(c) per line, recorded from the dense
 # series products that the in-place sparse-factor kernels replaced.  The
-# partial-fraction form stops at order 60: at order 200 its k = 1 counting
-# DP alone takes over a minute.
+# partial-fraction form stops at order 60: at order 200 it reruns the k = 1
+# counting DP for every weight, and x = (2, 3) took 17.1 s ordinary and 5.3 s
+# odd (Python 3.11, 2 vCPUs), against 0.01 s for the product form.
 GOLDEN_DIGESTS = {
     ("partition", 8): "4a2b1064fb4fcfb15a494453841d9423da36776ab620fde17bb2a37c55705c23",
     ("partition", 60): "63252b634e674c2eb3bc82d7b41c9f268e04f61900206aa1dd656b65603e19f5",
