@@ -16,21 +16,24 @@ stderr and exits 2; exit 1 only ever means that an identity failed.  A reader
 that closes stdout early (``| head -1``) stops the command silently with
 status 141, as a shell reports for a writer stopped by SIGPIPE.
 Count tables and reports are byte-deterministic for fixed flags.
+
+Each command imports only what it runs: loading this module imports the
+counting DP and the series code, while ``verify``, ``map`` and ``enumerate``
+import ``verify``, ``bijections`` and ``serialize`` (and ``json``) when they
+start.  ``count`` and ``enumerate`` write their lines in blocks.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator, Mapping
 
-from . import bijections, qseries
+from . import qseries
 from .marked import KMarkedSymbol, enumerate_kmarked, kmarked_rank_counts
-from .serialize import display_lines, document_lines, document_to_symbol, format_symbol, render
 from .symbols import DurfeeSymbol, Flavor
-from .verify import Bounds, SUITES, run_suite
 
 
 def _flavor(value: str) -> Flavor:
@@ -55,6 +58,8 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _load_document(path: str | None) -> dict:
+    import json
+
     if path in (None, "-"):
         text = sys.stdin.read()
     else:
@@ -74,37 +79,17 @@ def _check_size(flag: str, value: int) -> None:
         raise ValueError(f"--{flag} must be below {sys.maxsize}, got {value}")
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    _check_size("n", args.n)
-    if args.ranks is not None and len(args.ranks) != args.k:
-        raise ValueError(f"--ranks needs {args.k} entries")
-    dist = kmarked_rank_counts(args.n, args.k, args.flavor)
-    header = [f"m{i}" for i in range(1, args.k + 1)] + ["count"]
-    print(f"# n={args.n} k={args.k} flavor={args.flavor.value}")
-    print("\t".join(header))
-    if args.ranks is not None:
-        m = tuple(args.ranks)
-        print("\t".join([*(str(x) for x in m), str(dist.get(m, 0))]))
-        return 0
-    total = 0
-    for m in sorted(dist):
-        total += dist[m]
-        print("\t".join([*(str(x) for x in m), str(dist[m])]))
-    print("\t".join(["total"] + [""] * (args.k - 1) + [str(total)]))
-    return 0
-
-
-#: ``enumerate`` writes its lines in blocks of at least this many characters
-#: (half the capacity of a Linux pipe): one write call per block instead of
-#: one print per line, so a reader on a pipe gets few reads of even size.
+#: ``count`` and ``enumerate`` write their lines in blocks of at least this
+#: many characters (half the capacity of a Linux pipe): one write call per
+#: block instead of one print per line, so a reader on a pipe gets few reads
+#: of even size.
 _BLOCK_CHARS = 1 << 15
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    lines = display_lines if args.pretty else document_lines
+def _write_lines(lines: Iterable[str]) -> None:
     block: list[str] = []
     size = 0
-    for line in lines(enumerate_kmarked(args.n, args.k, args.flavor)):
+    for line in lines:
         block.append(line)
         size += len(line) + 1
         if size >= _BLOCK_CHARS:
@@ -113,6 +98,37 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             size = 0
     if block:
         sys.stdout.write("\n".join(block) + "\n")
+
+
+def _count_lines(
+    args: argparse.Namespace, dist: Mapping[tuple[int, ...], int]
+) -> Iterator[str]:
+    k = args.k
+    yield f"# n={args.n} k={k} flavor={args.flavor.value}"
+    yield "\t".join([f"m{i}" for i in range(1, k + 1)] + ["count"])
+    row = "\t".join(["%d"] * (k + 1))
+    if args.ranks is not None:
+        m = tuple(args.ranks)
+        yield row % (m + (dist.get(m, 0),))
+        return
+    for m in sorted(dist):
+        yield row % (m + (dist[m],))
+    yield "\t".join(["total"] + [""] * (k - 1) + [str(sum(dist.values()))])
+
+
+def cmd_count(args: argparse.Namespace) -> int:
+    _check_size("n", args.n)
+    if args.ranks is not None and len(args.ranks) != args.k:
+        raise ValueError(f"--ranks needs {args.k} entries")
+    _write_lines(_count_lines(args, kmarked_rank_counts(args.n, args.k, args.flavor)))
+    return 0
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .serialize import display_lines, document_lines
+
+    lines = display_lines if args.pretty else document_lines
+    _write_lines(lines(enumerate_kmarked(args.n, args.k, args.flavor)))
     return 0
 
 
@@ -132,6 +148,9 @@ def _ranks(x: KMarkedSymbol | DurfeeSymbol) -> tuple[int, ...]:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    from . import bijections
+    from .serialize import document_to_symbol, format_symbol, render
+
     name = args.map
     param, function = _MAPS[name]
     for flag in ("ranks", "t", "p", "perm"):
@@ -158,6 +177,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import Bounds, run_suite
+
     _check_size("order", args.order)
     bounds = Bounds(max_n=args.max_n, max_k=args.max_k, order=args.order, x=args.x)
     results = run_suite(args.suite, bounds)
@@ -173,12 +194,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _marked_series(function):
-    """A ``--gf`` entry for a marked rank series, one vector per ``--x`` value."""
+def _marked_series(function: str):
+    """A ``--gf`` entry for a marked rank series, one vector per ``--x`` value;
+    ``function`` is looked up on ``qseries`` when the command runs."""
     def series(args: argparse.Namespace) -> qseries.QSeries:
         if args.x is None:
             raise ValueError(f"{args.gf} needs --x")
-        return function(args.x, len(args.x), args.order, args.flavor or Flavor.ORDINARY)
+        build = getattr(qseries, function)
+        return build(args.x, len(args.x), args.order, args.flavor or Flavor.ORDINARY)
     return (("x", "flavor"), series)
 
 
@@ -188,9 +211,9 @@ _SERIES = {
     "partition": ((), lambda args: qseries.partition_gf(args.order)),
     "rank": (("m",), lambda args: qseries.rank_gf(args.m or 0, args.order)),
     "odd-rank": (("m",), lambda args: qseries.odd_rank_gf(args.m or 0, args.order)),
-    "rk": _marked_series(qseries.marked_rank_gf),
-    "rk-product": _marked_series(qseries.marked_rank_gf_product),
-    "rk-partial": _marked_series(qseries.marked_rank_gf_partial_fractions),
+    "rk": _marked_series("marked_rank_gf"),
+    "rk-product": _marked_series("marked_rank_gf_product"),
+    "rk-partial": _marked_series("marked_rank_gf_partial_fractions"),
 }
 
 
@@ -244,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("verify", help="run identity-verification suites")
-    p.add_argument("--suite", default="all", choices=sorted(SUITES))
+    p.add_argument("--suite", default="all", help="suite name (default all)")
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--order", type=int, default=8)

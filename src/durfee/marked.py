@@ -34,7 +34,6 @@ polynomial time with no weight guard, and backs :func:`count_kmarked`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -46,7 +45,9 @@ from .partitions import (
     bounded_partitions_upto,
     is_partition,
 )
-from .symbols import Flavor, frame_weight, min_subscript, part_cap, subscript_range
+from .symbols import (
+    Flavor, Record, frame_weight, min_subscript, part_cap, set_field, subscript_range
+)
 
 
 class PartitionPair(NamedTuple):
@@ -54,12 +55,24 @@ class PartitionPair(NamedTuple):
     beta: Partition
 
 
-@dataclass(frozen=True, slots=True)
-class KMarkedSymbol:
+class KMarkedSymbol(Record):
     #: vectors[0] is vector 1; displays print vector k first.
-    vectors: tuple[PartitionPair, ...]
-    d: int
-    flavor: Flavor = Flavor.ORDINARY
+    __slots__ = __match_args__ = ("vectors", "d", "flavor")
+
+    def __init__(
+        self, vectors: tuple[PartitionPair, ...], d: int, flavor: Flavor = Flavor.ORDINARY
+    ) -> None:
+        set_field(self, "vectors", vectors)
+        set_field(self, "d", d)
+        set_field(self, "flavor", flavor)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.vectors, self.d, self.flavor) == (other.vectors, other.d, other.flavor)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vectors, self.d, self.flavor))
 
     @property
     def k(self) -> int:
@@ -79,10 +92,12 @@ class KMarkedSymbol:
         return tuple(ranks)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: str | None = None
+class ValidationResult(Record):
+    __slots__ = __match_args__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str | None = None) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -303,21 +318,39 @@ def _pair_tables(
     return exact, middle
 
 
-def _tail(
-    i: int, vectors: list[_Series], middle: list[list[_Series]], left: int
+def _at_weight(vectors: list[_Series], w: int) -> dict[int, int]:
+    """One vector from ``vectors``, whatever its smallest entry, weighing
+    ``w``: {rank contribution: count}."""
+    out: dict[int, int] = {}
+    for series in vectors:
+        for r, c in series[w].items():
+            out[r] = out.get(r, 0) + c
+    return out
+
+
+def _low_vectors(
+    k: int,
+    vectors: list[_Series],
+    middle: list[list[_Series]],
+    left: int,
+    ones: dict[tuple[int, int], dict[int, int]],
 ) -> dict[tuple[int, ...], int]:
-    """Vectors i down to 1 weighing ``left`` together, by (rank 1, ...,
-    rank i).  ``vectors[j]`` is vector i with smallest entry parts[j]; the
-    vectors below draw from ``middle``, and vector 1 takes the weight left."""
+    """Vectors min(k, 2) down to 1 weighing ``left`` together, by (rank 1,
+    ...).  ``vectors[j]`` is the highest of them with smallest entry
+    parts[j]; below vector 2, vector 1 draws from ``middle[j]`` and takes the
+    weight left.  ``ones`` caches vector 1 by (j, weight) within a subscript."""
+    if k == 1:
+        return {(r,): c for r, c in _at_weight(vectors, left).items()}
     out: dict[tuple[int, ...], int] = {}
     for j, series in enumerate(vectors):
-        for w in range(left - i + 2) if i > 1 else (left,):
+        for w in range(left):  # vector 1 has a nonempty top row
             if series[w]:
-                below = _tail(i - 1, middle[j], middle, left - w) if i > 1 else {(): 1}
-                for r, c in series[w].items():
-                    for lows, v in below.items():
-                        lows += (r,)
-                        out[lows] = out.get(lows, 0) + c * v
+                below = ones.get((j, left - w))
+                if below is None:
+                    below = ones[j, left - w] = _at_weight(middle[j], left - w)
+                for r2, c in series[w].items():
+                    for r1, v in below.items():
+                        out[r1, r2] = out.get((r1, r2), 0) + c * v
     return out
 
 
@@ -348,9 +381,10 @@ def _subscript_counts(
     # Vectors 2 and 1 (vector 1 alone when k = 1) are folded into the result
     # together, so the widest state tables (ranks of vectors 2..k) are never
     # built.
+    ones: dict[tuple[int, int], dict[int, int]] = {}
     while states:
         (b, left), table = states.popitem()
-        lows = _tail(min(k, 2), top_k if b is None else middle[b], middle, left)
+        lows = _low_vectors(k, top_k if b is None else middle[b], middle, left, ones)
         for low, c in lows.items():
             for ranks, v in table.items():
                 ranks = low + ranks

@@ -13,7 +13,6 @@ square dissection implemented by :func:`to_durfee` / :func:`from_durfee`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
@@ -59,12 +58,66 @@ def subscript_range(n: int, flavor: Flavor) -> Iterator[int]:
         d += 1
 
 
-@dataclass(frozen=True)
-class DurfeeSymbol:
-    alpha: Partition
-    beta: Partition
-    d: int
-    flavor: Flavor = Flavor.ORDINARY
+class Record:
+    """Base of the package's immutable records (symbols, validation and
+    verify results): the fields are the ``__slots__``, set once in
+    ``__init__`` and never assigned or deleted after.  A record equals only a
+    record of its own class with equal fields, hashes as its field tuple,
+    names every field in its repr, and pickles and copies through
+    ``__reduce__``.  The symbol classes spell ``__eq__`` and ``__hash__`` out
+    over their fields, because the verify suites hash symbols in bulk."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+#: Sets a field of a record; ``Record.__setattr__`` refuses every assignment.
+set_field = object.__setattr__
+
+
+class DurfeeSymbol(Record):
+    __slots__ = __match_args__ = ("alpha", "beta", "d", "flavor")
+
+    def __init__(
+        self, alpha: Partition, beta: Partition, d: int, flavor: Flavor = Flavor.ORDINARY
+    ) -> None:
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "d", d)
+        set_field(self, "flavor", flavor)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.beta, self.d, self.flavor) == (
+                other.alpha, other.beta, other.d, other.flavor
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta, self.d, self.flavor))
 
     @property
     def weight(self) -> int:

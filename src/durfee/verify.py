@@ -14,7 +14,6 @@ or traced routine is the one called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -22,34 +21,44 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import bijections, marked, moments, qseries
 from .marked import PartitionPair, enumerate_kmarked, kmarked_rank_distribution
 from .partitions import MAX_WEIGHT, count_rank, enumerate_partitions, rank_distribution
-from .symbols import Flavor, count_durfee_rank, durfee_rank_distribution, enumerate_durfee
+from .symbols import (
+    Flavor, Record, count_durfee_rank, durfee_rank_distribution, enumerate_durfee, set_field
+)
 
 
-@dataclass(frozen=True)
-class Bounds:
-    max_n: int = 10
-    max_k: int = 3
-    order: int = 8
-    x: tuple[Fraction, ...] = (Fraction(2), Fraction(3), Fraction(5))
+class Bounds(Record):
+    __slots__ = __match_args__ = ("max_n", "max_k", "order", "x")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.max_n <= MAX_WEIGHT:
-            raise ValueError(f"max_n must be in 0..{MAX_WEIGHT}, got {self.max_n}")
-        if self.max_k not in (2, 3):
-            raise ValueError(f"max_k must be 2 or 3, got {self.max_k}")
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
+    def __init__(
+        self,
+        max_n: int = 10,
+        max_k: int = 3,
+        order: int = 8,
+        x: tuple[Fraction, ...] = (Fraction(2), Fraction(3), Fraction(5)),
+    ) -> None:
+        if not 0 <= max_n <= MAX_WEIGHT:
+            raise ValueError(f"max_n must be in 0..{MAX_WEIGHT}, got {max_n}")
+        if max_k not in (2, 3):
+            raise ValueError(f"max_k must be 2 or 3, got {max_k}")
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
+        set_field(self, "max_n", max_n)
+        set_field(self, "max_k", max_k)
+        set_field(self, "order", order)
+        set_field(self, "x", x)
 
     def ks(self) -> tuple[int, ...]:
         return tuple(k for k in (2, 3) if k <= self.max_k)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    bound: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = __match_args__ = ("name", "bound", "ok", "detail")
+
+    def __init__(self, name: str, bound: str, ok: bool, detail: str = "") -> None:
+        set_field(self, "name", name)
+        set_field(self, "bound", bound)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
 
 
 CHECKS: dict[str, Callable[[Bounds], CheckResult]] = {}

@@ -640,3 +640,89 @@ def test_cli_import_loads_no_process_pool():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope", Bounds())
+
+
+# Modules a ``count`` or ``series`` process never runs, so must not import.
+UNUSED_BY_COUNT_AND_SERIES = (
+    "dataclasses", "inspect", "durfee.verify", "durfee.bijections", "durfee.serialize",
+    "durfee.moments",
+)
+
+
+def _python(*args, cwd=None):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "pass",
+        "cli.main(['count', '--n', '8', '--k', '2'])",
+        "cli.main(['series', '--gf', 'rk-product', '--x', '2,3', '--order', '6'])",
+        "cli.main(['series', '--gf', 'partition', '--order', '6'])",
+    ],
+    ids=["import", "count", "series-rk-product", "series-partition"],
+)
+def test_cli_imports_only_what_a_command_runs(call):
+    probe = (
+        "import io, sys; sys.stdout = io.StringIO(); import durfee.cli as cli; "
+        f"{call}; sys.stdout = sys.__stdout__; "
+        f"print(sorted(set({UNUSED_BY_COUNT_AND_SERIES!r}) & set(sys.modules)))"
+    )
+    assert _python("-c", probe).stdout == "[]\n"
+
+
+def test_lazy_package_exports(tmp_path):
+    probe = (
+        "import durfee, sys; "
+        "assert 'durfee.qseries' not in sys.modules; "
+        "assert durfee.qseries.partition_gf(4).coeffs == durfee.partition_gf(4).coeffs; "
+        "assert durfee.bijections.flip_rank is durfee.flip_rank; "
+        "assert durfee.verify.run_suite and durfee.serialize.render and durfee.cli.main; "
+        "ns = {}; exec('from durfee import *', ns); "
+        "print(sorted(n for n in ns if n != '__builtins__') == sorted(durfee.__all__), "
+        "len(durfee.__all__))"
+    )
+    # from outside the source tree, as an installed package is imported
+    assert _python("-c", probe, cwd=tmp_path).stdout == "True 55\n"
+
+
+def test_importtime_lists_lazily_loaded_modules():
+    report = _python("-X", "importtime", "-c", "import durfee.cli").stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in report.splitlines()}
+    assert {"durfee.cli", "durfee.qseries", "durfee.marked"} <= listed
+
+
+def test_package_exports_the_same_names():
+    import durfee
+
+    assert durfee.__all__ == [
+        "DurfeeSymbol", "Flavor", "KMarkedSymbol", "Partition", "PartitionPair", "QSeries",
+        "ValidationResult", "balanced_numbers", "balanced_parts", "binom",
+        "check_moment_identity", "conjugate", "count_durfee_rank", "count_kmarked",
+        "count_rank", "deficiencies", "durfee_rank_distribution", "durfee_side",
+        "enumerate_durfee", "enumerate_kmarked", "enumerate_partitions", "flip_rank",
+        "from_durfee", "from_strict_shifted", "is_strict_shifted_pair",
+        "is_strict_shifted_symbol", "is_valid", "ith_rank", "kmarked_rank_counts",
+        "kmarked_rank_distribution", "marked_count_formula", "marked_rank_gf",
+        "marked_rank_gf_partial_fractions", "marked_rank_gf_product", "merge_marks",
+        "odd_rank_gf", "partition_gf", "permute_ranks", "permuted_images", "rank",
+        "rank_distribution", "rank_gf", "rank_moment", "solution_count",
+        "solution_count_brute", "split_marks", "subscript_minima", "subscripts",
+        "symbol_from_strict_shifted", "symbol_to_strict_shifted", "symmetrized_moment",
+        "to_durfee", "to_strict_shifted", "total_kmarked", "validate",
+    ]
+    for name in durfee.__all__:
+        assert getattr(durfee, name).__name__ == name or name == "Partition"
+    with pytest.raises(AttributeError, match="nope"):
+        durfee.nope
+
+
+def test_unknown_suite_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "nope")
+    assert_usage_error(code, out, err)
+    assert err.startswith("error: unknown suite 'nope'; choose from main, ")
