@@ -286,72 +286,39 @@ def _combine(x: _Series, y: _Series, sign: int = 1, shift: int = 0) -> _Series:
 
 def _pair_tables(
     parts: list[int], top: int, k: int
-) -> tuple[list[_Series], list[list[_Series]]]:
-    """Series of single vectors under one subscript, up to weight ``top``.
+) -> tuple[list[_Series], list[_Series], list[list[_Series]]]:
+    """Series of single vectors under one subscript, up to weight ``top``, for k >= 2.
 
     ``parts`` lists the allowed entries in ascending order.  H(j, t) counts
     the pairs of partitions with entries in parts[j..t]; those whose smallest
     entry is exactly parts[j] number E(j, t) = H(j, t) - H(j + 1, t), or
-    H(t, t) when j = t.  Returns, by part position, only what ``k`` vectors
-    read:
+    H(t, t) when j = t.  Returns, by part position:
 
     * ``top_k[j]``: vector k with smallest entry parts[j], or empty when j is
       the last position (the next bound is then the cap itself): E(j, last).
-      This needs only the last column t, so it is all that k = 1 builds.
-    * ``middle[b][j]``: a vector i < k whose top row's largest entry is at
-      most parts[b] and whose smallest entry is parts[j]: the sum over t <= b
-      of q^parts[t] E(j, t), the forced largest top part parts[t] standing
-      for the rank's -1 shift.  Empty when k = 1.
+    * ``lowest[b]``: vector 1 whose top row's largest entry is at most
+      parts[b]: the sum over t <= b of q^parts[t] H(0, t), since E(j, t)
+      summed over j telescopes to H(0, t).
+    * ``middle[b][j]`` (k >= 3): a vector 1 < i < k as in ``lowest[b]`` with
+      smallest entry parts[j]: the sum over t <= b of q^parts[t] E(j, t).
+
+    The forced largest top part parts[t] stands for the rank's -1 shift.
     """
     one = [{0: 1}] + [{} for _ in range(top)]
     zero = [{} for _ in range(top + 1)]
+    lowest: list[_Series] = []
     middle: list[list[_Series]] = []
-    for t in range(0 if k > 1 else len(parts) - 1, len(parts)):
+    for t in range(len(parts)):
         column = [one]  # column[-1] is H(j + 1, t) while building H(j, t)
         for j in range(t, -1, -1):
             column.append(_times_pairs_of(column[-1], parts[j]))
         column.reverse()  # column[j] = H(j, t) and column[t + 1] = 1
         exact = [_combine(column[j], column[j + 1], -1) for j in range(t)] + [column[t]]
-        if k > 1:
+        lowest.append(_combine(lowest[-1] if t else zero, column[0], 1, parts[t]))
+        if k > 2:
             previous = middle[-1] + [zero] if t else [zero]
             middle.append([_combine(previous[j], exact[j], 1, parts[t]) for j in range(t + 1)])
-    return exact, middle
-
-
-def _at_weight(vectors: list[_Series], w: int) -> dict[int, int]:
-    """One vector from ``vectors``, whatever its smallest entry, weighing
-    ``w``: {rank contribution: count}."""
-    out: dict[int, int] = {}
-    for series in vectors:
-        for r, c in series[w].items():
-            out[r] = out.get(r, 0) + c
-    return out
-
-
-def _low_vectors(
-    k: int,
-    vectors: list[_Series],
-    middle: list[list[_Series]],
-    left: int,
-    ones: dict[tuple[int, int], dict[int, int]],
-) -> dict[tuple[int, ...], int]:
-    """Vectors min(k, 2) down to 1 weighing ``left`` together, by (rank 1,
-    ...).  ``vectors[j]`` is the highest of them with smallest entry
-    parts[j]; below vector 2, vector 1 draws from ``middle[j]`` and takes the
-    weight left.  ``ones`` caches vector 1 by (j, weight) within a subscript."""
-    if k == 1:
-        return {(r,): c for r, c in _at_weight(vectors, left).items()}
-    out: dict[tuple[int, ...], int] = {}
-    for j, series in enumerate(vectors):
-        for w in range(left):  # vector 1 has a nonempty top row
-            if series[w]:
-                below = ones.get((j, left - w))
-                if below is None:
-                    below = ones[j, left - w] = _at_weight(middle[j], left - w)
-                for r2, c in series[w].items():
-                    for r1, v in below.items():
-                        out[r1, r2] = out.get((r1, r2), 0) + c * v
-    return out
+    return exact, lowest, middle
 
 
 def _subscript_counts(
@@ -359,7 +326,14 @@ def _subscript_counts(
 ) -> None:
     """Add to ``result`` the symbols of one subscript whose vectors weigh
     ``rem`` in total, by rank vector."""
-    top_k, middle = _pair_tables(parts, rem, k)
+    if k == 1:  # the sum over j of E(j, last) is H(0, last): every pair factor
+        series = [{0: 1}] + [{} for _ in range(rem)]
+        for part in reversed(parts):  # large parts first keep rows sparse
+            series = _times_pairs_of(series, part)
+        for r, c in series[rem].items():
+            result[r,] = result.get((r,), 0) + c
+        return
+    top_k, lowest, middle = _pair_tables(parts, rem, k)
     # states[(b, w)]: ranks of vectors i+1..k -> count, where weight w is
     # left and parts[b] bounds the top row of vector i; b is None while no
     # vector is placed, so vector i = k draws from top_k.  Every vector below
@@ -378,13 +352,18 @@ def _subscript_counts(
                                 ranks = (r,) + ranks
                                 target[ranks] = target.get(ranks, 0) + c * v
         states = nxt
-    # Vectors 2 and 1 (vector 1 alone when k = 1) are folded into the result
-    # together, so the widest state tables (ranks of vectors 2..k) are never
-    # built.
-    ones: dict[tuple[int, int], dict[int, int]] = {}
+    # Vectors 2 and 1 are counted together for each state and folded into the
+    # result, so no state table holds the ranks of vectors 2..k.  Vector 2 with
+    # smallest entry parts[j] leaves vector 1 the table lowest[j].
     while states:
         (b, left), table = states.popitem()
-        lows = _low_vectors(k, top_k if b is None else middle[b], middle, left, ones)
+        lows: dict[tuple[int, int], int] = {}
+        for j, series in enumerate(top_k if b is None else middle[b]):
+            for w in range(left):  # vector 1 has a nonempty top row
+                if series[w]:
+                    for r1, v in lowest[j][left - w].items():
+                        for r2, c in series[w].items():
+                            lows[r1, r2] = lows.get((r1, r2), 0) + c * v
         for low, c in lows.items():
             for ranks, v in table.items():
                 ranks = low + ranks
@@ -403,10 +382,11 @@ def kmarked_rank_counts(
     left, bound on the next top row, ranks so far); the only link between
     vector i + 1 and vector i is the smallest entry of vector i + 1, which
     bounds the top row of vector i.  Vectors 2 and 1 must use up the weight
-    left, so they are counted together for each state and folded straight
-    into the result; no state table holds their ranks.  Time is polynomial in
-    ``n`` for fixed ``k``, so no weight guard applies.  The returned mapping
-    is read-only because it is cached.
+    left, so they are counted together for each state, vector 1 from one
+    table per bound, and folded straight into the result.  A lone vector
+    (k = 1) is one product of pair factors.  Time is polynomial in ``n`` for
+    fixed ``k``, so no weight guard applies.  The returned mapping is
+    read-only because it is cached.
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")

@@ -168,6 +168,8 @@ def geometric(coeff: Rational, exponent: int, order: int) -> QSeries:
     by L = the denominator of c, the only factor coefficient."""
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
     c = Fraction(coeff)
     scale = c.denominator
     coeffs = [1] + [0] * order
@@ -199,6 +201,8 @@ def rank_gf(m: int, order: int) -> QSeries:
     starts at weight 1; the weight-0 coefficient is patched to 1 for m = 0
     because the empty partition has rank 0.
     """
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
     coeffs = [0] * (order + 1)
     for n in count(1):
         e = n * (3 * n - 1) // 2 + abs(m) * n

@@ -63,12 +63,19 @@ def _derived(s: KMarkedSymbol) -> dict[str, Any]:
     }
 
 
+def _integer(x: Any) -> int:
+    """``x`` itself when it is a JSON integer; a bool, float or string is not."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
     try:
         flavor = Flavor(doc["flavor"])
-        d = int(doc["d"])
+        d = _integer(doc["d"])
         vectors = tuple(
-            PartitionPair(tuple(int(x) for x in v["alpha"]), tuple(int(x) for x in v["beta"]))
+            PartitionPair(tuple(map(_integer, v["alpha"])), tuple(map(_integer, v["beta"])))
             for v in doc["vectors"]
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -197,6 +197,21 @@ def test_map_invalid_symbol_document(capsys, monkeypatch):
     assert "exceeds cap 1" in err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("alpha", [1.9]), ("alpha", [True]), ("alpha", ["1"]), ("d", 1.5)]
+)
+def test_map_non_integer_document_is_usage_error(capsys, monkeypatch, field, value):
+    doc = {"d": 1, "flavor": "ordinary", "vectors": [{"alpha": [1], "beta": []}]}
+    if field == "d":
+        doc["d"] = value
+    else:
+        doc["vectors"][0][field] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "map", "--map", "theta", "--p", "1")
+    assert_usage_error(code, out, err)
+    assert err.startswith("error: malformed symbol document: expected an integer")
+
+
 def test_map_missing_parameter(tmp_path, capsys):
     path = tmp_path / "eta.json"
     path.write_text(render(ETA))
@@ -590,6 +605,14 @@ def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "series", "--gf", "partition", "--order", "5")
     assert_usage_error(code, out, err)
     assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("gf", list(cli._SERIES))
+def test_negative_order_is_usage_error(capsys, gf):
+    flags = ("--x", "2,3") if gf.startswith("rk") else ()
+    code, out, err = run_cli(capsys, "series", "--gf", gf, "--order", "-1", *flags)
+    assert_usage_error(code, out, err)
+    assert err == "error: truncation order must be nonnegative\n"
 
 
 def test_series_pole_is_usage_error(capsys):

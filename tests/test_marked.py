@@ -274,6 +274,37 @@ def test_rank_counts_match_formula_past_enumeration(flavor, series):
     assert kmarked_rank_counts(n, 2, flavor) == expected
 
 
+def _vectors_within(k, budget):
+    """Every integer vector of length ``k`` whose entries' absolute values sum
+    to at most ``budget``."""
+    if k == 0:
+        yield ()
+        return
+    for x in range(-budget, budget + 1):
+        for rest in _vectors_within(k - 1, budget - abs(x)):
+            yield (x,) + rest
+
+
+@pytest.mark.parametrize("flavor,series", [(Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)])
+@pytest.mark.parametrize("n,k", [(30, 3), (22, 4)])
+def test_marked_rank_counts_match_formula_past_enumeration(flavor, series, n, k):
+    # The whole table against sum_j binom(j + k - 2, k - 2) N(|m|_1 + 2j + k - 1, n),
+    # with N from the rank series.  The formula vanishes once |m|_1 + k - 1
+    # exceeds n.  (30, 3) reaches subscript 5, which the enumeration cases
+    # above never meet.
+    plain = [series(s, n)[n] for s in range(n + 1)]
+    tail = [
+        sum(binom(j + k - 2, k - 2) * plain[s + 2 * j] for j in range((n - s) // 2 + 1))
+        for s in range(n + 1)
+    ]
+    expected = {}
+    for m in _vectors_within(k, n - k + 1):
+        count = tail[sum(map(abs, m)) + k - 1]
+        if count:
+            expected[m] = count
+    assert kmarked_rank_counts(n, k, flavor) == expected
+
+
 @pytest.mark.parametrize("flavor,series", [(Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)])
 def test_single_vector_counts_match_rank_series_past_enumeration(flavor, series):
     n = 120

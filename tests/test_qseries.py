@@ -160,6 +160,31 @@ def test_zero_order_series():
     assert marked_rank_gf_product((2, 3), 2, 0, Flavor.ODD) == QSeries.zero(0)
 
 
+NEGATIVE_ORDER_BUILDERS = {
+    "QSeries": QSeries,
+    "zero": QSeries.zero,
+    "one": QSeries.one,
+    "monomial": lambda order: QSeries.monomial(1, 0, order),
+    "geometric": lambda order: geometric(1, 1, order),
+    "euler_product": euler_product,
+    "partition_gf": partition_gf,
+    "rank_gf m=0": lambda order: rank_gf(0, order),
+    "rank_gf m=2": lambda order: rank_gf(2, order),
+    "odd_rank_gf": lambda order: odd_rank_gf(0, order),
+    "marked_rank_gf": lambda order: marked_rank_gf((2, 3), 2, order),
+    "marked_rank_gf_product": lambda order: marked_rank_gf_product((2, 3), 2, order),
+    "marked_rank_gf_partial_fractions": lambda order: marked_rank_gf_partial_fractions(
+        (2, 3), 2, order
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_ORDER_BUILDERS))
+def test_negative_order_is_rejected(name):
+    with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+        NEGATIVE_ORDER_BUILDERS[name](-1)
+
+
 def test_partial_fraction_pole_detection():
     with pytest.raises(ValueError, match="pole"):
         marked_rank_gf_partial_fractions((2, Fraction(1, 2)), 2, 5)

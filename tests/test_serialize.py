@@ -100,6 +100,21 @@ def test_malformed_documents_rejected():
         document_to_symbol({"flavor": "weird", "d": 1, "vectors": []})
 
 
+# Each would read as the valid one-vector symbol ((1) / ())_1 under int().
+@pytest.mark.parametrize(
+    "field, value", [("alpha", [1.9]), ("alpha", [True]), ("alpha", ["1"]), ("d", 1.5)]
+)
+def test_non_integer_entries_rejected(field, value):
+    doc = {"flavor": "ordinary", "d": 1, "vectors": [{"alpha": [1], "beta": []}]}
+    assert document_to_symbol(doc) == KMarkedSymbol((PartitionPair((1,), ()),), 1)
+    if field == "d":
+        doc["d"] = value
+    else:
+        doc["vectors"][0][field] = value
+    with pytest.raises(ValueError, match="malformed symbol document: expected an integer"):
+        document_to_symbol(doc)
+
+
 def test_derived_block_optional_on_input():
     doc = symbol_to_document(SYM55)
     del doc["derived"]
