@@ -118,6 +118,11 @@ def _count_lines(
 
 def cmd_count(args: argparse.Namespace) -> int:
     _check_size("n", args.n)
+    # Vectors 1..k-1 each hold a part and the frame weighs at least 1, so no
+    # symbol of weight n has more than n vectors.  A larger --k would only
+    # spend time and memory on its k-column header; n + 1 keeps k = 1 at n = 0.
+    if args.n >= 0 and args.k > args.n + 1:
+        raise ValueError(f"--k must be at most n + 1 = {args.n + 1}, got {args.k}")
     if args.ranks is not None and len(args.ranks) != args.k:
         raise ValueError(f"--ranks needs {args.k} entries")
     _write_lines(_count_lines(args, kmarked_rank_counts(args.n, args.k, args.flavor)))

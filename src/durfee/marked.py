@@ -182,8 +182,9 @@ def is_valid(s: KMarkedSymbol) -> bool:
 def _vector_tails(
     i: int, budget: int, ub: int, k: int, cap: int, odd: bool
 ) -> Iterator[tuple[PartitionPair, ...]]:
-    """Generate vectors i down to 1 using exactly ``budget``, with ``ub``
-    bounding the largest entry of the next top row."""
+    """Generate vectors 1 to i, in index order, using exactly ``budget``, with
+    ``ub`` bounding the largest entry of top row i.  The choices run from
+    vector i down to 1, each bounded by the vector above it."""
     if i == 0:
         if budget == 0:
             yield ()
@@ -208,7 +209,7 @@ def _vector_tails(
             # One pair object is shared by every symbol that holds this vector.
             pair = (PartitionPair(alpha, beta),)
             for tail in _vector_tails(i - 1, budget - spent, next_ub, k, cap, odd):
-                yield pair + tail
+                yield tail + pair
 
 
 def enumerate_kmarked(
@@ -232,7 +233,7 @@ def enumerate_kmarked(
             continue
         cap = part_cap(d, flavor)
         for vectors in _vector_tails(k, rem, cap, k, cap, odd):
-            yield KMarkedSymbol(tuple(reversed(vectors)), d, flavor)
+            yield KMarkedSymbol(vectors, d, flavor)
 
 
 @lru_cache(maxsize=None)

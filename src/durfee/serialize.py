@@ -18,15 +18,24 @@ of ``json.dumps(symbol_to_document(s))``, built without a dict) and
 :func:`display_lines` its one-line display.  Consecutive symbols of an
 enumeration share most of their vectors, so each writer remembers the
 previous symbol's vectors with their facts (JSON fragment, rank term,
-balanced count and weight, or display fragments) and recomputes the facts of
-a position only when its vector changes.  Memory is O(k) whatever the length
-of the stream.  :func:`render` without indent and :func:`format_symbol` of a
-k-marked symbol are the writers' one-symbol cases.
+balanced count and weight, or display fragments) and rebuilds the facts of a
+position only when its vector changes.  Vector 1 changes at almost every
+line, but an enumeration repeats a few vectors over and over, so each writer
+also keeps, for the length of one call, the facts of every distinct vector
+below k it has seen and looks them up instead of rebuilding them.  Memory is
+one entry per distinct vector below k in the stream, per index for the
+display.  The 61,768 symbols of n = 19, k = 3 hold 475 distinct vectors at
+index 1 and 856 at index 2, those at index 1 among them: 856 JSON entries
+and 1,331 display entries.  Vector k's facts differ (no -1 in its rank, a
+balanced count of 0) and it rarely changes, so it is rebuilt, not kept.
+:func:`render` without indent and :func:`format_symbol` of a k-marked symbol
+are the writers' one-symbol cases.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Iterable, Iterator
 
 from .marked import KMarkedSymbol, PartitionPair, balanced_numbers, balanced_parts, validate
@@ -105,13 +114,29 @@ def parse(text: str) -> KMarkedSymbol:
     return document_to_symbol(json.loads(text))
 
 
+def _document_facts(v: PartitionPair, top: bool) -> tuple[str, int, str, str]:
+    """JSON fragment, weight, rank term and balanced count of one vector,
+    ``top`` when it is vector k."""
+    alpha, beta = v
+    fragment = f'{{"alpha": {list(alpha)}, "beta": {list(beta)}}}'
+    weight = sum(alpha) + sum(beta)
+    if top:
+        return fragment, weight, str(len(alpha) - len(beta)), "0"
+    # Interned: a few dozen distinct numbers recur across all kept vectors.
+    rank, balanced = len(alpha) - len(beta) - 1, len(balanced_parts(v))
+    return fragment, weight, sys.intern(str(rank)), sys.intern(str(balanced))
+
+
 def document_lines(symbols: Iterable[KMarkedSymbol | DurfeeSymbol]) -> Iterator[str]:
     """``json.dumps(symbol_to_document(s))`` for each symbol, built as text.
 
     Per position the writer keeps the previous symbol's vector with its JSON
-    fragment, rank term, balanced count (0 for vector k) and weight, and
-    recomputes them only when the vector there changes.
+    fragment, weight, rank term and balanced count, and replaces them only
+    when the vector there changes: from the call's table of vectors below k
+    already seen, or built afresh.  The table holds one entry per distinct
+    vector below k in the stream.
     """
+    below: dict[PartitionPair, tuple[str, int, str, str]] = {}
     last: tuple[PartitionPair | None, ...] = ()
     flavor = d = None
     for s in symbols:
@@ -124,17 +149,16 @@ def document_lines(symbols: Iterable[KMarkedSymbol | DurfeeSymbol]) -> Iterator[
         k = len(vectors)
         if k != len(last):
             last = (None,) * k
-            fragments, ranks, balanced, weights = [""] * k, [""] * k, ["0"] * k, [0] * k
+            fragments, weights, ranks, balanced = [""] * k, [0] * k, [""] * k, [""] * k
         for i, v in enumerate(vectors):
             if v != last[i]:
-                alpha, beta = v
-                fragments[i] = f'{{"alpha": {list(alpha)}, "beta": {list(beta)}}}'
-                weights[i] = sum(alpha) + sum(beta)
                 if i < k - 1:
-                    ranks[i] = str(len(alpha) - len(beta) - 1)
-                    balanced[i] = str(len(balanced_parts(v)))
+                    facts = below.get(v)
+                    if facts is None:
+                        facts = below[v] = _document_facts(v, False)
                 else:
-                    ranks[i] = str(len(alpha) - len(beta))
+                    facts = _document_facts(v, True)
+                fragments[i], weights[i], ranks[i], balanced[i] = facts
         last = vectors
         yield (
             f'{head}{", ".join(fragments)}], "derived": {{"weight": {frame + sum(weights)}, '
@@ -142,14 +166,23 @@ def document_lines(symbols: Iterable[KMarkedSymbol | DurfeeSymbol]) -> Iterator[
         )
 
 
+def _display_facts(v: PartitionPair, mark: str) -> tuple[str, str]:
+    """Display fragments of one vector's top and bottom rows, each entry
+    followed by the vector's subscript ``mark``."""
+    return " ".join(f"{x}{mark}" for x in v.alpha), " ".join(f"{x}{mark}" for x in v.beta)
+
+
 def display_lines(symbols: Iterable[KMarkedSymbol]) -> Iterator[str]:
     """One-line display of each symbol in the traditional orientation (vector
     k leftmost), entries carrying their vector index as a subscript.
 
     Per position the writer keeps the previous symbol's vector with its two
-    display fragments, and rebuilds them, from one subscript string per
-    vector index, only when the vector there changes.
+    display fragments, and replaces them only when the vector there changes:
+    from the call's tables of vectors below k already seen, one table per
+    index since the subscript mark depends on the index, or built afresh
+    from one subscript string per vector index.
     """
+    below: list[dict[PartitionPair, tuple[str, str]]] = []  # one table per index
     last: tuple[PartitionPair | None, ...] = ()
     d = None
     for s in symbols:
@@ -163,11 +196,16 @@ def display_lines(symbols: Iterable[KMarkedSymbol]) -> Iterator[str]:
             marks = [_subscript(i) for i in range(1, k + 1)]
             # Display order: vector k first, so vector i sits at index k - i.
             tops, bottoms = [""] * k, [""] * k
+            below += [{} for _ in range(len(below), k - 1)]
         for i, v in enumerate(vectors):
             if v != last[i]:
-                mark = marks[i]
-                tops[k - 1 - i] = " ".join(f"{x}{mark}" for x in v.alpha)
-                bottoms[k - 1 - i] = " ".join(f"{x}{mark}" for x in v.beta)
+                if i < k - 1:
+                    facts = below[i].get(v)
+                    if facts is None:
+                        facts = below[i][v] = _display_facts(v, marks[i])
+                else:
+                    facts = _display_facts(v, marks[i])
+                tops[k - 1 - i], bottoms[k - 1 - i] = facts
         last = vectors
         yield f"( {' '.join(filter(None, tops))} / {' '.join(filter(None, bottoms))} ){d_mark}"
 

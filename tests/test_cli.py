@@ -89,6 +89,27 @@ def test_count_checks_ranks_before_counting(capsys, monkeypatch):
     assert err == "error: --ranks needs 3 entries\n"
 
 
+def test_count_rejects_k_above_n_plus_one_before_counting(capsys, monkeypatch):
+    # Unguarded, this --k builds a header of 10**20 columns until memory runs
+    # out; the stubs make a missing guard fail at once instead.
+    def fail(*args):
+        raise AssertionError("--k was not checked before counting")
+
+    monkeypatch.setattr(cli, "kmarked_rank_counts", fail)
+    monkeypatch.setattr(cli, "_count_lines", fail)
+    huge = "100000000000000000000"
+    code, out, err = run_cli(capsys, "count", "--n", "5", "--k", huge)
+    assert_usage_error(code, out, err)
+    assert err == f"error: --k must be at most n + 1 = 6, got {huge}\n"
+
+
+@pytest.mark.parametrize("n, k", [(5, 6), (0, 1)])
+def test_count_takes_k_up_to_n_plus_one(capsys, n, k):
+    code, out, _ = run_cli(capsys, "count", "--n", str(n), "--k", str(k))
+    assert code == 0
+    assert out.splitlines()[-1] == "total" + "\t" * k + "0"
+
+
 def test_count_past_enumeration_guard(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "50", "--k", "2")
     assert code == 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from durfee.marked import (
@@ -225,6 +227,29 @@ def test_odd_flavor_formula_spot_checks():
         for m, c in dist.items():
             assert c == marked_count_formula(m, n, Flavor.ODD), (n, m)
     assert total_kmarked(2, 2, Flavor.ODD) == 1
+
+
+# sha256 of repr([(s.vectors, s.d) ...]) over every symbol of weight <= 10,
+# recorded when the enumerator still built each vector tuple from index k
+# down and reversed it: (flavor, k) -> (symbols, digest)
+GOLDEN_ORDER = {
+    ("ordinary", 1): (138, "53fc5e39f718f31f59f678a060a7f6c59cd74964cd741215eb979f194f0d5ea6"),
+    ("ordinary", 2): (756, "2cfdfffa22a931fb2cbef61c053a7dbde85de7b74a92f5f37e6763ff7e16ecb9"),
+    ("ordinary", 3): (2052, "d00513a2841323c05f4942984df1149017bff5431051c798778479a6843b15b4"),
+    ("ordinary", 4): (3224, "f993f3dd5fdb7d8e9a70d5ff8050865b98c590d9bf03330770c6ce3e2f9fa986"),
+    ("odd", 1): (88, "b03dbf5e1576c3008d4bec2fad85b3bbd2ee13adbe37ecbfc40c6ad0fe3f35b9"),
+    ("odd", 2): (581, "2e8307853e364db5be4f0285ada7e1b55ddd26bc7343863aef896d6bcc5771b4"),
+    ("odd", 3): (1807, "c26b0cb3499381161d4ba0842a059d1cca10fc322b9b5a3fb24f013c1c9531e2"),
+    ("odd", 4): (3049, "fc8f53aff07029fd5a3e971b7a4170f4289d7a87c1e2529d6b27020e3657a028"),
+}
+
+
+@pytest.mark.parametrize("flavor, k", sorted(GOLDEN_ORDER))
+def test_enumeration_order_is_pinned(flavor, k):
+    symbols = [s for n in range(11) for s in enumerate_kmarked(n, k, Flavor(flavor))]
+    assert all(type(s.vectors) is tuple and len(s.vectors) == k for s in symbols)
+    rows = [(s.vectors, s.d) for s in symbols]
+    assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == GOLDEN_ORDER[flavor, k]
 
 
 def test_enumerate_requires_positive_k():

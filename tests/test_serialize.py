@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from durfee.marked import KMarkedSymbol, PartitionPair, enumerate_kmarked
 from durfee.serialize import (
@@ -13,7 +14,7 @@ from durfee.serialize import (
     render,
     symbol_to_document,
 )
-from durfee.symbols import DurfeeSymbol, Flavor
+from durfee.symbols import DurfeeSymbol, Flavor, enumerate_durfee
 
 SYM55 = KMarkedSymbol(
     (
@@ -192,3 +193,57 @@ def test_line_writers_follow_changes_of_k_flavor_and_subscript():
     marked = [s for s in mixed if isinstance(s, KMarkedSymbol)]
     assert list(display_lines(marked)) == [format_symbol(s) for s in marked]
     assert format_symbol(KMarkedSymbol((PartitionPair((), ()),), 1)) == "(  /  )₁"
+
+
+def _assert_writers_match_one_symbol_forms(stream):
+    assert list(document_lines(stream)) == [json.dumps(symbol_to_document(s)) for s in stream]
+    marked = [s for s in stream if isinstance(s, KMarkedSymbol)]
+    assert list(display_lines(marked)) == [format_symbol(s) for s in marked]
+
+
+def test_line_writers_keep_vector_facts_apart_by_index():
+    # V has a balanced bottom part, so its rank and balanced count below k
+    # (-1, 1) differ from those at index k (0, 0), and its display fragments
+    # differ between indices.  V recurs below k and at k, at several
+    # indices, not only on consecutive lines, and across changes of k and
+    # flavor.
+    V, W = PartitionPair((1,), (1,)), PartitionPair((1,), ())
+    below = KMarkedSymbol((V, W), 1)
+    stream = [
+        below,
+        KMarkedSymbol((W, V), 1),  # V moves from index 1 to index k
+        DurfeeSymbol((1,), (1,), 1),  # V at index k = 1
+        KMarkedSymbol((V, V, V), 0, Flavor.ODD),  # V at every index, k = 3
+        KMarkedSymbol((W, W, V), 0, Flavor.ODD),
+        below,
+        KMarkedSymbol((V,), 1),
+        KMarkedSymbol((V, W, V), 0, Flavor.ODD),
+        *enumerate_kmarked(5, 3),
+        below,
+    ]
+    _assert_writers_match_one_symbol_forms(stream)
+    derived = [json.loads(line)["derived"] for line in document_lines(stream[:2])]
+    assert [(x["ranks"], x["balanced_numbers"]) for x in derived] == [
+        ([-1, 1], [1, 0]),
+        ([0, 0], [0, 0]),
+    ]
+    assert list(display_lines(stream[3:4])) == ["( 1₃ 1₂ 1₁ / 1₃ 1₂ 1₁ )₀"]
+
+
+MIXED_CORPUS = [
+    *(s for flavor in Flavor for n in range(10) for s in enumerate_durfee(n, flavor)),
+    *(
+        s
+        for flavor in Flavor
+        for k in (1, 2, 3)
+        for n in range(10)
+        for s in enumerate_kmarked(n, k, flavor)
+    ),
+]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(MIXED_CORPUS), min_size=1, max_size=80))
+def test_line_writers_on_shuffled_mixed_streams(stream):
+    # Draws repeat symbols and mix flavors, k and plain symbols in any order.
+    _assert_writers_match_one_symbol_forms(stream)
