@@ -116,13 +116,17 @@ def _count_lines(
     yield "\t".join(["total"] + [""] * (k - 1) + [str(sum(dist.values()))])
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    _check_size("n", args.n)
-    # Vectors 1..k-1 each hold a part and the frame weighs at least 1, so no
-    # symbol of weight n has more than n vectors.  A larger --k would only
-    # spend time and memory on its k-column header; n + 1 keeps k = 1 at n = 0.
+def _check_k(args: argparse.Namespace) -> None:
+    """Vectors 1..k-1 each hold a part and the frame weighs at least 1, so no
+    symbol of weight n has more than n vectors; n + 1 keeps k = 1 at n = 0.
+    A larger --k lists nothing, or builds a k-column count header for nothing."""
     if args.n >= 0 and args.k > args.n + 1:
         raise ValueError(f"--k must be at most n + 1 = {args.n + 1}, got {args.k}")
+
+
+def cmd_count(args: argparse.Namespace) -> int:
+    _check_size("n", args.n)
+    _check_k(args)
     if args.ranks is not None and len(args.ranks) != args.k:
         raise ValueError(f"--ranks needs {args.k} entries")
     _write_lines(_count_lines(args, kmarked_rank_counts(args.n, args.k, args.flavor)))
@@ -130,6 +134,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    _check_k(args)
     from .serialize import display_lines, document_lines
 
     lines = display_lines if args.pretty else document_lines

@@ -191,11 +191,9 @@ def _vector_tails(
         return
     reserve = i - 1  # every lower vector still needs a nonempty top row
     avail = budget - reserve
-    if i == k:
-        tops = bounded_partitions_upto(avail, ub, odd)
-    else:
-        tops = bounded_partitions_upto(avail, ub, odd, nonempty=True)
-    for alpha in tops:
+    for alpha in bounded_partitions_upto(avail, ub, odd):
+        if not alpha and i < k:
+            break  # the empty top row sorts last, and only vector k may have it
         left = avail - sum(alpha)
         bcap = cap if i == k else alpha[0]
         if i == 1:
@@ -271,103 +269,75 @@ def _times_pairs_of(x: _Series, v: int) -> _Series:
     return y
 
 
-def _combine(x: _Series, y: _Series, sign: int = 1, shift: int = 0) -> _Series:
-    """``x + sign * q^shift * y``, truncated to the length of ``x``."""
-    out = [dict(row) for row in x]
-    for w in range(shift, len(out)):
-        row = out[w]
-        for r, c in y[w - shift].items():
-            c = row.get(r, 0) + sign * c
-            if c:
-                row[r] = c
-            else:
-                del row[r]
-    return out
-
-
-def _pair_tables(
-    parts: list[int], top: int, k: int
-) -> tuple[list[_Series], list[_Series], list[list[_Series]]]:
-    """Series of single vectors under one subscript, up to weight ``top``, for k >= 2.
-
-    ``parts`` lists the allowed entries in ascending order.  H(j, t) counts
-    the pairs of partitions with entries in parts[j..t]; those whose smallest
-    entry is exactly parts[j] number E(j, t) = H(j, t) - H(j + 1, t), or
-    H(t, t) when j = t.  Returns, by part position:
-
-    * ``top_k[j]``: vector k with smallest entry parts[j], or empty when j is
-      the last position (the next bound is then the cap itself): E(j, last).
-    * ``lowest[b]``: vector 1 whose top row's largest entry is at most
-      parts[b]: the sum over t <= b of q^parts[t] H(0, t), since E(j, t)
-      summed over j telescopes to H(0, t).
-    * ``middle[b][j]`` (k >= 3): a vector 1 < i < k as in ``lowest[b]`` with
-      smallest entry parts[j]: the sum over t <= b of q^parts[t] E(j, t).
-
-    The forced largest top part parts[t] stands for the rank's -1 shift.
-    """
+def _pair_columns(parts: list[int], top: int, needed: Sequence[int]) -> dict[int, list[_Series]]:
+    """Column t = [H(0, t), ..., H(t, t), 1] up to weight ``top`` for each t in
+    ``needed``, where H(j, t) counts the pairs of partitions with entries in
+    parts[j..t] (``parts`` ascending).  Each column is built from parts[t]
+    down: large parts first keep the rows sparse."""
     one = [{0: 1}] + [{} for _ in range(top)]
-    zero = [{} for _ in range(top + 1)]
-    lowest: list[_Series] = []
-    middle: list[list[_Series]] = []
-    for t in range(len(parts)):
+    columns = {}
+    for t in needed:
         column = [one]  # column[-1] is H(j + 1, t) while building H(j, t)
         for j in range(t, -1, -1):
             column.append(_times_pairs_of(column[-1], parts[j]))
-        column.reverse()  # column[j] = H(j, t) and column[t + 1] = 1
-        exact = [_combine(column[j], column[j + 1], -1) for j in range(t)] + [column[t]]
-        lowest.append(_combine(lowest[-1] if t else zero, column[0], 1, parts[t]))
-        if k > 2:
-            previous = middle[-1] + [zero] if t else [zero]
-            middle.append([_combine(previous[j], exact[j], 1, parts[t]) for j in range(t + 1)])
-    return exact, lowest, middle
+        columns[t] = column[::-1]
+    return columns
 
 
 def _subscript_counts(
     rem: int, k: int, parts: list[int], result: dict[tuple[int, ...], int]
 ) -> None:
     """Add to ``result`` the symbols of one subscript whose vectors weigh
-    ``rem`` in total, by rank vector."""
-    if k == 1:  # the sum over j of E(j, last) is H(0, last): every pair factor
-        series = [{0: 1}] + [{} for _ in range(rem)]
-        for part in reversed(parts):  # large parts first keep rows sparse
-            series = _times_pairs_of(series, part)
-        for r, c in series[rem].items():
+    ``rem`` in total, by rank vector.
+
+    The walk places vectors 1, 2, ... in turn over the state (j, used):
+    parts[j] is the largest top part of the vector just placed, and weight
+    ``used`` is spent.  The next vector, if it is not vector k and its top
+    row has largest entry parts[t], is a pair with entries in parts[j..t]
+    plus that forced top part: q^parts[t] H(j, t), the forced part standing
+    for the rank's -1 shift.  Vector k is H(j, last).  Vectors k - 1 and k
+    must use up the weight left, so they are counted together for each state
+    and folded into the result: no state table holds k - 1 ranks.
+    """
+    last = len(parts) - 1
+    columns = _pair_columns(parts, rem, range(last + 1) if k > 1 else (last,))
+    tops = columns[last]  # tops[j] = H(j, last), the series of vector k
+    if k == 1:
+        for r, c in tops[0][rem].items():
             result[r,] = result.get((r,), 0) + c
         return
-    top_k, lowest, middle = _pair_tables(parts, rem, k)
-    # states[(b, w)]: ranks of vectors i+1..k -> count, where weight w is
-    # left and parts[b] bounds the top row of vector i; b is None while no
-    # vector is placed, so vector i = k draws from top_k.  Every vector below
-    # i has a nonempty top row, so at least i - 1 weight stays for them.
-    states = {(None, rem): {(): 1}}
-    for i in range(k, 2, -1):
+    # states[(j, used)]: ranks of vectors 1..i -> count.  Vectors i + 1..k - 1
+    # each hold a top part of at least parts[t], so that weight stays reserved.
+    states = {(0, 0): {(): 1}}
+    for i in range(1, k - 1):
         nxt: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
         while states:  # consume the states so their memory can be reused
-            (b, left), table = states.popitem()
-            for j, series in enumerate(top_k if b is None else middle[b]):
-                for w in range(left - i + 2):
+            (j, used), table = states.popitem()
+            for t in range(j, last + 1):
+                series = columns[t][j]
+                spent = used + parts[t]
+                for w in range(rem - spent - (k - 1 - i) * parts[t] + 1):
                     if series[w]:
-                        target = nxt.setdefault((j, left - w), {})
+                        target = nxt.setdefault((t, spent + w), {})
                         for r, c in series[w].items():
                             for ranks, v in table.items():
-                                ranks = (r,) + ranks
+                                ranks = ranks + (r,)
                                 target[ranks] = target.get(ranks, 0) + c * v
         states = nxt
-    # Vectors 2 and 1 are counted together for each state and folded into the
-    # result, so no state table holds the ranks of vectors 2..k.  Vector 2 with
-    # smallest entry parts[j] leaves vector 1 the table lowest[j].
-    while states:
-        (b, left), table = states.popitem()
-        lows: dict[tuple[int, int], int] = {}
-        for j, series in enumerate(top_k if b is None else middle[b]):
-            for w in range(left):  # vector 1 has a nonempty top row
+    while states:  # the k - 1 and k fold
+        (j, used), table = states.popitem()
+        highs: dict[tuple[int, int], int] = {}
+        for t in range(j, last + 1):
+            series, rest = columns[t][j], tops[t]
+            left = rem - used - parts[t]
+            for w in range(left + 1):
                 if series[w]:
-                    for r1, v in lowest[j][left - w].items():
-                        for r2, c in series[w].items():
-                            lows[r1, r2] = lows.get((r1, r2), 0) + c * v
-        for low, c in lows.items():
+                    for r2, v in rest[left - w].items():
+                        for r1, c in series[w].items():
+                            highs[r1, r2] = highs.get((r1, r2), 0) + c * v
+        for high, c in highs.items():
             for ranks, v in table.items():
-                ranks = low + ranks
+                ranks = ranks + high
                 result[ranks] = result.get(ranks, 0) + c * v
 
 
@@ -379,15 +349,16 @@ def kmarked_rank_counts(
     attaining it, counted without building any symbol.
 
     Equal to :func:`kmarked_rank_distribution`.  For each subscript a
-    transfer DP walks the vectors from k down to 1 over the state (weight
-    left, bound on the next top row, ranks so far); the only link between
-    vector i + 1 and vector i is the smallest entry of vector i + 1, which
-    bounds the top row of vector i.  Vectors 2 and 1 must use up the weight
-    left, so they are counted together for each state, vector 1 from one
-    table per bound, and folded straight into the result.  A lone vector
-    (k = 1) is one product of pair factors.  Time is polynomial in ``n`` for
-    fixed ``k``, so no weight guard applies.  The returned mapping is
-    read-only because it is cached.
+    transfer DP walks the vectors from 1 up over the state (position of the
+    largest top part of the vector just placed, weight used, ranks so far);
+    the only link between vector i and vector i + 1 is that largest top part,
+    which bounds every entry of vector i + 1 from below.  Every vector is one
+    entry of a single table of pair-factor products.  Vectors k - 1 and k
+    must use up the weight left, so they are counted together for each state
+    and folded straight into the result; a lone vector (k = 1) is read from
+    the table at the weight left.  Time is polynomial in ``n`` for fixed
+    ``k``, so no weight guard applies.  The returned mapping is read-only
+    because it is cached.
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")

@@ -68,16 +68,14 @@ def bounded_partitions(n: int, max_part: int, odd_only: bool = False) -> tuple[P
 
 @lru_cache(maxsize=None)
 def bounded_partitions_upto(
-    limit: int, max_part: int, odd_only: bool = False, nonempty: bool = False
+    limit: int, max_part: int, odd_only: bool = False
 ) -> tuple[Partition, ...]:
     """Partitions of every weight <= ``limit`` with parts <= ``max_part``,
-    merged across weights and sorted in decreasing lexicographic order.
-
-    With ``nonempty`` the empty partition is excluded.  A negative ``limit``
-    yields nothing at all.
+    merged across weights and sorted in decreasing lexicographic order, so
+    the empty partition comes last.  A negative ``limit`` yields nothing.
     """
     rows: list[Partition] = []
-    for w in range(1 if nonempty else 0, max(limit, -1) + 1):
+    for w in range(max(limit, -1) + 1):
         rows.extend(bounded_partitions(w, max_part, odd_only))
     rows.sort(reverse=True)
     return tuple(rows)

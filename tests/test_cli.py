@@ -263,6 +263,12 @@ def test_map_rejects_flags_the_map_ignores(capsys, argv):
     assert err.startswith(f"error: {name} takes no --")
 
 
+def test_enumerate_rejects_k_above_n_plus_one(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "5", "--k", "7")
+    assert_usage_error(code, out, err)
+    assert err == "error: --k must be at most n + 1 = 6, got 7\n"
+
+
 def test_enumerate_past_guard_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "41", "--k", "2")
     assert_usage_error(code, out, err)

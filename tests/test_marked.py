@@ -311,12 +311,14 @@ def _vectors_within(k, budget):
 
 
 @pytest.mark.parametrize("flavor,series", [(Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)])
-@pytest.mark.parametrize("n,k", [(30, 3), (22, 4)])
+@pytest.mark.parametrize("n,k", [(30, 3), (22, 4), (20, 5)])
 def test_marked_rank_counts_match_formula_past_enumeration(flavor, series, n, k):
     # The whole table against sum_j binom(j + k - 2, k - 2) N(|m|_1 + 2j + k - 1, n),
     # with N from the rank series.  The formula vanishes once |m|_1 + k - 1
     # exceeds n.  (30, 3) reaches subscript 5, which the enumeration cases
-    # above never meet.
+    # above never meet; (20, 5) reaches subscript 4 (2 in the odd flavor),
+    # which no k = 5 enumeration case meets, and takes three walk steps
+    # before the fold.
     plain = [series(s, n)[n] for s in range(n + 1)]
     tail = [
         sum(binom(j + k - 2, k - 2) * plain[s + 2 * j] for j in range((n - s) // 2 + 1))
