@@ -25,8 +25,9 @@ The i-th rank is len(alpha^i) - len(beta^i) - 1 for i < k and
 len(alpha^k) - len(beta^k) for i = k.
 
 Counts by rank vector come two independent ways.
-:func:`kmarked_rank_distribution` tallies :func:`enumerate_kmarked`; it is the
-oracle, costs time exponential in n and stops at the weight guard.
+:func:`kmarked_rank_distribution` tallies the blocks of the walk that
+:func:`enumerate_kmarked` flattens; it is the oracle, costs time exponential
+in n and stops at the weight guard.
 :func:`kmarked_rank_counts` is a transfer DP that builds no symbol, runs in
 polynomial time with no weight guard, and backs :func:`count_kmarked`,
 :func:`total_kmarked`, the marked rank series and ``durfee count``.
@@ -34,9 +35,10 @@ polynomial time with no weight guard, and backs :func:`count_kmarked`,
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .partitions import (
     Partition,
@@ -179,35 +181,52 @@ def is_valid(s: KMarkedSymbol) -> bool:
     return validate(s).ok
 
 
-def _vector_tails(
-    i: int, budget: int, ub: int, k: int, cap: int, odd: bool
-) -> Iterator[tuple[PartitionPair, ...]]:
-    """Generate vectors 1 to i, in index order, using exactly ``budget``, with
-    ``ub`` bounding the largest entry of top row i.  The choices run from
-    vector i down to 1, each bounded by the vector above it."""
-    if i == 0:
-        if budget == 0:
-            yield ()
-        return
-    reserve = i - 1  # every lower vector still needs a nonempty top row
-    avail = budget - reserve
-    for alpha in bounded_partitions_upto(avail, ub, odd):
-        if not alpha and i < k:
-            break  # the empty top row sorts last, and only vector k may have it
-        left = avail - sum(alpha)
-        bcap = cap if i == k else alpha[0]
-        if i == 1:
-            for beta in bounded_partitions(left, bcap, odd):
-                yield (PartitionPair(alpha, beta),)
-            continue
-        for beta in bounded_partitions_upto(left, bcap, odd):
-            smallest = alpha[-1:] + beta[-1:]
-            next_ub = min(smallest) if smallest else ub
-            spent = sum(alpha) + sum(beta)
-            # One pair object is shared by every symbol that holds this vector.
-            pair = (PartitionPair(alpha, beta),)
-            for tail in _vector_tails(i - 1, budget - spent, next_ub, k, cap, odd):
-                yield tail + pair
+def _blocks(n: int, k: int, flavor: Flavor, low: Callable = tuple) -> Iterator[tuple]:
+    """Yield ``(d, upper, lows)`` in canonical order for each subscript d and
+    choice ``upper`` of vectors 2..k (index order; empty for k = 1), ``lows``
+    being ``low`` of every vector 1 the block admits.  Vector i < k meets the
+    vectors above only through the weight left and its top row's bound, so a
+    table per subscript keyed by (i, weight, bound) holds its shared choices."""
+    _check_weight(n)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    odd = flavor is Flavor.ODD
+    table: dict[tuple[int, int, int], object] = {}
+
+    def choices(i: int, budget: int, ub: int):
+        # Vector i weighs at most budget - (i - 1), leaving each vector below a
+        # top part (vector 1 weighs exactly budget), and passes on what is left.
+        if (i, budget, ub) in table:
+            return table[i, budget, ub]
+        avail = budget - (i - 1)
+        rows = bounded_partitions if i == 1 else bounded_partitions_upto
+        pairs = [
+            PartitionPair(alpha, beta)
+            for alpha in bounded_partitions_upto(avail, ub, odd)
+            if alpha or i == k  # only vector k may have an empty top row
+            for beta in rows(avail - sum(alpha), ub if i == k else alpha[0], odd)
+        ]
+        made = low(pairs) if i == 1 else [
+            (p, budget - sum(p.alpha + p.beta), min(p.alpha[-1:] + p.beta[-1:], default=ub))
+            for p in pairs
+        ]
+        if i < k:  # vector k's key holds its subscript's cap and weight: it never recurs
+            table[i, budget, ub] = made
+        return made
+
+    for d in subscript_range(n, flavor):
+        table.clear()  # keys shared with a later subscript are rebuilt: cheap, and less memory
+        # Vector k is bounded by the cap; last in, first out, so children go on reversed.
+        stack = [(k, n - frame_weight(d, flavor), part_cap(d, flavor), ())]
+        while stack:
+            i, budget, ub, upper = stack.pop()
+            if i == 1:
+                yield d, upper, choices(1, budget, ub)
+            else:
+                stack += [
+                    (i - 1, left, bound, (pair, *upper))
+                    for pair, left, bound in reversed(choices(i, budget, ub))
+                ]
 
 
 def enumerate_kmarked(
@@ -218,36 +237,36 @@ def enumerate_kmarked(
     Canonical order: ascending subscript, then per vector from index k down
     to 1 the top row and bottom row each in decreasing lexicographic order
     across weights.  For k = 1 this agrees element-wise with
-    :func:`durfee.symbols.enumerate_durfee`.  A weight outside the
-    enumeration guard raises before the first symbol.
+    :func:`durfee.symbols.enumerate_durfee`.  Within one subscript each pair
+    object is built once per (index, weight left, bound) and shared by the
+    symbols that hold it.  A weight outside the enumeration guard raises
+    before the first symbol.
     """
-    _check_weight(n)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    odd = flavor is Flavor.ODD
-    for d in subscript_range(n, flavor):
-        rem = n - frame_weight(d, flavor)
-        if rem < k - 1:
-            continue
-        cap = part_cap(d, flavor)
-        for vectors in _vector_tails(k, rem, cap, k, cap, odd):
-            yield KMarkedSymbol(vectors, d, flavor)
+    for d, upper, lows in _blocks(n, k, flavor):
+        for pair in lows:
+            yield KMarkedSymbol((pair, *upper), d, flavor)
 
 
 @lru_cache(maxsize=None)
 def kmarked_rank_distribution(
     n: int, k: int, flavor: Flavor = Flavor.ORDINARY
 ) -> Mapping[tuple[int, ...], int]:
-    """Map from rank vector to the number of k-marked symbols of ``n`` attaining it,
-    tallied over :func:`enumerate_kmarked`.
+    """Map from rank vector to the number of k-marked symbols of ``n`` attaining it.
 
     This is the enumeration oracle that :func:`kmarked_rank_counts` is checked
-    against.  The returned mapping is read-only because it is cached.
+    against.  It builds no symbol: each block of the walk that
+    :func:`enumerate_kmarked` flattens adds its table's {vector-1 rank: count}
+    under the ranks of its vectors 2..k.  The returned mapping is read-only
+    because it is cached.
     """
+    # The rank of vector i is len(alpha) - len(beta), less 1 for i < k.
+    tally = lambda pairs: Counter(len(alpha) - len(beta) - (k > 1) for alpha, beta in pairs)
     counts: dict[tuple[int, ...], int] = {}
-    for s in enumerate_kmarked(n, k, flavor):
-        r = s.ranks
-        counts[r] = counts.get(r, 0) + 1
+    for _, upper, lows in _blocks(n, k, flavor, tally):
+        high = [len(alpha) - len(beta) - (i < k) for i, (alpha, beta) in enumerate(upper, 2)]
+        for r, c in lows.items():
+            ranks = (r, *high)
+            counts[ranks] = counts.get(ranks, 0) + c
     return MappingProxyType(counts)
 
 

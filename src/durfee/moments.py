@@ -3,19 +3,22 @@ them to marked symbols.
 
 Everything here is exact integer arithmetic.  The polynomial binomial
 coefficient (negative upper argument allowed) is the only primitive; the
-identities are finite sums over rank distributions computed by exhaustive
-enumeration elsewhere in the package, while the marked totals come from the
-counting DP :func:`durfee.marked.kmarked_rank_counts`.
+identities are finite sums over the rank counts N(m, n), read from the rank
+series :func:`durfee.qseries.rank_gf` (``odd_rank_gf`` for the odd flavor),
+while the marked totals come from the counting DP
+:func:`durfee.marked.kmarked_rank_counts`.  Nothing here enumerates.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .marked import total_kmarked
-from .partitions import rank_distribution
-from .symbols import Flavor, durfee_rank_distribution
+from .qseries import odd_rank_gf, rank_gf
+from .symbols import Flavor
 
 
 def binom(a: int, b: int) -> int:
@@ -32,19 +35,22 @@ def binom(a: int, b: int) -> int:
     return num // factorial(b)
 
 
-def _flavor_distribution(n: int, flavor: Flavor) -> dict[int, int]:
-    # Ordinary moments weight plain partition ranks; odd moments weight the
-    # odd-symbol ranks.
-    if flavor is Flavor.ORDINARY:
-        return rank_distribution(n)
-    return durfee_rank_distribution(n, Flavor.ODD)
+@lru_cache(maxsize=None)
+def _flavor_distribution(n: int, flavor: Flavor) -> Mapping[int, int]:
+    """N(m, n) by rank m, read from the rank series: plain partition ranks for
+    ordinary moments, odd-symbol ranks for odd ones; read-only because cached."""
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
+    series = rank_gf if flavor is Flavor.ORDINARY else odd_rank_gf
+    counts = {m: int(series(m, n)[n]) for m in range(-n, n + 1)}
+    return MappingProxyType({m: c for m, c in counts.items() if c})
 
 
 def rank_moment(k: int, n: int) -> int:
     """Sum of m^k over the ranks of all partitions of ``n``; zero for odd k."""
     if k < 1:
         raise ValueError("moment order must be positive")
-    return sum(m**k * c for m, c in rank_distribution(n).items())
+    return sum(m**k * c for m, c in _flavor_distribution(n, Flavor.ORDINARY).items())
 
 
 def symmetrized_moment(k: int, n: int, flavor: Flavor = Flavor.ORDINARY) -> int:

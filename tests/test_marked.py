@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -250,6 +251,33 @@ def test_enumeration_order_is_pinned(flavor, k):
     assert all(type(s.vectors) is tuple and len(s.vectors) == k for s in symbols)
     rows = [(s.vectors, s.d) for s in symbols]
     assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == GOLDEN_ORDER[flavor, k]
+
+
+# (n, k, flavor) -> (symbol count, sha256 of repr([(s.vectors, s.d) ...])),
+# recorded from the one-vector-per-frame enumerator: past n = 10, where many
+# vectors 2..k leave vector 1 the same weight and bound.
+GOLDEN_ORDER_PAST_TEN = {
+    (16, 3, "ordinary"): (18976, "2a6292424c379eb37995fbd8d99bbdc667e7a5ae89a040d5991e4739d73e8e8f"),
+    (14, 4, "ordinary"): (26423, "84aaf1ffc77318b2f19f5b666c82b29b2752c3cc9883f2a1c83ec36a4eaeec8b"),
+    (25, 2, "odd"): (11824, "3880ac32b88af99fc3ec0f313f792fc7f95655b4bc6c318da687d0eee13aeee4"),
+}
+
+
+@pytest.mark.parametrize("n, k, flavor", sorted(GOLDEN_ORDER_PAST_TEN))
+def test_enumeration_order_is_pinned_past_ten(n, k, flavor):
+    rows = [(s.vectors, s.d) for s in enumerate_kmarked(n, k, Flavor(flavor))]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert (len(rows), digest) == GOLDEN_ORDER_PAST_TEN[n, k, flavor]
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_block_tally_matches_symbol_ranks(flavor):
+    # The oracle tallies blocks without building a symbol; every symbol's own
+    # ranks must give the same table.
+    for n in range(13):
+        for k in range(1, 5):
+            expected = Counter(s.ranks for s in enumerate_kmarked(n, k, flavor))
+            assert dict(kmarked_rank_distribution(n, k, flavor)) == expected, (n, k)
 
 
 def test_enumerate_requires_positive_k():

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from durfee.marked import count_kmarked
 from durfee.moments import (
+    _flavor_distribution,
     binom,
     check_moment_identity,
     marked_count_formula,
@@ -10,7 +12,8 @@ from durfee.moments import (
     solution_count_brute,
     symmetrized_moment,
 )
-from durfee.symbols import Flavor
+from durfee.partitions import rank_distribution
+from durfee.symbols import Flavor, durfee_rank_distribution
 
 
 @pytest.mark.parametrize(
@@ -85,3 +88,31 @@ def test_marked_count_formula_examples():
     assert marked_count_formula((-1, 1), 4) == 1  # signs are immaterial
     with pytest.raises(ValueError):
         marked_count_formula((1,), 4)
+
+
+def test_rank_counts_from_the_series_match_enumeration():
+    for n in range(31):
+        assert _flavor_distribution(n, Flavor.ORDINARY) == rank_distribution(n), n
+        assert _flavor_distribution(n, Flavor.ODD) == durfee_rank_distribution(n, Flavor.ODD), n
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        symmetrized_moment(2, -1)
+
+
+@pytest.mark.parametrize(
+    "k, n, flavor, total",
+    [
+        (1, 60, Flavor.ORDINARY, 51_843_459),
+        (2, 40, Flavor.ORDINARY, 26_754_112),
+        (1, 60, Flavor.ODD, 3_017_988),
+        (2, 40, Flavor.ODD, 5_382_020),
+    ],
+)
+def test_moment_identity_past_enumeration(k, n, flavor, total):
+    # Past the weight guard of 40 (or at it) both sides come from counting:
+    # the transfer DP for the marked total, the rank series for the moment.
+    assert check_moment_identity(k, n, flavor) == (True, total, total)
+
+
+def test_marked_count_formula_past_enumeration():
+    for m in [(0, 0), (1, -2), (3, 5), (-7, 0)]:
+        assert marked_count_formula(m, 50) == count_kmarked(m, 50) > 0, m
