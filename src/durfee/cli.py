@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from . import qseries
-from .marked import KMarkedSymbol, enumerate_kmarked, kmarked_rank_counts
+from .marked import KMarkedSymbol, _blocks, kmarked_rank_counts
 from .symbols import DurfeeSymbol, Flavor
 
 
@@ -67,7 +67,7 @@ def _load_document(path: str | None) -> dict:
             text = handle.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"document is not JSON: {exc}") from None
 
 
@@ -137,8 +137,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_k(args)
     from .serialize import display_lines, document_lines
 
-    lines = display_lines if args.pretty else document_lines
-    _write_lines(lines(enumerate_kmarked(args.n, args.k, args.flavor)))
+    blocks = _blocks(args.n, args.k, args.flavor)
+    _write_lines(display_lines(blocks) if args.pretty else document_lines(blocks, args.flavor))
     return 0
 
 

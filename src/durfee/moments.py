@@ -3,9 +3,9 @@ them to marked symbols.
 
 Everything here is exact integer arithmetic.  The polynomial binomial
 coefficient (negative upper argument allowed) is the only primitive; the
-identities are finite sums over the rank counts N(m, n), read from the rank
-series :func:`durfee.qseries.rank_gf` (``odd_rank_gf`` for the odd flavor),
-while the marked totals come from the counting DP
+identities are finite sums over the rank counts N(m, n), read from the
+numerators of the rank series :func:`durfee.qseries.rank_gf` (``odd_rank_gf``
+for the odd flavor), while the marked totals come from the counting DP
 :func:`durfee.marked.kmarked_rank_counts`.  Nothing here enumerates.
 """
 
@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .marked import total_kmarked
-from .qseries import odd_rank_gf, rank_gf
+from .qseries import _divide_euler, _rank_numerator
 from .symbols import Flavor
 
 
@@ -37,12 +37,19 @@ def binom(a: int, b: int) -> int:
 
 @lru_cache(maxsize=None)
 def _flavor_distribution(n: int, flavor: Flavor) -> Mapping[int, int]:
-    """N(m, n) by rank m, read from the rank series: plain partition ranks for
-    ordinary moments, odd-symbol ranks for odd ones; read-only because cached."""
+    """N(m, n) by rank m: plain partition ranks for ordinary moments, odd-symbol
+    ranks for odd ones; read-only because cached.  Coefficient n of a rank
+    series is the sum over e of numerator[e] * p(n - e), one list p for all m."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    series = rank_gf if flavor is Flavor.ORDINARY else odd_rank_gf
-    counts = {m: int(series(m, n)[n]) for m in range(-n, n + 1)}
+    p = [1] + [0] * n
+    _divide_euler(p, 1 if flavor is Flavor.ORDINARY else 2, 1)
+    counts = {
+        m: sum(c * p[n - e] for e, c in enumerate(_rank_numerator(m, n, flavor)) if c)
+        for m in range(-n, n + 1)
+    }
+    if n == 0 and flavor is Flavor.ORDINARY:
+        counts[0] += 1  # the empty partition: rank_gf's weight-0 patch
     return MappingProxyType({m: c for m, c in counts.items() if c})
 
 

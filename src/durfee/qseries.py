@@ -192,6 +192,24 @@ def partition_gf(order: int) -> QSeries:
     return QSeries(order, coeffs)
 
 
+def _rank_numerator(m: int, order: int, flavor: Flavor) -> list[int]:
+    """Coefficients up to q^order of the numerator of the rank series of rank
+    ``m``: the sum over n >= 1 of (-1)^(n+1) q^(n(3n-1)/2 + |m|n) (1 - q^n)
+    over (q)_inf, or for the odd flavor of (-1)^(n+1) q^(3n(n-1) + 1 + |m|(2n-1))
+    over (q^2; q^2)_inf; without rank_gf's weight-0 patch."""
+    odd = flavor is Flavor.ODD
+    m = abs(m)
+    coeffs = [0] * (order + 1)
+    for n in count(1):
+        e = 3 * n * (n - 1) + 1 + m * (2 * n - 1) if odd else n * (3 * n - 1) // 2 + m * n
+        if e > order:
+            return coeffs
+        sign = 1 if n % 2 == 1 else -1
+        coeffs[e] += sign
+        if not odd and e + n <= order:
+            coeffs[e + n] -= sign
+
+
 def rank_gf(m: int, order: int) -> QSeries:
     """Generating series of partition counts by rank: coefficient of q^n is
     the number of partitions of n with rank ``m``.
@@ -203,15 +221,7 @@ def rank_gf(m: int, order: int) -> QSeries:
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    coeffs = [0] * (order + 1)
-    for n in count(1):
-        e = n * (3 * n - 1) // 2 + abs(m) * n
-        if e > order:
-            break
-        sign = 1 if n % 2 == 1 else -1
-        coeffs[e] += sign
-        if e + n <= order:
-            coeffs[e + n] -= sign
+    coeffs = _rank_numerator(m, order, Flavor.ORDINARY)
     _divide_euler(coeffs, 1, 1)
     if m == 0:
         coeffs[0] += 1
@@ -221,12 +231,7 @@ def rank_gf(m: int, order: int) -> QSeries:
 def odd_rank_gf(m: int, order: int) -> QSeries:
     """Generating series of odd-flavor symbol counts by rank: coefficient of
     q^n counts the odd symbols of weight n with rank ``m``."""
-    coeffs = [0] * (order + 1)
-    for n in count(0):
-        e = 3 * n * n + 3 * n + 1 + abs(m) * (2 * n + 1)
-        if e > order:
-            break
-        coeffs[e] += 1 if n % 2 == 0 else -1
+    coeffs = _rank_numerator(m, order, Flavor.ODD)
     _divide_euler(coeffs, 2, 1)
     return QSeries(order, coeffs)
 

@@ -12,36 +12,30 @@ losslessly.  Input must satisfy the marking conditions of
 :func:`durfee.marked.validate`.  Plain two-row symbols are carried as
 one-vector documents.
 
-A stream of symbols is written by one line writer per output form:
+A corpus is written from the blocks ``(d, upper, lows)`` of
+:func:`durfee.marked._blocks`, in which only vector 1 varies:
 :func:`document_lines` yields each symbol's one-line JSON document (the text
 of ``json.dumps(symbol_to_document(s))``, built without a dict) and
-:func:`display_lines` its one-line display.  Consecutive symbols of an
-enumeration share most of their vectors, so each writer remembers the
-previous symbol's vectors with their facts (JSON fragment, rank term,
-balanced count and weight, or display fragments) and rebuilds the facts of a
-position only when its vector changes.  Vector 1 changes at almost every
-line, but an enumeration repeats a few vectors over and over, so each writer
-also keeps, for the length of one call, the facts of every distinct vector
-below k it has seen and looks them up instead of rebuilding them.  Memory is
-one entry per distinct vector below k in the stream, per index for the
-display.  The 61,768 symbols of n = 19, k = 3 hold 475 distinct vectors at
-index 1 and 856 at index 2, those at index 1 among them: 856 JSON entries
-and 1,331 display entries.  Vector k's facts differ (no -1 in its rank, a
-balanced count of 0) and it rarely changes, so it is rebuilt, not kept.
-:func:`render` without indent and :func:`format_symbol` of a k-marked symbol
-are the writers' one-symbol cases.
+:func:`display_lines` its one-line display.  :func:`render` without indent
+and :func:`format_symbol` of a k-marked symbol are the writers' one-block
+case.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
 from .marked import KMarkedSymbol, PartitionPair, balanced_numbers, balanced_parts, validate
 from .symbols import DurfeeSymbol, Flavor, frame_weight
 
 _SUBSCRIPT_DIGITS = "₀₁₂₃₄₅₆₇₈₉"
+
+#: ``(d, upper, lows)`` as :func:`durfee.marked._blocks` yields it: subscript
+#: d, vectors 2..k in index order, and every vector 1 that goes with them.
+Block = tuple[int, tuple[PartitionPair, ...], Iterable[PartitionPair]]
 
 
 def _subscript(n: int) -> str:
@@ -52,6 +46,11 @@ def _marked(s: KMarkedSymbol | DurfeeSymbol) -> KMarkedSymbol:
     if isinstance(s, DurfeeSymbol):
         return KMarkedSymbol((PartitionPair(s.alpha, s.beta),), s.d, s.flavor)
     return s
+
+
+def _block(s: KMarkedSymbol) -> list[Block]:
+    """The one block of ``s``: vector 1 is its only choice."""
+    return [(s.d, s.vectors[1:], (s.vectors[0],))]
 
 
 def symbol_to_document(s: KMarkedSymbol | DurfeeSymbol) -> dict[str, Any]:
@@ -106,7 +105,8 @@ def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
 
 def render(s: KMarkedSymbol | DurfeeSymbol, indent: int | None = 2) -> str:
     if indent is None:
-        return next(document_lines((s,)))
+        s = _marked(s)
+        return next(document_lines(_block(s), s.flavor))
     return json.dumps(symbol_to_document(s), indent=indent)
 
 
@@ -127,87 +127,48 @@ def _document_facts(v: PartitionPair, top: bool) -> tuple[str, int, str, str]:
     return fragment, weight, sys.intern(str(rank)), sys.intern(str(balanced))
 
 
-def document_lines(symbols: Iterable[KMarkedSymbol | DurfeeSymbol]) -> Iterator[str]:
-    """``json.dumps(symbol_to_document(s))`` for each symbol, built as text.
-
-    Per position the writer keeps the previous symbol's vector with its JSON
-    fragment, weight, rank term and balanced count, and replaces them only
-    when the vector there changes: from the call's table of vectors below k
-    already seen, or built afresh.  The table holds one entry per distinct
-    vector below k in the stream.
-    """
-    below: dict[PartitionPair, tuple[str, int, str, str]] = {}
-    last: tuple[PartitionPair | None, ...] = ()
-    flavor = d = None
-    for s in symbols:
-        s = _marked(s)
-        if s.d != d or s.flavor is not flavor:
-            flavor, d = s.flavor, s.d
-            head = f'{{"flavor": "{flavor.value}", "d": {d}, "vectors": ['
-            frame = frame_weight(d, flavor)
-        vectors = s.vectors
-        k = len(vectors)
-        if k != len(last):
-            last = (None,) * k
-            fragments, weights, ranks, balanced = [""] * k, [0] * k, [""] * k, [""] * k
-        for i, v in enumerate(vectors):
-            if v != last[i]:
-                if i < k - 1:
-                    facts = below.get(v)
-                    if facts is None:
-                        facts = below[v] = _document_facts(v, False)
-                else:
-                    facts = _document_facts(v, True)
-                fragments[i], weights[i], ranks[i], balanced[i] = facts
-        last = vectors
-        yield (
-            f'{head}{", ".join(fragments)}], "derived": {{"weight": {frame + sum(weights)}, '
-            f'"ranks": [{", ".join(ranks)}], "balanced_numbers": [{", ".join(balanced)}]}}}}'
-        )
+def document_lines(blocks: Iterable[Block], flavor: Flavor) -> Iterator[str]:
+    """``json.dumps(symbol_to_document(s))`` for each symbol of ``blocks``,
+    built as text.  The text of vectors 2..k is joined once per block; each
+    vector's facts come from one cache per call, keyed by the vector and
+    whether it is vector k."""
+    facts = lru_cache(maxsize=None)(_document_facts)
+    for d, upper, lows in blocks:
+        k = len(upper) + 1
+        high = [facts(v, i == k) for i, v in enumerate(upper, 2)]
+        head = f'{{"flavor": "{flavor.value}", "d": {d}, "vectors": ['
+        frame = frame_weight(d, flavor) + sum(weight for _, weight, _, _ in high)
+        fragments, ranks, balanced = ("".join(f", {x[j]}" for x in high) for j in (0, 2, 3))
+        for v in lows:
+            fragment, weight, rank, count = facts(v, k == 1)
+            yield (
+                f'{head}{fragment}{fragments}], "derived": {{"weight": {frame + weight}, '
+                f'"ranks": [{rank}{ranks}], "balanced_numbers": [{count}{balanced}]}}}}'
+            )
 
 
-def _display_facts(v: PartitionPair, mark: str) -> tuple[str, str]:
-    """Display fragments of one vector's top and bottom rows, each entry
-    followed by the vector's subscript ``mark``."""
-    return " ".join(f"{x}{mark}" for x in v.alpha), " ".join(f"{x}{mark}" for x in v.beta)
+def _display_facts(v: PartitionPair, i: int) -> tuple[str, ...]:
+    """The two rows of vector ``v`` at index ``i``, each entry followed by
+    the subscript ``i`` and a space."""
+    mark = _subscript(i)
+    return tuple("".join(f"{x}{mark} " for x in row) for row in v)
 
 
-def display_lines(symbols: Iterable[KMarkedSymbol]) -> Iterator[str]:
-    """One-line display of each symbol in the traditional orientation (vector
-    k leftmost), entries carrying their vector index as a subscript.
-
-    Per position the writer keeps the previous symbol's vector with its two
-    display fragments, and replaces them only when the vector there changes:
-    from the call's tables of vectors below k already seen, one table per
-    index since the subscript mark depends on the index, or built afresh
-    from one subscript string per vector index.
-    """
-    below: list[dict[PartitionPair, tuple[str, str]]] = []  # one table per index
-    last: tuple[PartitionPair | None, ...] = ()
-    d = None
-    for s in symbols:
-        if s.d != d:
-            d = s.d
-            d_mark = _subscript(d)
-        vectors = s.vectors
-        k = len(vectors)
-        if k != len(last):
-            last = (None,) * k
-            marks = [_subscript(i) for i in range(1, k + 1)]
-            # Display order: vector k first, so vector i sits at index k - i.
-            tops, bottoms = [""] * k, [""] * k
-            below += [{} for _ in range(len(below), k - 1)]
-        for i, v in enumerate(vectors):
-            if v != last[i]:
-                if i < k - 1:
-                    facts = below[i].get(v)
-                    if facts is None:
-                        facts = below[i][v] = _display_facts(v, marks[i])
-                else:
-                    facts = _display_facts(v, marks[i])
-                tops[k - 1 - i], bottoms[k - 1 - i] = facts
-        last = vectors
-        yield f"( {' '.join(filter(None, tops))} / {' '.join(filter(None, bottoms))} ){d_mark}"
+def display_lines(blocks: Iterable[Block]) -> Iterator[str]:
+    """One-line display of each symbol of ``blocks`` in the traditional
+    orientation (vector k leftmost), entries carrying their vector index as
+    a subscript.  The rows of vectors 2..k are joined once per block; each
+    vector's rows come from one cache per call, keyed by the vector and its
+    index."""
+    facts = lru_cache(maxsize=None)(_display_facts)
+    for d, upper, lows in blocks:
+        high = [facts(v, i) for i, v in enumerate(upper, 2)][::-1]
+        top, bottom = ("".join(x[j] for x in high) for j in (0, 1))
+        mark = _subscript(d)
+        for v in lows:
+            t, b = facts(v, 1)
+            # An empty row shows as two spaces between its brackets and the slash.
+            yield f"( {top + t or ' '}/ {bottom + b or ' '}){mark}"
 
 
 def format_symbol(s: KMarkedSymbol | DurfeeSymbol) -> str:
@@ -218,4 +179,4 @@ def format_symbol(s: KMarkedSymbol | DurfeeSymbol) -> str:
         top = " ".join(str(x) for x in s.alpha)
         bottom = " ".join(str(x) for x in s.beta)
         return f"( {top} / {bottom} ){_subscript(s.d)}"
-    return next(display_lines((s,)))
+    return next(display_lines(_block(s)))

@@ -201,6 +201,14 @@ def test_map_non_json_input(capsys, monkeypatch):
     assert_usage_error(*run_cli(capsys, "map", "--map", "theta", "--p", "1"))
 
 
+def test_map_deeply_nested_json_is_usage_error(capsys, monkeypatch):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting.
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200000))
+    code, out, err = run_cli(capsys, "map", "--map", "phi")
+    assert_usage_error(code, out, err)
+    assert err.startswith("error: document is not JSON")
+
+
 def test_map_document_without_flavor(tmp_path, capsys):
     doc = json.loads(render(ETA))
     del doc["flavor"]
@@ -293,6 +301,19 @@ GOLDEN_ENUMERATE = [
 def test_enumerate_output_is_byte_identical(capsys, argv, expected):
     code, out, _ = run_cli(capsys, "enumerate", *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected
+
+
+def test_enumerate_single_vector_edge(capsys):
+    # The one vector of k = 1 is vector 1 and vector k at once; at n = 1 both
+    # of its rows are empty.
+    pretty = run_cli(capsys, "enumerate", "--n", "1", "--k", "1", "--pretty")
+    assert pretty == (0, "(  /  )₁\n", "")
+    assert run_cli(capsys, "enumerate", "--n", "1", "--k", "1", "--flavor", "odd") == (
+        0,
+        '{"flavor": "odd", "d": 0, "vectors": [{"alpha": [], "beta": []}], '
+        '"derived": {"weight": 1, "ranks": [0], "balanced_numbers": [0]}}\n',
+        "",
+    )
 
 
 def _map_inputs() -> dict:

@@ -13,6 +13,7 @@ from durfee.moments import (
     symmetrized_moment,
 )
 from durfee.partitions import rank_distribution
+from durfee.qseries import odd_rank_gf, rank_gf
 from durfee.symbols import Flavor, durfee_rank_distribution
 
 
@@ -96,6 +97,14 @@ def test_rank_counts_from_the_series_match_enumeration():
         assert _flavor_distribution(n, Flavor.ODD) == durfee_rank_distribution(n, Flavor.ODD), n
     with pytest.raises(ValueError, match="weight must be nonnegative"):
         symmetrized_moment(2, -1)
+
+
+def test_rank_counts_match_the_rank_series():
+    # _flavor_distribution reads the numerators, not the series themselves.
+    for flavor, series in ((Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)):
+        for m in range(-60, 61):
+            coeffs = series(m, 60).coeffs
+            assert [_flavor_distribution(n, flavor).get(m, 0) for n in range(61)] == coeffs, m
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from durfee.marked import KMarkedSymbol, PartitionPair, enumerate_kmarked
+from durfee.marked import KMarkedSymbol, PartitionPair, _blocks, enumerate_kmarked
 from durfee.serialize import (
     display_lines,
     document_lines,
@@ -135,15 +135,38 @@ def test_json_documents_are_valid_json():
     assert json.loads(text)["d"] == 5
 
 
-def _corpus(k, flavor):
-    return [s for n in range(11) for s in enumerate_kmarked(n, k, flavor)]
+def _corpus_blocks(k, flavor):
+    return [b for n in range(11) for b in _blocks(n, k, flavor)]
+
+
+def _symbols(blocks, flavor=Flavor.ORDINARY):
+    return [KMarkedSymbol((v, *upper), d, flavor) for d, upper, lows in blocks for v in lows]
+
+
+def _mark(i):
+    return str(i).translate(str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉"))
+
+
+def _display(s):
+    """The display of a k-marked symbol, built entry by entry: vector k
+    leftmost, each entry followed by its vector index as a subscript."""
+    k = len(s.vectors)
+    top, bottom = (
+        " ".join(f"{x}{_mark(i)}" for i in range(k, 0, -1) for x in s.vectors[i - 1][row])
+        for row in (0, 1)
+    )
+    return f"( {top} / {bottom} ){_mark(s.d)}"
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_document_lines_match_json_dumps(k, flavor):
-    corpus = _corpus(k, flavor)
-    lines = list(document_lines(corpus))
+    # One call over every block of weight <= 10: subscript and weight change
+    # between blocks.
+    blocks = _corpus_blocks(k, flavor)
+    corpus = _symbols(blocks, flavor)
+    assert corpus == [s for n in range(11) for s in enumerate_kmarked(n, k, flavor)]
+    lines = list(document_lines(blocks, flavor))
     assert len(lines) == len(corpus)
     for s, line in zip(corpus, lines):
         assert line == json.dumps(symbol_to_document(s))
@@ -167,67 +190,49 @@ GOLDEN_DISPLAY = {
 
 @pytest.mark.parametrize("flavor, k", sorted(GOLDEN_DISPLAY))
 def test_display_lines_are_pinned(flavor, k):
-    corpus = _corpus(k, Flavor(flavor))
-    lines = list(display_lines(corpus))
-    assert lines == [format_symbol(s) for s in corpus]
+    blocks = _corpus_blocks(k, Flavor(flavor))
+    lines = list(display_lines(blocks))
+    assert lines == [_display(s) for s in _symbols(blocks)]
     digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
     assert (len(lines), digest) == GOLDEN_DISPLAY[flavor, k]
 
 
-def test_line_writers_follow_changes_of_k_flavor_and_subscript():
-    # Each symbol differs from the one before in k, flavor or subscript, so
-    # every remembered vector fact must be refreshed or reset correctly.
-    odd = next(enumerate_kmarked(9, 2, Flavor.ODD))
-    mixed = [
-        SYM55,
-        DurfeeSymbol((2, 1), (1,), 2),
-        odd,
-        KMarkedSymbol(odd.vectors, odd.d),  # only the flavor changes
-        SYM55,
-        KMarkedSymbol(SYM55.vectors, 6),  # only the subscript changes
-        *enumerate_kmarked(6, 2),
-        KMarkedSymbol((PartitionPair((), ()),), 1),
-    ]
-    assert list(document_lines(mixed)) == [json.dumps(symbol_to_document(s)) for s in mixed]
-    assert [render(s, indent=None) for s in mixed] == list(document_lines(mixed))
-    marked = [s for s in mixed if isinstance(s, KMarkedSymbol)]
-    assert list(display_lines(marked)) == [format_symbol(s) for s in marked]
+def _assert_writers_match_one_symbol_forms(blocks, flavor):
+    symbols = _symbols(blocks, flavor)
+    documents = [json.dumps(symbol_to_document(s)) for s in symbols]
+    assert list(document_lines(blocks, flavor)) == documents
+    assert list(display_lines(blocks)) == [_display(s) for s in symbols]
+
+
+def test_line_writers_follow_a_change_of_subscript():
+    # The same vectors under subscripts 5 and 6: the head, the frame weight
+    # and the display mark follow the block, the vector facts stay.
+    v1, *upper = SYM55.vectors
+    blocks = [(5, tuple(upper), [v1]), (6, tuple(upper), [v1]), (5, tuple(upper), (v1,))]
+    _assert_writers_match_one_symbol_forms(blocks, Flavor.ORDINARY)
+    lines = document_lines(blocks, Flavor.ORDINARY)
+    assert [json.loads(line)["derived"]["weight"] for line in lines] == [55, 66, 55]
     assert format_symbol(KMarkedSymbol((PartitionPair((), ()),), 1)) == "(  /  )₁"
-
-
-def _assert_writers_match_one_symbol_forms(stream):
-    assert list(document_lines(stream)) == [json.dumps(symbol_to_document(s)) for s in stream]
-    marked = [s for s in stream if isinstance(s, KMarkedSymbol)]
-    assert list(display_lines(marked)) == [format_symbol(s) for s in marked]
 
 
 def test_line_writers_keep_vector_facts_apart_by_index():
     # V has a balanced bottom part, so its rank and balanced count below k
     # (-1, 1) differ from those at index k (0, 0), and its display fragments
-    # differ between indices.  V recurs below k and at k, at several
-    # indices, not only on consecutive lines, and across changes of k and
-    # flavor.
+    # differ between indices.  V recurs below k and at k, within one call.
     V, W = PartitionPair((1,), (1,)), PartitionPair((1,), ())
-    below = KMarkedSymbol((V, W), 1)
-    stream = [
-        below,
-        KMarkedSymbol((W, V), 1),  # V moves from index 1 to index k
-        DurfeeSymbol((1,), (1,), 1),  # V at index k = 1
-        KMarkedSymbol((V, V, V), 0, Flavor.ODD),  # V at every index, k = 3
-        KMarkedSymbol((W, W, V), 0, Flavor.ODD),
-        below,
-        KMarkedSymbol((V,), 1),
-        KMarkedSymbol((V, W, V), 0, Flavor.ODD),
-        *enumerate_kmarked(5, 3),
-        below,
-    ]
-    _assert_writers_match_one_symbol_forms(stream)
-    derived = [json.loads(line)["derived"] for line in document_lines(stream[:2])]
+    blocks = [(1, (W,), [V]), (1, (V,), [W, V]), (0, (V, V), [V, W]), (0, (W, V), [V])]
+    for flavor in Flavor:
+        _assert_writers_match_one_symbol_forms(blocks, flavor)
+    derived = [json.loads(line)["derived"] for line in document_lines(blocks[:2], Flavor.ORDINARY)]
     assert [(x["ranks"], x["balanced_numbers"]) for x in derived] == [
         ([-1, 1], [1, 0]),
         ([0, 0], [0, 0]),
+        ([-1, 0], [1, 0]),
     ]
-    assert list(display_lines(stream[3:4])) == ["( 1₃ 1₂ 1₁ / 1₃ 1₂ 1₁ )₀"]
+    assert list(display_lines(blocks[2:3])) == [
+        "( 1₃ 1₂ 1₁ / 1₃ 1₂ 1₁ )₀",
+        "( 1₃ 1₂ 1₁ / 1₃ 1₂ )₀",
+    ]
 
 
 MIXED_CORPUS = [
@@ -245,5 +250,9 @@ MIXED_CORPUS = [
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(MIXED_CORPUS), min_size=1, max_size=80))
 def test_line_writers_on_shuffled_mixed_streams(stream):
-    # Draws repeat symbols and mix flavors, k and plain symbols in any order.
-    _assert_writers_match_one_symbol_forms(stream)
+    # The one-symbol forms of the writers, over draws that repeat symbols and
+    # mix flavors, k and plain symbols.
+    for s in stream:
+        assert render(s, indent=None) == json.dumps(symbol_to_document(s))
+        if isinstance(s, KMarkedSymbol):
+            assert format_symbol(s) == _display(s)
