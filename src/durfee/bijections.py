@@ -12,23 +12,24 @@ Four families of maps live here, each with its inverse:
   vector-wise lift of the previous pair of maps (vector k untouched);
 * :func:`flip_rank` - negate one coordinate of the rank vector.
 
-Each stage is one private core over a list of :class:`PartitionPair`
-vectors (flip, lift, merge, split, drop-back, and the one-pass top-part
-labels); the public maps are thin wrappers that check their arguments and
-build the symbol.  :func:`permuted_images` composes the cores to realize
-arbitrary permutations of the rank vector: it lifts a symbol once (flip the
-negative ranks, transfer the balanced parts, merge) and rebuilds one image
-per permutation (split, drop back, flip back); :func:`permute_ranks` is its
-one-permutation case.  Every stage preserves validity: rank flips and
-balanced transfers rearrange entries within one vector, so the whole-vector
-interlacing bounds never move.
+Each stage is one private core (flip, raise, lower, merge, cut, and the
+one-pass top-part labels); the public maps are thin wrappers that check
+their arguments and build the symbol.  :func:`permuted_images` composes the
+cores to realize arbitrary permutations of the rank vector: it lifts a
+symbol once (raise every vector below k: flip a negative rank, then transfer
+the balanced parts; merge) and rebuilds one image per permutation (cut,
+then lower every vector below k: drop back, then flip back);
+:func:`permute_ranks` is its one-permutation case.  Every stage preserves
+validity: rank flips and balanced transfers rearrange entries within one
+vector, so the whole-vector interlacing bounds never move.
 
-The three per-vector stages are pure functions of one immutable pair, and
-a corpus holds few distinct vectors, so they are memoized: the flip of a
-vector below k, the lift of one vector with its balanced count, and the
-drop of ``r`` top parts.  Their guards raise on every call, since an
-exception is not cached.  Merge and split read the whole symbol and stay
-uncached.
+Raise, lower, merge and cut are pure functions of immutable tuples, and a
+corpus holds few distinct keys, so each is memoized in a least-recently-used
+cache of constant size: raise and lower per vector, merge per lifted vector
+tuple, and the cut per merged rows and rank targets, whose keys recur across
+a lifted symbol's sign and balanced-number variants.  Every guard raises on
+every call, since an exception is not cached, and every cached value is a
+tuple, so no caller can change what a later call returns.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ from typing import Iterable, Iterator, Sequence
 from .marked import KMarkedSymbol, PartitionPair, balanced_parts, is_strict_shifted_pair
 from .symbols import DurfeeSymbol
 
+#: Entries of each stage memo: above the keys the verify corpora reuse, and bounded.
+_MEMO_SIZE = 512
 
-@lru_cache(maxsize=None)
+
 def _flip_pair(pair: PartitionPair) -> PartitionPair:
     """Flip of a vector below k with a top part: the bottom row joins the
     largest top part as the new top, the rest of the old top is the bottom."""
@@ -48,22 +51,12 @@ def _flip_pair(pair: PartitionPair) -> PartitionPair:
     return PartitionPair(tuple(sorted(beta + alpha[:1], reverse=True)), alpha[1:])
 
 
-def _flip(vecs: list[PartitionPair], p: int) -> None:
-    """Negate the p-th rank of ``vecs`` in place (1 <= p <= len(vecs))."""
-    alpha, beta = vecs[p - 1]
-    if p == len(vecs):
-        vecs[p - 1] = PartitionPair(beta, alpha)
-        return
-    if not alpha:
-        raise ValueError(f"vector {p} has no top part")
-    vecs[p - 1] = _flip_pair(vecs[p - 1])
-
-
-@lru_cache(maxsize=None)
-def _lift_pair(pair: PartitionPair) -> tuple[PartitionPair, int]:
-    """Move the balanced bottom parts into the top row; return the lifted
-    pair and the number of parts moved."""
-    alpha, beta = pair
+@lru_cache(maxsize=_MEMO_SIZE)
+def _raise(pair: PartitionPair, negated: bool) -> tuple[PartitionPair, int]:
+    """Flip a vector below k when ``negated`` (its top row is nonempty), then
+    move its balanced bottom parts into the top row; return the lifted pair
+    and the number of parts moved.  A flipped pair always passes the guard."""
+    alpha, beta = pair = _flip_pair(pair) if negated else pair
     if beta and (not alpha or beta[0] > alpha[0]):
         raise ValueError("largest bottom part exceeds largest top part")
     bal = balanced_parts(pair)
@@ -72,18 +65,25 @@ def _lift_pair(pair: PartitionPair) -> tuple[PartitionPair, int]:
     return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept), len(bal)
 
 
-def _lift(vecs: list[PartitionPair]) -> tuple[int, ...]:
-    """Lift vectors 1 .. k-1 in place; return the balanced numbers (t_k = 0)."""
+def _lift(vecs: list[PartitionPair], neg: Sequence[bool]) -> tuple[int, ...]:
+    """Raise vectors 1 .. k-1 in place, every flip's guard first, and swap the
+    rows of vector k, flipping where ``neg`` is set; return t (t_k = 0)."""
+    for i in range(len(vecs) - 1):
+        if neg[i] and not vecs[i].alpha:
+            raise ValueError(f"vector {i + 1} has no top part")
     t = []
     for i in range(len(vecs) - 1):
-        vecs[i], r = _lift_pair(vecs[i])
+        vecs[i], r = _raise(vecs[i], neg[i])
         t.append(r)
     t.append(0)
+    if vecs and neg[-1]:  # the flip of vector k swaps its rows
+        vecs[-1] = PartitionPair(*vecs[-1][::-1])
     return tuple(t)
 
 
-def _merge(vecs: Sequence[PartitionPair]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """All top rows and all bottom rows of a strict shifted vector list."""
+@lru_cache(maxsize=_MEMO_SIZE)
+def _merge(vecs: tuple[PartitionPair, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """All top rows and all bottom rows of a strict shifted vector tuple."""
     if not all(is_strict_shifted_pair(v) for v in vecs[:-1]):
         raise ValueError("not strict shifted")
     gamma = tuple(sorted((x for v in vecs for x in v.alpha), reverse=True))
@@ -113,7 +113,8 @@ def _split_point(gamma: tuple, delta: tuple, m: int, extra: int) -> int:
     return 0
 
 
-def _split(gamma: tuple, delta: tuple, m: Sequence[int]) -> list[PartitionPair]:
+@lru_cache(maxsize=_MEMO_SIZE)
+def _cut(gamma: tuple, delta: tuple, m: tuple[int, ...]) -> tuple[PartitionPair, ...]:
     """Cut vectors k, k-1, ..., 2 off the front of the merged rows for the
     checked rank targets ``m``; what is left is vector 1."""
     k = len(m)
@@ -125,7 +126,7 @@ def _split(gamma: tuple, delta: tuple, m: Sequence[int]) -> list[PartitionPair]:
         vecs[i - 1] = PartitionPair(gamma[:take], delta[:j])
         gamma, delta = gamma[take:], delta[j:]
     vecs[0] = PartitionPair(gamma, delta)
-    return vecs
+    return tuple(vecs)
 
 
 def _labels(alpha: tuple, beta: tuple) -> list[int]:
@@ -160,30 +161,35 @@ def _require_strict_shifted(pair: PartitionPair) -> None:
         raise ValueError("not strict shifted")
 
 
-@lru_cache(maxsize=None)
-def _drop_pair(pair: PartitionPair, r: int) -> PartitionPair:
-    """Move ``r`` top parts back down, the smallest with each label 0 .. r-1."""
+@lru_cache(maxsize=_MEMO_SIZE)
+def _lower(pair: PartitionPair, r: int, negated: bool) -> PartitionPair:
+    """Move ``r`` top parts back down, the smallest with each label 0 .. r-1,
+    then flip when ``negated``.  The drop leaves more top parts than bottom
+    parts, so the flip always finds a top part."""
     _require_strict_shifted(pair)
     if r < 0:
         raise ValueError("r must be nonnegative")
     alpha, beta = pair
     if r > 0 and len(alpha) - len(beta) - 1 < r:
         raise ValueError("insufficient length difference")
-    if r == 0:
-        return pair
-    moved_idx = set(_label_min_indices(pair)[:r])
-    new_alpha = tuple(a for i, a in enumerate(alpha) if i not in moved_idx)
-    new_beta = tuple(sorted(beta + tuple(alpha[i] for i in moved_idx), reverse=True))
-    return PartitionPair(new_alpha, new_beta)
+    if r > 0:
+        moved_idx = set(_label_min_indices(pair)[:r])
+        new_alpha = tuple(a for i, a in enumerate(alpha) if i not in moved_idx)
+        new_beta = tuple(sorted(beta + tuple(alpha[i] for i in moved_idx), reverse=True))
+        pair = PartitionPair(new_alpha, new_beta)
+    return _flip_pair(pair) if negated else pair
 
 
-def _drop(vecs: list[PartitionPair], t: Sequence[int]) -> None:
-    """Drop vectors 1 .. k-1 in place by the balanced numbers ``t``."""
+def _drop(vecs: list[PartitionPair], t: Sequence[int], neg: Sequence[bool]) -> None:
+    """Lower vectors 1 .. k-1 in place by the balanced numbers ``t`` and swap
+    the rows of vector k, flipping where ``neg`` is set."""
     for i in range(len(vecs) - 1):
         try:
-            vecs[i] = _drop_pair(vecs[i], t[i])
+            vecs[i] = _lower(vecs[i], t[i], neg[i])
         except ValueError as exc:
             raise ValueError(f"vector {i + 1}: {exc}") from None
+    if vecs and neg[-1]:  # the flip of vector k swaps its rows
+        vecs[-1] = PartitionPair(*vecs[-1][::-1])
 
 
 def merge_marks(s: KMarkedSymbol) -> DurfeeSymbol:
@@ -206,7 +212,7 @@ def split_marks(ds: DurfeeSymbol, targets: Sequence[int]) -> KMarkedSymbol:
     """
     m = tuple(targets)
     _check_targets(ds.rank, m)
-    return KMarkedSymbol(tuple(_split(ds.alpha, ds.beta, m)), ds.d, ds.flavor)
+    return KMarkedSymbol(_cut(ds.alpha, ds.beta, m), ds.d, ds.flavor)
 
 
 def subscripts(pair: PartitionPair) -> tuple[int, ...]:
@@ -235,7 +241,7 @@ def to_strict_shifted(pair: PartitionPair) -> PartitionPair:
     strict shifted and its length difference grows by twice the number of
     balanced parts.
     """
-    return _lift_pair(pair)[0]
+    return _raise(pair, False)[0]
 
 
 def from_strict_shifted(pair: PartitionPair, r: int) -> PartitionPair:
@@ -247,7 +253,7 @@ def from_strict_shifted(pair: PartitionPair, r: int) -> PartitionPair:
     the resulting difference may well be negative (a pair whose bottom row
     is entirely balanced inverts through here).
     """
-    return _drop_pair(pair, r)
+    return _lower(pair, r, False)
 
 
 def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
@@ -256,7 +262,7 @@ def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
     The i-th rank grows by twice the i-th balanced number for i < k.
     """
     vecs = list(s.vectors)
-    _lift(vecs)
+    _lift(vecs, (False,) * s.k)
     return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
 
 
@@ -269,7 +275,7 @@ def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSym
     if t[-1] != 0:
         raise ValueError("the k-th balanced number is 0 by definition")
     vecs = list(s.vectors)
-    _drop(vecs, t)
+    _drop(vecs, t, (False,) * s.k)
     return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
 
 
@@ -283,7 +289,12 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
     if not 1 <= p <= s.k:
         raise ValueError(f"vector index {p} out of range 1..{s.k}")
     vecs = list(s.vectors)
-    _flip(vecs, p)
+    if p == s.k:
+        vecs[p - 1] = PartitionPair(*vecs[p - 1][::-1])
+    elif not vecs[p - 1].alpha:
+        raise ValueError(f"vector {p} has no top part")
+    else:
+        vecs[p - 1] = _flip_pair(vecs[p - 1])
     return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
 
 
@@ -302,26 +313,21 @@ def permuted_images(
     """
     k = s.k
     perms = [tuple(perm) for perm in perms]
+    ids = list(range(1, k + 1))
     for perm in perms:
-        if sorted(perm) != list(range(1, k + 1)):
+        if sorted(perm) != ids:
             raise ValueError("perm must be a permutation of 1..k")
     m = s.ranks
+    neg = [x < 0 for x in m]
     vecs = list(s.vectors)
-    for i in range(1, k + 1):
-        if m[i - 1] < 0:
-            _flip(vecs, i)
-    t = _lift(vecs)
-    gamma, delta = _merge(vecs)
+    t = _lift(vecs, neg)
+    gamma, delta = _merge(tuple(vecs))
+    if not k:  # else the targets are the lifted ranks, which always pass the check
+        _check_targets(0, ())
     mags = [abs(x) for x in m]
-    # a permutation only reorders the magnitudes, so one check covers them all
-    _check_targets(len(gamma) - len(delta), tuple(x + 2 * y for x, y in zip(mags, t)))
     for perm in perms:
-        targets = [mags[perm[i] - 1] + 2 * t[i] for i in range(k)]
-        rebuilt = _split(gamma, delta, targets)
-        _drop(rebuilt, t)
-        for i in range(1, k + 1):
-            if m[perm[i - 1] - 1] < 0:
-                _flip(rebuilt, i)
+        rebuilt = list(_cut(gamma, delta, tuple([mags[p - 1] + 2 * y for p, y in zip(perm, t)])))
+        _drop(rebuilt, t, [neg[p - 1] for p in perm])
         yield KMarkedSymbol(tuple(rebuilt), s.d, s.flavor)
 
 

@@ -7,7 +7,9 @@ detail string per counterexample and nothing else.  ``_check`` registers it
 in :data:`CHECKS` under a name, with a bound description and data parameters
 (a flavor, a route name), so one generator can serve several names.  The one
 driver that ``_check`` builds makes every report row: PASS when the generator
-yields nothing, else FAIL with ``counterexample: `` and the first detail.
+yields nothing, else FAIL with ``counterexample: `` and the first detail, or
+``raised ValueError: `` and its message if the generator raised one.  A check
+that rejects its bounds raises when called instead: a usage error.
 Checks look library routines up on their modules as they run, so a patched
 or traced routine is the one called.
 """
@@ -16,10 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bijections, marked, moments, qseries
-from .marked import PartitionPair, enumerate_kmarked, kmarked_rank_distribution
+from .marked import KMarkedSymbol, PartitionPair, enumerate_kmarked, kmarked_rank_distribution
 from .partitions import MAX_WEIGHT, count_rank, enumerate_partitions, rank_distribution
 from .symbols import (
     Flavor, Record, count_durfee_rank, durfee_rank_distribution, enumerate_durfee, set_field
@@ -69,7 +72,11 @@ def _check(name: str, bound: Callable[[Bounds], str], **params):
     stacked registrations apply bottom-up, so the lowest enters CHECKS first."""
     def register(gen: Callable[..., Iterator[str]]):
         def run(b: Bounds) -> CheckResult:
-            detail = next(gen(b, **params), None)
+            details = gen(b, **params)  # a check that rejects its bounds raises here
+            try:
+                detail = next(details, None)
+            except ValueError as exc:
+                detail = f"raised ValueError: {exc}"
             if detail is None:
                 return CheckResult(name, bound(b), True)
             return CheckResult(name, bound(b), False, "counterexample: " + detail)
@@ -146,25 +153,33 @@ def _rank_symmetry_tables(b: Bounds):
 @_check("permute-corpus", lambda b: f"{_k_and_n(b)}, transpositions")
 def _permute_corpus(b: Bounds):
     """The composite rank-permuting map is a bijection of each corpus onto
-    itself, realizing every transposition.  Each symbol is lifted once for
-    all transpositions; one byte per corpus member and transposition records
+    itself, realizing every transposition.  A corpus is its vector tuples
+    (which fix the subscript at one weight) mapped to their positions, and a
+    subscript byte each; a symbol is built only to be mapped, and lifted once
+    for all transpositions.  One byte per member and transposition records
     the images met so far."""
     for k in b.ks():
         transpositions = [
             tuple({i: j, j: i}.get(p, p) for p in range(1, k + 1))
             for i, j in combinations(range(1, k + 1), 2)
         ]
+        permuted = [itemgetter(*(p - 1 for p in perm)) for perm in transpositions]
         for n in range(b.max_n + 1):
-            index = {s: i for i, s in enumerate(enumerate_kmarked(n, k))}
+            index: dict[tuple[PartitionPair, ...], int] = {}
+            subscripts = bytearray()
+            for s in enumerate_kmarked(n, k):
+                index[s.vectors] = len(subscripts)
+                subscripts.append(s.d)
             seen = [bytearray(len(index)) for _ in transpositions]
-            for s in index:
+            for vectors, d in zip(index, subscripts):
+                s = KMarkedSymbol(vectors, d)
                 ranks = s.ranks
                 images = bijections.permuted_images(s, transpositions)
-                for perm, hit, im in zip(transpositions, seen, images):
-                    if im.ranks != tuple(ranks[p - 1] for p in perm):
+                for perm, want, hit, im in zip(transpositions, permuted, seen, images):
+                    if im.ranks != want(ranks):
                         yield f"n={n} k={k} perm={perm} ranks {ranks} -> {im.ranks}"
-                    j = index.get(im)
-                    if j is None or hit[j]:
+                    j = index.get(im.vectors)
+                    if j is None or subscripts[j] != im.d or im.flavor is not s.flavor or hit[j]:
                         yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
                     else:
                         hit[j] = 1
@@ -193,23 +208,26 @@ def _solution_count(b: Bounds):
                 yield f"n={n} k={k} closed={closed} brute={brute}"
 
 
-@_check("partial-fractions-odd", _series_bound, flavor=Flavor.ODD, route="partial")
-@_check("partial-fractions-ordinary", _series_bound, flavor=Flavor.ORDINARY, route="partial")
+@_check("partial-fractions-odd", _series_bound, flavor=Flavor.ODD, route="partial_fractions")
+@_check(
+    "partial-fractions-ordinary", _series_bound, flavor=Flavor.ORDINARY, route="partial_fractions"
+)
 @_check("product-form-odd", _series_bound, flavor=Flavor.ODD, route="product")
 @_check("product-form-ordinary", _series_bound, flavor=Flavor.ORDINARY, route="product")
 def _marked_series(b: Bounds, flavor: Flavor, route: str):
-    """The marked rank series against its product or partial-fraction form."""
+    """The marked rank series against its product or partial-fraction form,
+    which runs at order 0 first: a point it cannot take is a usage error."""
+    form = getattr(qseries, f"marked_rank_gf_{route}")
     for k in b.ks():
-        xs = b.x[:k]
-        lhs = qseries.marked_rank_gf(xs, k, b.order, flavor)
-        if route == "product":
-            rhs = qseries.marked_rank_gf_product(xs, k, b.order, flavor)
-        else:
-            rhs = qseries.marked_rank_gf_partial_fractions(xs, k, b.order, flavor)
-        if lhs != rhs:
-            for n in range(b.order + 1):
-                if lhs[n] != rhs[n]:
-                    yield f"k={k} coefficient of q^{n}: {lhs[n]} vs {rhs[n]}"
+        form(b.x[:k], k, 0, flavor)
+    return (
+        f"k={k} coefficient of q^{n}: {lhs[n]} vs {rhs[n]}"
+        for k in b.ks()
+        for lhs, rhs in [(qseries.marked_rank_gf(b.x[:k], k, b.order, flavor),
+                          form(b.x[:k], k, b.order, flavor))]
+        for n in range(b.order + 1)
+        if lhs[n] != rhs[n]
+    )
 
 
 @_check("odd-rank-gf", lambda b: f"|m| <= 6, n <= {b.max_n}", flavor=Flavor.ODD)

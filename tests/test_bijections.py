@@ -271,6 +271,8 @@ def test_strict_shifted_counts_are_plain_rank_counts():
 
 NOT_SHIFTED = PartitionPair((2, 2), (2,))
 TWO_ONES = KMarkedSymbol((PartitionPair((1,), ()), PartitionPair((1,), ())), 1)
+NO_TOP = PartitionPair((), (1,))  # a vector below k of rank -2 with nothing to flip
+TOO_LOW = PartitionPair((1, 1), (2,))  # a vector below k of rank 0 that cannot lift
 
 
 # the error cases that the example tests above do not already cover
@@ -287,10 +289,25 @@ TWO_ONES = KMarkedSymbol((PartitionPair((1,), ()), PartitionPair((1,), ())), 1)
          "vector 1 has no top part"),
         (lambda: from_strict_shifted(NOT_SHIFTED, 1), "not strict shifted"),
         (lambda: to_strict_shifted(PartitionPair((2,), (3,))), "largest bottom part exceeds"),
+        # the composite names the vector whose flip fails, and every flip
+        # precedes every lift, so a later vector's flip error comes first
+        (lambda: permute_ranks(
+            KMarkedSymbol((PartitionPair((1,), ()), NO_TOP, PartitionPair((3,), ())), 3), (2, 1, 3)),
+         "^vector 2 has no top part$"),
+        (lambda: permute_ranks(KMarkedSymbol((NO_TOP, PartitionPair((1,), ())), 1), (2, 1)),
+         "^vector 1 has no top part$"),
+        (lambda: permute_ranks(
+            KMarkedSymbol((TOO_LOW, NO_TOP, PartitionPair((3,), ())), 3), (1, 2, 3)),
+         "^vector 2 has no top part$"),
+        (lambda: permute_ranks(KMarkedSymbol((TOO_LOW, PartitionPair((2,), ())), 2), (2, 1)),
+         "^largest bottom part exceeds largest top part$"),
+        (lambda: permute_ranks(KMarkedSymbol((), 1), ()), "^need at least one rank target$"),
     ],
     ids=[
         "split-no-targets", "from-negative-r", "subscripts-not-shifted", "minima-not-shifted",
         "flip-p-low", "flip-p-high", "flip-no-top-part", "from-not-shifted", "to-oversized-bottom",
+        "permute-no-top-part", "permute-no-top-part-first", "permute-flip-before-lift",
+        "permute-oversized-bottom", "permute-no-vectors",
     ],
 )
 def test_public_maps_keep_their_errors(call, match):
@@ -325,8 +342,8 @@ def test_permute_ranks_images_are_pinned():
     assert got == PINNED_IMAGES
 
 
-# the per-vector stage cores that keep their results across calls
-STAGE_CACHES = (bijections._flip_pair, bijections._lift_pair, bijections._drop_pair)
+# the memoized stage cores: raise and lower per vector, merge and cut per symbol
+STAGE_CACHES = (bijections._raise, bijections._lower, bijections._merge, bijections._cut)
 
 
 def _stage_results():
@@ -366,8 +383,14 @@ def _immutable(x) -> bool:
 def test_stage_caches_hold_tuples():
     for n in range(9):
         for s in enumerate_kmarked(n, 3):
-            for pair in s.vectors[:-1]:
-                lifted, r = bijections._lift_pair(pair)
+            for pair, negated in zip(s.vectors[:-1], (False, True)):
+                lifted, r = bijections._raise(pair, negated)
                 assert type(r) is int
-                for image in (bijections._flip_pair(pair), lifted, bijections._drop_pair(lifted, r)):
+                for image in (lifted, bijections._lower(lifted, r, negated)):
                     assert type(image) is PartitionPair and _immutable(image)
+            if is_strict_shifted_symbol(s) and min(s.ranks) >= 0:
+                gamma, delta = bijections._merge(s.vectors)
+                assert _immutable(gamma) and _immutable(delta)
+                cut = bijections._cut(gamma, delta, s.ranks)
+                assert type(cut) is tuple and all(type(v) is PartitionPair for v in cut)
+                assert _immutable(cut)

@@ -435,6 +435,32 @@ def test_permute_corpus_fails_on_a_repeated_image(capsys, monkeypatch):
     assert rows == GOLDEN_PHI_PASS
 
 
+def test_permute_corpus_fails_on_a_wrong_subscript(capsys, monkeypatch):
+    # The right vectors under the next subscript: the vectors alone are found
+    # in the corpus index, so the subscript must be compared as well.
+    original = bijections.permuted_images
+
+    def shifted(s, perms):
+        return [KMarkedSymbol(im.vectors, im.d + 1) for im in original(s, perms)]
+
+    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, shifted)
+    fail = rows.pop("permute-corpus").split("\t")
+    assert fail[2] == "FAIL" and "image not fresh member" in fail[3]
+    assert rows == GOLDEN_PHI_PASS
+
+
+def test_a_raising_check_is_its_own_fail_row(capsys, monkeypatch):
+    # A library ValueError inside one check is that check's FAIL row, the
+    # other checks still report, and the run exits 1, not 2.
+    def raising(s, perms):
+        raise ValueError("vector 1: not strict shifted")
+
+    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, raising)
+    fail = rows.pop("permute-corpus").split("\t")
+    assert fail[2:] == ["FAIL", "counterexample: raised ValueError: vector 1: not strict shifted"]
+    assert rows == GOLDEN_PHI_PASS
+
+
 def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
     def unpermuted(s, perms):
         return [s for _ in perms]
