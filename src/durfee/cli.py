@@ -142,6 +142,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_unread(args: argparse.Namespace, name: str, flags: Iterable[str], read: tuple) -> None:
+    """Reject the first of ``flags`` given although ``name`` reads only ``read``."""
+    for flag in flags:
+        if flag not in read and getattr(args, flag) is not None:
+            raise ValueError(f"{name} takes no --{flag}")
+
+
 # --map name -> (the flag it needs, or None; its function in ``bijections``)
 _MAPS = {
     "phi": (None, "merge_marks"),
@@ -163,9 +170,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
     name = args.map
     param, function = _MAPS[name]
-    for flag in ("ranks", "t", "p", "perm"):
-        if flag != param and getattr(args, flag) is not None:
-            raise ValueError(f"{name} takes no --{flag}")
+    _refuse_unread(args, name, ("ranks", "t", "p", "perm"), (param,))
     s = document_to_symbol(_load_document(args.input))
     extra = () if param is None else (getattr(args, param),)
     if None in extra:
@@ -189,9 +194,10 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import Bounds, run_suite
 
-    _check_size("order", args.order)
-    bounds = Bounds(max_n=args.max_n, max_k=args.max_k, order=args.order, x=args.x)
-    results = run_suite(args.suite, bounds)
+    # Bounds holds the defaults: pass on only the flags that were given.
+    given = {key: v for key in Bounds.__match_args__ if (v := getattr(args, key)) is not None}
+    _check_size("order", given.get("order", 0))
+    results = run_suite(args.suite, Bounds(**given))
     print("check\tbound\tstatus\tdetail")
     failed = 0
     for r in results:
@@ -230,9 +236,7 @@ _SERIES = {
 def cmd_series(args: argparse.Namespace) -> int:
     _check_size("order", args.order)
     flags, build = _SERIES[args.gf]
-    for flag in ("m", "x", "flavor"):
-        if flag not in flags and getattr(args, flag) is not None:
-            raise ValueError(f"{args.gf} takes no --{flag}")
+    _refuse_unread(args, args.gf, ("m", "x", "flavor"), flags)
     series = build(args)
     print("n\tcoefficient")
     for n, c in enumerate(series.coeffs):
@@ -278,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity-verification suites")
     p.add_argument("--suite", default="all", help="suite name (default all)")
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--max-k", type=int, default=3)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--x", type=_fraction_list, default=(Fraction(2), Fraction(3), Fraction(5)))
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--max-k", type=int)
+    p.add_argument("--order", type=int)
+    p.add_argument("--x", type=_fraction_list)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("series", help="print series coefficients")

@@ -68,14 +68,6 @@ class KMarkedSymbol(Record):
         set_field(self, "d", d)
         set_field(self, "flavor", flavor)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.vectors, self.d, self.flavor) == (other.vectors, other.d, other.flavor)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.vectors, self.d, self.flavor))
-
     @property
     def k(self) -> int:
         return len(self.vectors)

@@ -6,8 +6,8 @@ A symbol document lists vectors from index 1 upward::
      "vectors": [{"alpha": [2], "beta": [2]}, ...],
      "derived": {"weight": 55, "ranks": [-1, 0, 1], "balanced_numbers": [1, 2, 0]}}
 
-The ``derived`` block is recomputed on output and ignored (but each of its
-fields cross-checked when present) on input, so documents round-trip
+The ``derived`` block is recomputed on output and ignored (but each field
+present cross-checked, as JSON integers) on input, so documents round-trip
 losslessly.  Input must satisfy the marking conditions of
 :func:`durfee.marked.validate`.  Plain two-row symbols are carried as
 one-vector documents.
@@ -78,6 +78,11 @@ def _integer(x: Any) -> int:
     return x
 
 
+def _typed(x: Any) -> Any:
+    """``x`` with each scalar paired with its type: 3.0 and True differ from 3 and 1."""
+    return [_typed(v) for v in x] if type(x) is list else (type(x), x)
+
+
 def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
     try:
         flavor = Flavor(doc["flavor"])
@@ -98,7 +103,7 @@ def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
     if not isinstance(derived, dict):
         raise ValueError("malformed symbol document: derived must be an object")
     for key, value in _derived(s).items():
-        if key in derived and derived[key] != value:
+        if key in derived and _typed(derived[key]) != _typed(value):
             raise ValueError(f"document {key} {derived[key]} disagrees with rows ({value})")
     return s
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -25,7 +26,6 @@ from .partitions import (
     bounded_partitions_upto,
     conjugate,
     durfee_side,
-    is_partition,
 )
 
 
@@ -64,28 +64,28 @@ class Record:
     ``__init__`` and never assigned or deleted after.  A record equals only a
     record of its own class with equal fields, hashes as its field tuple,
     names every field in its repr, and pickles and copies through
-    ``__reduce__``.  The symbol classes spell ``__eq__`` and ``__hash__`` out
-    over their fields, because the verify suites hash symbols in bulk."""
+    ``__reduce__``."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls) -> None:
+        # Called as ``self._values(self)``; two or more fields make it a tuple.
+        cls._values = attrgetter(*cls.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -109,16 +109,6 @@ class DurfeeSymbol(Record):
         set_field(self, "d", d)
         set_field(self, "flavor", flavor)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.beta, self.d, self.flavor) == (
-                other.alpha, other.beta, other.d, other.flavor
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.beta, self.d, self.flavor))
-
     @property
     def weight(self) -> int:
         return sum(self.alpha) + sum(self.beta) + frame_weight(self.d, self.flavor)
@@ -126,21 +116,6 @@ class DurfeeSymbol(Record):
     @property
     def rank(self) -> int:
         return len(self.alpha) - len(self.beta)
-
-
-def is_valid_symbol(s: DurfeeSymbol) -> bool:
-    """Check rows, entry bounds, and parity for the symbol's flavor."""
-    if s.d < min_subscript(s.flavor):
-        return False
-    if not (is_partition(s.alpha) and is_partition(s.beta)):
-        return False
-    cap = part_cap(s.d, s.flavor)
-    entries = s.alpha + s.beta
-    if any(x > cap for x in entries):
-        return False
-    if s.flavor is Flavor.ODD and any(x % 2 == 0 for x in entries):
-        return False
-    return True
 
 
 def to_durfee(p: Partition) -> DurfeeSymbol:

@@ -19,11 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import bijections, marked, moments, qseries
 from .marked import KMarkedSymbol, PartitionPair, enumerate_kmarked, kmarked_rank_distribution
-from .partitions import MAX_WEIGHT, count_rank, enumerate_partitions, rank_distribution
+from .partitions import MAX_WEIGHT, bounded_partitions_upto, count_rank, rank_distribution
 from .symbols import (
     Flavor, Record, count_durfee_rank, durfee_rank_distribution, enumerate_durfee, set_field
 )
@@ -251,42 +251,41 @@ def _durfee_bijection(b: Bounds):
             yield f"n={n} symbol ranks != partition ranks"
 
 
-def _pairs_upto(total: int) -> Iterable[PartitionPair]:
-    for t in range(total + 1):
-        for a in range(t + 1):
-            for pa in enumerate_partitions(a):
-                for pb in enumerate_partitions(t - a):
-                    yield PartitionPair(pa, pb)
+def _pairs_upto(total: int) -> Iterator[PartitionPair]:
+    """Every pair of weight <= ``total`` whose bottom row does not exceed its top row."""
+    for alpha in bounded_partitions_upto(total, total):
+        for beta in bounded_partitions_upto(total - sum(alpha), alpha[0] if alpha else 0):
+            yield PartitionPair(alpha, beta)
 
 
 @_check("pair-roundtrips", lambda b: f"|alpha| + |beta| <= {b.max_n}")
 def _pair_roundtrips(b: Bounds):
+    """psi in one pass: each pair with a top part maps to a strict shifted
+    image and back at its balanced count r (so no two share an (image, r)),
+    setting bit r of ``hits[image]``; each strict shifted pair must be hit at
+    exactly the r below its length difference, the bits of ``targets[pair]``."""
+    targets: dict[PartitionPair, int] = {}
+    hits: dict[PartitionPair, int] = {}
     for pair in _pairs_upto(b.max_n):
-        if not pair.alpha or (pair.beta and pair.beta[0] > pair.alpha[0]):
-            continue
-        image = bijections.to_strict_shifted(pair)
-        r = len(marked.balanced_parts(pair))
-        if not marked.is_strict_shifted_pair(image):
-            yield f"image of {pair} not strict shifted"
-        if bijections.from_strict_shifted(image, r) != pair:
-            yield f"{pair} fails the round trip"
-    for pair in _pairs_upto(b.max_n):
-        if not marked.is_strict_shifted_pair(pair):
-            continue
-        span = len(pair.alpha) - len(pair.beta)
-        for r in range(span):
-            back = bijections.from_strict_shifted(pair, r)
-            if len(marked.balanced_parts(back)) != r:
-                yield f"{pair} r={r} preimage balance != r"
-            if bijections.to_strict_shifted(back) != pair:
-                yield f"{pair} r={r} fails the reverse round trip"
+        if marked.is_strict_shifted_pair(pair):
+            targets[pair] = (1 << len(pair.alpha) - len(pair.beta)) - 1
+        if pair.alpha:
+            image = bijections.to_strict_shifted(pair)
+            r = len(marked.balanced_parts(pair))
+            if not marked.is_strict_shifted_pair(image):
+                yield f"image of {pair} not strict shifted"
+            if bijections.from_strict_shifted(image, r) != pair:
+                yield f"{pair} fails the round trip"
+            hits[image] = hits.get(image, 0) | 1 << r
+    for pair in {**targets, **hits}:
+        got, want = hits.get(pair, 0), targets.get(pair, 0)
+        if got != want:
+            yield f"{pair} an image at r-mask {got:#b}, not {want:#b}"
 
 
 @_check("deficiency-nonnegative", lambda b: f"|alpha| + |beta| <= {b.max_n}")
 def _deficiencies(b: Bounds):
     for pair in _pairs_upto(b.max_n):
-        if pair.beta and (not pair.alpha or pair.beta[0] > pair.alpha[0]):
-            continue
         defs = marked.deficiencies(pair)
         if any(d < 0 for d in defs):
             yield f"{pair} -> {defs}"

@@ -10,7 +10,7 @@ import pytest
 
 from durfee import bijections, cli
 from durfee.marked import KMarkedSymbol, PartitionPair
-from durfee.serialize import render
+from durfee.serialize import parse, render
 from durfee.symbols import Flavor
 from durfee import verify as verify_mod
 from durfee.verify import Bounds, CheckResult, run_checks, run_suite
@@ -239,6 +239,29 @@ def test_map_non_integer_document_is_usage_error(capsys, monkeypatch, field, val
     code, out, err = run_cli(capsys, "map", "--map", "theta", "--p", "1")
     assert_usage_error(code, out, err)
     assert err.startswith("error: malformed symbol document: expected an integer")
+
+
+# Each equals the value of the rows under ==: weight 1, rank 0, no balanced part.
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("weight", 1.0), ("weight", True),
+        ("ranks", [0.0]), ("ranks", [False]),
+        ("balanced_numbers", [0.0]), ("balanced_numbers", [False]),
+    ],
+)
+def test_derived_numbers_must_be_integers(capsys, monkeypatch, key, value):
+    derived = {"weight": 1, "ranks": [0], "balanced_numbers": [0]}
+    doc = {"flavor": "ordinary", "d": 1, "vectors": [{"alpha": [], "beta": []}]}
+    doc["derived"] = derived
+    assert parse(json.dumps(doc)) == KMarkedSymbol((PartitionPair((), ()),), 1)
+    derived[key] = value
+    with pytest.raises(ValueError, match=f"^document {key} .* disagrees with rows"):
+        parse(json.dumps(doc))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "map", "--map", "theta", "--p", "1")
+    assert_usage_error(code, out, err)
+    assert err.startswith(f"error: document {key} ")
 
 
 def test_map_missing_parameter(tmp_path, capsys):
@@ -472,6 +495,35 @@ def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
     assert rows == GOLDEN_PHI_PASS
 
 
+def _pair_roundtrips_row(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "psi", "--max-n", "6")
+    assert code == 1
+    rows = (line.split("\t") for line in out.splitlines())
+    return next(row for row in rows if row[0] == "pair-roundtrips")
+
+
+def test_pair_roundtrips_fails_on_a_target_no_image_reaches(capsys, monkeypatch):
+    # ((1, 1), (1,)) has a longer top row, but its second top part does not
+    # exceed its bottom part: taken for strict shifted, no image reaches it.
+    extra = PartitionPair((1, 1), (1,))
+    original = verify_mod.marked.is_strict_shifted_pair
+    monkeypatch.setattr(
+        verify_mod.marked, "is_strict_shifted_pair", lambda pair: pair == extra or original(pair)
+    )
+    assert _pair_roundtrips_row(capsys)[2] == "FAIL"
+
+
+def test_pair_roundtrips_fails_on_a_repeated_image(capsys, monkeypatch):
+    # ((2,), ()) goes to the image of ((1, 1), ()); neither has a balanced
+    # part, so one (image, r) is hit twice.
+    original = bijections.to_strict_shifted
+    twin = {PartitionPair((2,), ()): PartitionPair((1, 1), ())}
+    monkeypatch.setattr(
+        bijections, "to_strict_shifted", lambda pair: original(twin.get(pair, pair))
+    )
+    assert _pair_roundtrips_row(capsys)[2] == "FAIL"
+
+
 # A wrong ordinary table at n = 6 must fail rank-symmetry-tables alone among
 # checks that do not compare that table with the formula.
 _TABLE_NEIGHBOURS = ("theorem-main-odd", "solution-count", "durfee-bijection")
@@ -541,6 +593,18 @@ def test_verify_report_is_byte_identical(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "6", "--order", "5")
     assert code == 0
     assert out == "\n".join(GOLDEN_VERIFY_ALL) + "\n"
+
+
+def test_verify_bounds_default_to_those_of_bounds(capsys):
+    # max-n 10, max-k 3, order 8 and x = 2,3,5 when no bound flag is given
+    rows = [
+        run_cli(capsys, "verify", "--suite", suite)[1].splitlines()[1]
+        for suite in ("thm7", "subscripts")
+    ]
+    assert rows == [
+        "partial-fractions-ordinary\tk in (2, 3), order 8, x = ('2', '3', '5')\tPASS\t",
+        "subscript-labels\tstrict shifted pairs, |alpha| + |beta| <= 10\tPASS\t",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import pytest
 
+from durfee.marked import KMarkedSymbol, PartitionPair, is_valid
 from durfee.partitions import enumerate_partitions, rank_distribution
 from durfee.symbols import (
     DurfeeSymbol,
@@ -9,7 +10,6 @@ from durfee.symbols import (
     enumerate_durfee,
     frame_weight,
     from_durfee,
-    is_valid_symbol,
     part_cap,
     to_durfee,
 )
@@ -54,7 +54,7 @@ def test_round_trips():
     for n in range(1, 21):
         for p in enumerate_partitions(n):
             s = to_durfee(p)
-            assert is_valid_symbol(s)
+            assert is_valid(KMarkedSymbol((PartitionPair(s.alpha, s.beta),), s.d, s.flavor))
             assert s.weight == n and s.rank == p[0] - len(p)
             assert from_durfee(s) == p
         for s in enumerate_durfee(n):
