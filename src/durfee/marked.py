@@ -104,23 +104,6 @@ def ith_rank(s: KMarkedSymbol, i: int) -> int:
     return s.ranks[i - 1]
 
 
-def _alpha_bounds(s: KMarkedSymbol) -> list[int]:
-    """Effective upper bound on largest(alpha^i) for i = 1..k-1.
-
-    Bound i is the smallest entry anywhere in vector i+1, falling back to the
-    entry cap while vectors above are entirely empty.
-    """
-    bounds = [0] * (s.k - 1)
-    ub = part_cap(s.d, s.flavor)
-    for i in range(s.k, 1, -1):
-        alpha, beta = s.vectors[i - 1]
-        smallest = alpha[-1:] + beta[-1:]
-        if smallest:
-            ub = min(smallest)
-        bounds[i - 2] = ub
-    return bounds
-
-
 def validate(s: KMarkedSymbol) -> ValidationResult:
     """Check all marking conditions, reporting the first violation found."""
     k = s.k
@@ -152,19 +135,19 @@ def validate(s: KMarkedSymbol) -> ValidationResult:
         return ValidationResult(
             False, f"condition (3): vector {k} bottom entry {bottom_k[0]} exceeds cap {cap}"
         )
-    bounds = _alpha_bounds(s)
     for i in range(1, k):
-        alpha, beta = s.vectors[i - 1]
+        (alpha, beta), above = s.vectors[i - 1], s.vectors[i]
         lo = beta[0] if beta else 0
         if lo > alpha[0]:
             return ValidationResult(
                 False,
                 f"condition (2): vector {i} bottom entry {lo} exceeds top entry {alpha[0]}",
             )
-        if alpha[0] > bounds[i - 1]:
+        # By condition (1) only vector k can be empty; then the cap bounds.
+        bound = min(above.alpha[-1:] + above.beta[-1:], default=cap)
+        if alpha[0] > bound:
             return ValidationResult(
-                False,
-                f"condition (2): vector {i} top entry {alpha[0]} exceeds bound {bounds[i - 1]}",
+                False, f"condition (2): vector {i} top entry {alpha[0]} exceeds bound {bound}"
             )
     return ValidationResult(True)
 

@@ -61,8 +61,6 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 def bounded_partitions(n: int, max_part: int, odd_only: bool = False) -> tuple[Partition, ...]:
     """Partitions of ``n`` with all parts <= ``max_part``, decreasing lexicographic."""
     _check_weight(n)
-    if n > 0 and max_part <= 0:
-        return ()
     return tuple(_descending(n, max_part, odd_only))
 
 

@@ -45,14 +45,6 @@ class QSeries:
             self.coeffs = [Fraction(c) for c in coeffs]
 
     @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "QSeries":
-        return cls.monomial(1, 0, order)
-
-    @classmethod
     def monomial(cls, coeff: Rational, exponent: int, order: int) -> "QSeries":
         """c * q^e truncated at ``order``; vanishes if e exceeds the order."""
         s = cls(order)
@@ -163,28 +155,6 @@ def _unscaled(coeffs: list[int], scale: int) -> QSeries:
     return QSeries(len(coeffs) - 1, [Fraction(c, scale**e) for e, c in enumerate(coeffs)])
 
 
-def geometric(coeff: Rational, exponent: int, order: int) -> QSeries:
-    """1 / (1 - c q^a) as a truncated series; requires a >= 1.  Built scaled
-    by L = the denominator of c, the only factor coefficient."""
-    if exponent < 1:
-        raise ValueError("exponent must be >= 1")
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    c = Fraction(coeff)
-    scale = c.denominator
-    coeffs = [1] + [0] * order
-    _divide_factor(coeffs, c.numerator * scale ** (exponent - 1), exponent)
-    return _unscaled(coeffs, scale)
-
-
-def euler_product(order: int, step: int = 1) -> QSeries:
-    """The finite product of (1 - q^(step*j)) for step*j <= order."""
-    coeffs = [1] + [0] * order
-    for j in range(step, order + 1, step):
-        _times_factor(coeffs, 1, j)
-    return QSeries(order, coeffs)
-
-
 def partition_gf(order: int) -> QSeries:
     """Generating series of partition counts: coefficient of q^n is p(n)."""
     coeffs = [1] + [0] * order
@@ -237,6 +207,8 @@ def odd_rank_gf(m: int, order: int) -> QSeries:
 
 
 def _checked_point(x: Sequence[Rational], k: int) -> tuple[Fraction, ...]:
+    if k < 1:
+        raise ValueError("k must be >= 1")
     xs = tuple(Fraction(v) for v in x)
     if len(xs) != k:
         raise ValueError(f"need {k} evaluation values, got {len(xs)}")

@@ -16,9 +16,8 @@ A corpus is written from the blocks ``(d, upper, lows)`` of
 :func:`durfee.marked._blocks`, in which only vector 1 varies:
 :func:`document_lines` yields each symbol's one-line JSON document (the text
 of ``json.dumps(symbol_to_document(s))``, built without a dict) and
-:func:`display_lines` its one-line display.  :func:`render` without indent
-and :func:`format_symbol` of a k-marked symbol are the writers' one-block
-case.
+:func:`display_lines` its one-line display.  :func:`format_symbol` of a
+k-marked symbol is the display writer's one-block case.
 """
 
 from __future__ import annotations
@@ -109,9 +108,6 @@ def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
 
 
 def render(s: KMarkedSymbol | DurfeeSymbol, indent: int | None = 2) -> str:
-    if indent is None:
-        s = _marked(s)
-        return next(document_lines(_block(s), s.flavor))
     return json.dumps(symbol_to_document(s), indent=indent)
 
 

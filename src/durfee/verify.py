@@ -21,12 +21,12 @@ from itertools import combinations, permutations, product
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from . import bijections, marked, moments, qseries
+from . import bijections, marked, moments, qseries, symbols
 from .marked import KMarkedSymbol, PartitionPair, enumerate_kmarked, kmarked_rank_distribution
-from .partitions import MAX_WEIGHT, bounded_partitions_upto, count_rank, rank_distribution
-from .symbols import (
-    Flavor, Record, count_durfee_rank, durfee_rank_distribution, enumerate_durfee, set_field
+from .partitions import (
+    MAX_WEIGHT, bounded_partitions_upto, count_rank, enumerate_partitions, rank
 )
+from .symbols import Flavor, Record, count_durfee_rank, enumerate_durfee, set_field
 
 
 class Bounds(Record):
@@ -246,9 +246,21 @@ def _rank_gf(b: Bounds, flavor: Flavor):
 
 @_check("durfee-bijection", lambda b: f"1 <= n <= {b.max_n}")
 def _durfee_bijection(b: Bounds):
+    """to_durfee keeps each partition's rank, from_durfee undoes it, and the
+    images of the partitions of n are the symbols of n, each once."""
     for n in range(1, b.max_n + 1):
-        if durfee_rank_distribution(n) != rank_distribution(n):
-            yield f"n={n} symbol ranks != partition ranks"
+        images = set()
+        for p in enumerate_partitions(n):
+            image = symbols.to_durfee(p)
+            if image.rank != rank(p):
+                yield f"{p} -> {image} changes the rank"
+            if symbols.from_durfee(image) != p:
+                yield f"{p} fails the round trip"
+            if image in images:
+                yield f"{image} is the image of two partitions"
+            images.add(image)
+        if images != set(enumerate_durfee(n)):
+            yield f"n={n} images are not the symbols of n"
 
 
 def _pairs_upto(total: int) -> Iterator[PartitionPair]:

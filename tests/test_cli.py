@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from durfee import bijections, cli
+from durfee import bijections, cli, symbols
 from durfee.marked import KMarkedSymbol, PartitionPair
 from durfee.serialize import parse, render
-from durfee.symbols import Flavor
+from durfee.symbols import DurfeeSymbol, Flavor
 from durfee import verify as verify_mod
 from durfee.verify import Bounds, CheckResult, run_checks, run_suite
 
@@ -152,8 +152,6 @@ def test_map_theta_twice_is_byte_identical(tmp_path, capsys):
 
 
 def test_map_split_illustration_round_trip(tmp_path, capsys):
-    from durfee.symbols import DurfeeSymbol
-
     ds = DurfeeSymbol((6, 6, 3, 3, 3, 3, 2, 2, 1, 1, 1), (5, 5, 4, 2, 1, 1, 1), 6)
     path = tmp_path / "merged.json"
     path.write_text(render(ds))
@@ -495,6 +493,24 @@ def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
     assert rows == GOLDEN_PHI_PASS
 
 
+def test_durfee_bijection_fails_on_swapped_rows(capsys, monkeypatch):
+    # The image of (3, 1) with its rows swapped keeps weight and subscript
+    # but not the rank, and no longer maps back.
+    original = symbols.to_durfee
+
+    def swapped(p):
+        s = original(p)
+        return DurfeeSymbol(s.beta, s.alpha, s.d) if p == (3, 1) else s
+
+    monkeypatch.setattr(symbols, "to_durfee", swapped)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "phi", "--max-n", "6")
+    assert code == 1
+    rows = {line.split("\t")[0]: line for line in out.splitlines()[1:-1]}
+    fail = rows.pop("durfee-bijection").split("\t")
+    assert fail[2] == "FAIL" and fail[3].startswith("counterexample: (3, 1) -> ")
+    assert all(row.split("\t")[2] == "PASS" for row in rows.values())
+
+
 def _pair_roundtrips_row(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "psi", "--max-n", "6")
     assert code == 1
@@ -751,6 +767,14 @@ def test_negative_order_is_usage_error(capsys, gf):
     code, out, err = run_cli(capsys, "series", "--gf", gf, "--order", "-1", *flags)
     assert_usage_error(code, out, err)
     assert err == "error: truncation order must be nonnegative\n"
+
+
+@pytest.mark.parametrize("x", ["", ","])
+@pytest.mark.parametrize("gf", ["rk", "rk-product", "rk-partial"])
+def test_series_at_an_empty_point_is_usage_error(capsys, gf, x):
+    code, out, err = run_cli(capsys, "series", "--gf", gf, "--x", x, "--order", "3")
+    assert_usage_error(code, out, err)
+    assert err == "error: k must be >= 1\n"
 
 
 def test_series_pole_is_usage_error(capsys):

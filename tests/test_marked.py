@@ -93,6 +93,27 @@ def test_interlacing_edge_cases():
     assert not res and "condition (2)" in res.reason
 
 
+ORD = Flavor.ORDINARY
+
+
+@pytest.mark.parametrize(
+    "vectors, d, flavor, reason",
+    [
+        # the smallest entry of a middle vector, here in its bottom row
+        ((((3,), ()), ((4, 3), (2,)), ((5,), ())), 5, ORD, "vector 1 top entry 3 exceeds bound 2"),
+        # vector k's smallest bottom entry when its top row is empty
+        ((((4,), ()), ((), (3,))), 5, ORD, "vector 1 top entry 4 exceeds bound 3"),
+        # the cap when vector k is empty
+        ((((3,), ()), ((), ())), 2, ORD, "vector 1 top entry 3 exceeds bound 2"),
+        ((((5,), ()), ((), ())), 1, Flavor.ODD, "vector 1 top entry 5 exceeds bound 3"),
+        ((((2,), ()), ((3,), ()), ((), ())), 2, ORD, "vector 2 top entry 3 exceeds bound 2"),
+    ],
+)
+def test_top_entry_bound_comes_from_the_vector_above(vectors, d, flavor, reason):
+    s = KMarkedSymbol(tuple(PartitionPair(*v) for v in vectors), d, flavor)
+    assert validate(s).reason == f"condition (2): {reason}"
+
+
 def test_empty_vector_one_rejected():
     bad = KMarkedSymbol((PartitionPair((), ()), PartitionPair((1,), ())), 1)
     res = validate(bad)

@@ -9,8 +9,6 @@ from durfee.marked import kmarked_rank_distribution
 from durfee.partitions import count_rank
 from durfee.qseries import (
     QSeries,
-    euler_product,
-    geometric,
     marked_rank_gf,
     marked_rank_gf_partial_fractions,
     marked_rank_gf_product,
@@ -22,12 +20,12 @@ from durfee.symbols import Flavor, count_durfee_rank
 
 
 def test_arithmetic_basics():
-    one = QSeries.one(5)
+    one = QSeries.monomial(1, 0, 5)
     q = QSeries.monomial(1, 1, 5)
-    s = (one - q) * geometric(1, 1, 5)
+    s = (one - q) * QSeries(5, [1] * 6)
     assert s == one
     assert (one + q) - q == one
-    assert QSeries.monomial(3, 7, 5) == QSeries.zero(5)
+    assert QSeries.monomial(3, 7, 5) == QSeries(5)
     assert (q * q).coeffs[2] == 1
     half = QSeries.monomial(Fraction(1, 2), 0, 5)
     assert (half + half) == one
@@ -35,7 +33,7 @@ def test_arithmetic_basics():
 
 def test_reciprocal():
     s = QSeries(6, [1, -1, 0, 0, 0, 0, 0])
-    assert s.reciprocal() == geometric(1, 1, 6)
+    assert s.reciprocal() == QSeries(6, [1] * 7)
     with pytest.raises(ValueError):
         QSeries.monomial(1, 1, 4).reciprocal()
 
@@ -52,29 +50,29 @@ def test_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
-    assert a + QSeries.zero(6) == a
-    assert a * QSeries.one(6) == a
+    assert a + QSeries(6) == a
+    assert a * QSeries.monomial(1, 0, 6) == a
 
 
 @given(series_st)
 def test_reciprocal_inverts(a):
     if not a.coeffs[0]:
         a = QSeries(6, [Fraction(1)] + a.coeffs[1:])
-    assert a * a.reciprocal() == QSeries.one(6)
+    assert a * a.reciprocal() == QSeries.monomial(1, 0, 6)
 
 
 def test_mismatched_orders_rejected():
     with pytest.raises(ValueError):
-        QSeries.one(3) + QSeries.one(4)
+        QSeries.monomial(1, 0, 3) + QSeries.monomial(1, 0, 4)
 
 
 def test_partition_gf():
     assert [int(c) for c in partition_gf(4).coeffs] == [1, 1, 2, 3, 5]
-    assert partition_gf(0) == QSeries.one(0)
+    assert partition_gf(0) == QSeries.monomial(1, 0, 0)
     assert int(partition_gf(10)[10]) == 42
     # the inverse Euler product really is inverse to the Euler product
     for order in (0, 1, 7, 12):
-        assert euler_product(order) * partition_gf(order) == QSeries.one(order)
+        assert euler_product(order) * partition_gf(order) == QSeries.monomial(1, 0, order)
 
 
 def test_rank_gf_examples():
@@ -156,17 +154,13 @@ def test_product_form_at_all_ones_gives_totals_and_moments():
 
 def test_zero_order_series():
     assert marked_rank_gf((2, 3), 2, 0)[0] == 0
-    assert marked_rank_gf_product((2, 3), 2, 0) == QSeries.zero(0)
-    assert marked_rank_gf_product((2, 3), 2, 0, Flavor.ODD) == QSeries.zero(0)
+    assert marked_rank_gf_product((2, 3), 2, 0) == QSeries(0)
+    assert marked_rank_gf_product((2, 3), 2, 0, Flavor.ODD) == QSeries(0)
 
 
 NEGATIVE_ORDER_BUILDERS = {
     "QSeries": QSeries,
-    "zero": QSeries.zero,
-    "one": QSeries.one,
     "monomial": lambda order: QSeries.monomial(1, 0, order),
-    "geometric": lambda order: geometric(1, 1, order),
-    "euler_product": euler_product,
     "partition_gf": partition_gf,
     "rank_gf m=0": lambda order: rank_gf(0, order),
     "rank_gf m=2": lambda order: rank_gf(2, order),
@@ -197,6 +191,9 @@ def test_evaluation_point_validation():
         marked_rank_gf((0, 2), 2, 4)
     with pytest.raises(ValueError, match="2 evaluation"):
         marked_rank_gf((2, 3, 5), 2, 4)
+    for build in (marked_rank_gf, marked_rank_gf_product, marked_rank_gf_partial_fractions):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            build((), 0, 3)
 
 
 def test_partition_gf_returns_a_fresh_series():
@@ -221,7 +218,8 @@ def test_three_routes_agree_past_the_acceptance_orders(xs, order, flavor):
 
 
 # The Fraction kernels and product-form loop that the integer-scaled kernels
-# replaced, kept here only as the reference for them.
+# replaced, kept here only as the reference for them, and the Euler product
+# that partition_gf inverts.
 def _fraction_times_factor(coeffs, c, a):
     for e in range(len(coeffs) - 1, a - 1, -1):
         coeffs[e] -= c * coeffs[e - a]
@@ -232,9 +230,11 @@ def _fraction_divide_factor(coeffs, c, a):
         coeffs[e] += c * coeffs[e - a]
 
 
-def _fraction_geometric(c, a, order):
-    coeffs = [Fraction(1)] + [Fraction(0)] * order
-    _fraction_divide_factor(coeffs, Fraction(c), a)
+def euler_product(order):
+    """The finite product of (1 - q^j) for j <= order."""
+    coeffs = [1] + [0] * order
+    for j in range(1, order + 1):
+        _fraction_times_factor(coeffs, 1, j)
     return QSeries(order, coeffs)
 
 
@@ -286,14 +286,6 @@ def test_product_form_matches_fraction_kernels(xs, flavor, order):
     series = marked_rank_gf_product(xs, k, order, flavor)
     assert series == _fraction_product(xs, k, order, flavor)
     assert all(type(c) is Fraction for c in series.coeffs)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(nonzero_st, st.integers(1, 8), st.integers(0, 40))
-def test_geometric_matches_fraction_kernel(c, a, order):
-    series = geometric(c, a, order)
-    assert series == _fraction_geometric(c, a, order)
-    assert all(type(v) is Fraction for v in series.coeffs)
 
 
 GOLDEN_SERIES = {

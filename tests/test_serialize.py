@@ -250,8 +250,8 @@ MIXED_CORPUS = [
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(MIXED_CORPUS), min_size=1, max_size=80))
 def test_line_writers_on_shuffled_mixed_streams(stream):
-    # The one-symbol forms of the writers, over draws that repeat symbols and
-    # mix flavors, k and plain symbols.
+    # One-line render and the display writer's one-symbol form, over draws
+    # that repeat symbols and mix flavors, k and plain symbols.
     for s in stream:
         assert render(s, indent=None) == json.dumps(symbol_to_document(s))
         if isinstance(s, KMarkedSymbol):
