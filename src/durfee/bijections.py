@@ -65,20 +65,18 @@ def _raise(pair: PartitionPair, negated: bool) -> tuple[PartitionPair, int]:
     return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept), len(bal)
 
 
-def _lift(vecs: list[PartitionPair], neg: Sequence[bool]) -> tuple[int, ...]:
+def _lift(vecs: list[PartitionPair], neg: Sequence[bool]) -> list[int]:
     """Raise vectors 1 .. k-1 in place, every flip's guard first, and swap the
     rows of vector k, flipping where ``neg`` is set; return t (t_k = 0)."""
     for i in range(len(vecs) - 1):
         if neg[i] and not vecs[i].alpha:
             raise ValueError(f"vector {i + 1} has no top part")
-    t = []
+    t = [0] * len(vecs)
     for i in range(len(vecs) - 1):
-        vecs[i], r = _raise(vecs[i], neg[i])
-        t.append(r)
-    t.append(0)
+        vecs[i], t[i] = _raise(vecs[i], neg[i])
     if vecs and neg[-1]:  # the flip of vector k swaps its rows
         vecs[-1] = PartitionPair(*vecs[-1][::-1])
-    return tuple(t)
+    return t
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -180,16 +178,18 @@ def _lower(pair: PartitionPair, r: int, negated: bool) -> PartitionPair:
     return _flip_pair(pair) if negated else pair
 
 
-def _drop(vecs: list[PartitionPair], t: Sequence[int], neg: Sequence[bool]) -> None:
-    """Lower vectors 1 .. k-1 in place by the balanced numbers ``t`` and swap
-    the rows of vector k, flipping where ``neg`` is set."""
-    for i in range(len(vecs) - 1):
-        try:
-            vecs[i] = _lower(vecs[i], t[i], neg[i])
-        except ValueError as exc:
-            raise ValueError(f"vector {i + 1}: {exc}") from None
-    if vecs and neg[-1]:  # the flip of vector k swaps its rows
-        vecs[-1] = PartitionPair(*vecs[-1][::-1])
+def _drop(vecs: tuple, t: Sequence[int], neg: Sequence[bool]) -> tuple[PartitionPair, ...]:
+    """Lower vectors 1 .. k-1 by the balanced numbers ``t`` and swap the rows
+    of vector k, flipping where ``neg`` is set; return the vectors."""
+    out: list[PartitionPair] = []
+    try:
+        for pair, r, flip in zip(vecs[:-1], t, neg):
+            out.append(_lower(pair, r, flip))
+    except ValueError as exc:
+        raise ValueError(f"vector {len(out) + 1}: {exc}") from None
+    if vecs:  # the flip of vector k swaps its rows
+        out.append(PartitionPair(*vecs[-1][::-1]) if neg[-1] else vecs[-1])
+    return tuple(out)
 
 
 def merge_marks(s: KMarkedSymbol) -> DurfeeSymbol:
@@ -274,9 +274,7 @@ def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSym
         raise ValueError("balanced-number vector must have length k")
     if t[-1] != 0:
         raise ValueError("the k-th balanced number is 0 by definition")
-    vecs = list(s.vectors)
-    _drop(vecs, t, (False,) * s.k)
-    return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
+    return KMarkedSymbol(_drop(s.vectors, t, (False,) * s.k), s.d, s.flavor)
 
 
 def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
@@ -311,24 +309,26 @@ def permuted_images(
     balanced-number budget stays attached to positions, so the k-th stays 0),
     drop back, and restore the signs at their new positions.
     """
-    k = s.k
+    vectors, d, flavor = s.vectors, s.d, s.flavor
+    k = len(vectors)
     perms = [tuple(perm) for perm in perms]
     ids = list(range(1, k + 1))
     for perm in perms:
         if sorted(perm) != ids:
             raise ValueError("perm must be a permutation of 1..k")
-    m = s.ranks
-    neg = [x < 0 for x in m]
-    vecs = list(s.vectors)
-    t = _lift(vecs, neg)
-    gamma, delta = _merge(tuple(vecs))
     if not k:  # else the targets are the lifted ranks, which always pass the check
         _check_targets(0, ())
-    mags = [abs(x) for x in m]
+    neg, mags = [], []
+    for i, (alpha, beta) in enumerate(vectors, 1):  # the ranks, in one pass
+        x = len(alpha) - len(beta) - (i < k)
+        neg.append(x < 0)
+        mags.append(abs(x))
+    vecs = list(vectors)
+    t = _lift(vecs, neg)
+    gamma, delta = _merge(tuple(vecs))
     for perm in perms:
-        rebuilt = list(_cut(gamma, delta, tuple([mags[p - 1] + 2 * y for p, y in zip(perm, t)])))
-        _drop(rebuilt, t, [neg[p - 1] for p in perm])
-        yield KMarkedSymbol(tuple(rebuilt), s.d, s.flavor)
+        rebuilt = _cut(gamma, delta, tuple([mags[p - 1] + 2 * y for p, y in zip(perm, t)]))
+        yield KMarkedSymbol(_drop(rebuilt, t, [neg[p - 1] for p in perm]), d, flavor)
 
 
 def permute_ranks(s: KMarkedSymbol, perm: Sequence[int]) -> KMarkedSymbol:

@@ -11,7 +11,8 @@ yields nothing, else FAIL with ``counterexample: `` and the first detail, or
 ``raised ValueError: `` and its message if the generator raised one.  A check
 that rejects its bounds raises when called instead: a usage error.
 Checks look library routines up on their modules as they run, so a patched
-or traced routine is the one called.
+or traced routine is the one called.  The corpus checks read member ranks from
+the block walk of :mod:`durfee.marked`, and call each map they check once per member.
 """
 
 from __future__ import annotations
@@ -96,14 +97,14 @@ def _series_bound(b: Bounds) -> str:
 
 
 def _rank_vectors(n: int, k: int, dist: dict, signed: bool = True) -> set[tuple[int, ...]]:
-    """All vectors (nonnegative ones unless ``signed``) that could
-    conceivably have a nonzero count, plus every vector actually observed."""
-    lim = max(0, n - k + 1)
-    vecs = set(dist)
-    for m in product(range(-lim if signed else 0, lim + 1), repeat=k):
-        if sum(abs(x) for x in m) <= lim:
-            vecs.add(m)
-    return vecs
+    """All vectors (nonnegative ones unless ``signed``) that could conceivably
+    have a nonzero count, the l1 ball of radius n - k + 1 built in the cube's
+    lexicographic order, plus every vector actually observed."""
+    ball = [((), max(0, n - k + 1))]  # (prefix, radius left)
+    for _ in range(k):
+        ball = [(m + (x,), left - abs(x))
+                for m, left in ball for x in range(-left if signed else 0, left + 1)]
+    return set(dist).union(m for m, _ in ball)
 
 
 @_check("theorem-main-odd", lambda b: f"k = 2, n <= {b.max_n}", flavor=Flavor.ODD, ks=(2,))
@@ -153,11 +154,10 @@ def _rank_symmetry_tables(b: Bounds):
 @_check("permute-corpus", lambda b: f"{_k_and_n(b)}, transpositions")
 def _permute_corpus(b: Bounds):
     """The composite rank-permuting map is a bijection of each corpus onto
-    itself, realizing every transposition.  A corpus is its vector tuples
-    (which fix the subscript at one weight) mapped to their positions, and a
-    subscript byte each; a symbol is built only to be mapped, and lifted once
-    for all transpositions.  One byte per member and transposition records
-    the images met so far."""
+    itself, realizing every transposition.  A corpus, read from the block walk,
+    is its vector tuples (which fix the subscript at one weight) mapped to their
+    positions, with a subscript byte and a rank vector each.  One byte per
+    member and transposition records the images met so far."""
     for k in b.ks():
         transpositions = [
             tuple({i: j, j: i}.get(p, p) for p in range(1, k + 1))
@@ -167,18 +167,23 @@ def _permute_corpus(b: Bounds):
         for n in range(b.max_n + 1):
             index: dict[tuple[PartitionPair, ...], int] = {}
             subscripts = bytearray()
-            for s in enumerate_kmarked(n, k):
-                index[s.vectors] = len(subscripts)
-                subscripts.append(s.d)
+            rank_of, shared = [], {}  # equal rank vectors are one tuple
+            for d, upper, lows in marked._blocks(n, k, Flavor.ORDINARY):
+                high = marked._upper_ranks(upper, k)
+                for pair in lows:
+                    index[(pair, *upper)] = len(subscripts)
+                    subscripts.append(d)
+                    ranks = (len(pair.alpha) - len(pair.beta) - 1, *high)
+                    rank_of.append(shared.setdefault(ranks, ranks))
             seen = [bytearray(len(index)) for _ in transpositions]
-            for vectors, d in zip(index, subscripts):
+            for vectors, d, ranks in zip(index, subscripts, rank_of):
                 s = KMarkedSymbol(vectors, d)
-                ranks = s.ranks
                 images = bijections.permuted_images(s, transpositions)
                 for perm, want, hit, im in zip(transpositions, permuted, seen, images):
-                    if im.ranks != want(ranks):
-                        yield f"n={n} k={k} perm={perm} ranks {ranks} -> {im.ranks}"
                     j = index.get(im.vectors)
+                    got = im.ranks if j is None else rank_of[j]  # a member's ranks are known
+                    if got != want(ranks):
+                        yield f"n={n} k={k} perm={perm} ranks {ranks} -> {got}"
                     if j is None or subscripts[j] != im.d or im.flavor is not s.flavor or hit[j]:
                         yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
                     else:
@@ -218,7 +223,7 @@ def _marked_series(b: Bounds, flavor: Flavor, route: str):
     """The marked rank series against its product or partial-fraction form,
     which runs at order 0 first: a point it cannot take is a usage error."""
     form = getattr(qseries, f"marked_rank_gf_{route}")
-    for k in b.ks():
+    for k in reversed(b.ks()):  # the largest k first, so a short --x names the count it needs
         form(b.x[:k], k, 0, flavor)
     return (
         f"k={k} coefficient of q^{n}: {lhs[n]} vs {rhs[n]}"
@@ -338,17 +343,28 @@ def _flip_involution(b: Bounds):
                     yield f"{s} position {p} not an involution"
 
 
+def _strict_shifted_members(n: int, k: int) -> Iterator[tuple]:
+    """``(vectors, d, ranks)`` of each strict shifted k-marked symbol of ``n`` with
+    nonnegative ranks, in enumeration order; vectors 2..k are tested once per block."""
+    shifted = marked.is_strict_shifted_pair
+    # vector 1 with its rank, tested once per pair of the walk's table
+    low = lambda ps: [(p, r) for p in ps if (r := len(p[0]) - len(p[1]) - 1) >= 0 and shifted(p)]
+    for d, upper, lows in marked._blocks(n, k, Flavor.ORDINARY, low):
+        high = marked._upper_ranks(upper, k)
+        if lows and min(high) >= 0 and all(map(shifted, upper[:-1])):
+            yield from (((pair, *upper), d, (r, *high)) for pair, r in lows)
+
+
 @_check("merge-split-roundtrips", _k_and_n)
 def _merge_split_roundtrips(b: Bounds):
     for k in b.ks():
         for n in range(b.max_n + 1):
-            for s in enumerate_kmarked(n, k):
-                if not marked.is_strict_shifted_symbol(s) or any(r < 0 for r in s.ranks):
-                    continue
+            for vectors, d, ranks in _strict_shifted_members(n, k):
+                s = KMarkedSymbol(vectors, d)
                 ds = bijections.merge_marks(s)
-                if ds.rank != sum(s.ranks) + k - 1:
+                if ds.rank != sum(ranks) + k - 1:
                     yield f"merged rank wrong for {s}"
-                if bijections.split_marks(ds, s.ranks) != s:
+                if bijections.split_marks(ds, ranks) != s:
                     yield f"{s} fails merge-then-split"
             for ds in enumerate_durfee(n):
                 r = ds.rank - (k - 1)
@@ -372,9 +388,8 @@ def _ss_count_identity(b: Bounds):
     for k in b.ks():
         for n in range(b.max_n + 1):
             tally: dict[tuple[int, ...], int] = {}
-            for s in enumerate_kmarked(n, k):
-                if marked.is_strict_shifted_symbol(s) and all(r >= 0 for r in s.ranks):
-                    tally[s.ranks] = tally.get(s.ranks, 0) + 1
+            for _, _, ranks in _strict_shifted_members(n, k):
+                tally[ranks] = tally.get(ranks, 0) + 1
             for m in _rank_vectors(n, k, tally, signed=False):
                 expect = count_rank(sum(m) + k - 1, n)
                 if tally.get(m, 0) != expect:

@@ -55,6 +55,7 @@ from durfee.symbols import (
     durfee_rank_distribution,
     enumerate_durfee,
 )
+from durfee.verify import _rank_vectors
 
 SYM55 = KMarkedSymbol(
     (
@@ -186,6 +187,22 @@ def test_criterion_06_rank_count_formula():
         (1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1,
     }
     print("criterion 06: PASS - counts match the formula for every rank vector, k in {2, 3}, n <= 14; the weight-4 table holds")
+
+
+def test_verify_rank_vectors_are_the_filtered_cube():
+    # verify's candidate vectors: the observed ones, then the l1 ball, which
+    # it builds directly; the set and its iteration order are those of
+    # filtering the cube, so every check meets its first counterexample first
+    for k in (2, 3):
+        for n in range(0, 15):
+            observed = {(n + 1,) * k: 1, (0,) * k: 2, (-1,) * k: 3}
+            for signed in (True, False):
+                want = set(observed)
+                for m in all_rank_vectors(n, k):
+                    if signed or min(m) >= 0:
+                        want.add(m)
+                got = _rank_vectors(n, k, observed, signed)
+                assert got == want and list(got) == list(want), (k, n, signed)
 
 
 def test_criterion_07_rank_symmetry():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from durfee import bijections, cli, symbols
-from durfee.marked import KMarkedSymbol, PartitionPair
+from durfee.marked import KMarkedSymbol, PartitionPair, enumerate_kmarked, is_strict_shifted_symbol
 from durfee.serialize import parse, render
 from durfee.symbols import DurfeeSymbol, Flavor
 from durfee import verify as verify_mod
@@ -493,6 +493,36 @@ def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
     assert rows == GOLDEN_PHI_PASS
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_strict_shifted_members_follow_the_enumeration(k):
+    # the block walk yields the members that the flat enumeration filtered,
+    # in its order, so the checks that read it meet the same first failure
+    for n in range(13):
+        want = [
+            (s.vectors, s.d, s.ranks) for s in enumerate_kmarked(n, k)
+            if is_strict_shifted_symbol(s) and min(s.ranks) >= 0
+        ]
+        assert list(verify_mod._strict_shifted_members(n, k)) == want, n
+
+
+def test_phi_fails_when_any_longer_top_row_counts_as_strict_shifted(capsys, monkeypatch):
+    # ((1, 1), (1,)) then passes for strict shifted: it is counted at n = 4,
+    # and merging a symbol that holds it raises
+    monkeypatch.setattr(
+        verify_mod.marked, "is_strict_shifted_pair", lambda p: len(p.alpha) > len(p.beta)
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "phi", "--max-n", "8")
+    assert code == 1
+    rows = {line.split("\t")[0]: line.split("\t")[2:] for line in out.splitlines()[1:-1]}
+    assert rows.pop("strict-shifted-counts") == [
+        "FAIL", "counterexample: n=4 k=2 m=(0, 0) counted=2 expected=1"
+    ]
+    assert rows.pop("merge-split-roundtrips") == [
+        "FAIL", "counterexample: raised ValueError: not strict shifted"
+    ]
+    assert all(row[0] == "PASS" for row in rows.values())
+
+
 def test_durfee_bijection_fails_on_swapped_rows(capsys, monkeypatch):
     # The image of (3, 1) with its rows swapped keeps weight and subscript
     # but not the rank, and no longer maps back.
@@ -639,6 +669,16 @@ def test_verify_bounds_default_to_those_of_bounds(capsys):
 )
 def test_verify_bad_input_is_usage_error(capsys, argv):
     assert_usage_error(*run_cli(capsys, "verify", *argv))
+
+
+@pytest.mark.parametrize("suite", ["cor11", "thm7"])
+@pytest.mark.parametrize("flags, need", [((), 3), (("--max-k", "2"), 2)])
+def test_verify_short_x_names_the_count_max_k_needs(capsys, suite, flags, need):
+    # the largest k is probed first, so the message names the count that
+    # would pass, not that of a smaller k
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, *flags, "--x", "2")
+    assert_usage_error(code, out, err)
+    assert err == f"error: need {need} evaluation values, got 1\n"
 
 
 def test_verify_reports_each_series_route_separately(capsys, monkeypatch):
