@@ -29,10 +29,10 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from . import qseries
-from .marked import KMarkedSymbol, _blocks, kmarked_rank_counts
+from .marked import KMarkedSymbol, _blocks, _rank_rows
 from .symbols import DurfeeSymbol, Flavor
 
 
@@ -100,20 +100,19 @@ def _write_lines(lines: Iterable[str]) -> None:
         sys.stdout.write("\n".join(block) + "\n")
 
 
-def _count_lines(
-    args: argparse.Namespace, dist: Mapping[tuple[int, ...], int]
-) -> Iterator[str]:
+def _count_lines(args: argparse.Namespace, rows: Iterable[tuple]) -> Iterator[str]:
     k = args.k
     yield f"# n={args.n} k={k} flavor={args.flavor.value}"
     yield "\t".join([f"m{i}" for i in range(1, k + 1)] + ["count"])
     row = "\t".join(["%d"] * (k + 1))
-    if args.ranks is not None:
-        m = tuple(args.ranks)
-        yield row % (m + (dist.get(m, 0),))
+    if args.ranks is not None:  # a tuple, as ``_int_list`` parses it
+        yield row % (*args.ranks, next((c for m, c in rows if m == args.ranks), 0))
         return
-    for m in sorted(dist):
-        yield row % (m + (dist[m],))
-    yield "\t".join(["total"] + [""] * (k - 1) + [str(sum(dist.values()))])
+    total = 0
+    for m, c in rows:
+        yield row % (*m, c)
+        total += c
+    yield "\t".join(["total"] + [""] * (k - 1) + [str(total)])
 
 
 def _check_k(args: argparse.Namespace) -> None:
@@ -129,7 +128,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     _check_k(args)
     if args.ranks is not None and len(args.ranks) != args.k:
         raise ValueError(f"--ranks needs {args.k} entries")
-    _write_lines(_count_lines(args, kmarked_rank_counts(args.n, args.k, args.flavor)))
+    _write_lines(_count_lines(args, _rank_rows(args.n, args.k, args.flavor)))
     return 0
 
 

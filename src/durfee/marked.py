@@ -30,13 +30,15 @@ Counts by rank vector come two independent ways.
 in n and stops at the weight guard.
 :func:`kmarked_rank_counts` is a transfer DP that builds no symbol, runs in
 polynomial time with no weight guard, and backs :func:`count_kmarked`,
-:func:`total_kmarked`, the marked rank series and ``durfee count``.
+:func:`total_kmarked` and the marked rank series; it packs the rank of vector k
+into one int, and ``durfee count`` streams its rows in ascending order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate, islice
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -289,27 +291,30 @@ def _pair_columns(parts: list[int], top: int, needed: Sequence[int]) -> dict[int
 
 
 def _subscript_counts(
-    rem: int, k: int, parts: list[int], result: dict[tuple[int, ...], int]
+    rem: int, k: int, parts: list[int], pack: Callable, result: dict[tuple, int]
 ) -> None:
     """Add to ``result`` the symbols of one subscript whose vectors weigh
-    ``rem`` in total, by rank vector.
+    ``rem`` in total, by rank vector with the last rank packed by ``pack``.
 
     The walk places vectors 1, 2, ... in turn over the state (j, used):
     parts[j] is the largest top part of the vector just placed, and weight
     ``used`` is spent.  The next vector, if it is not vector k and its top
     row has largest entry parts[t], is a pair with entries in parts[j..t]
     plus that forced top part: q^parts[t] H(j, t), the forced part standing
-    for the rank's -1 shift.  Vector k is H(j, last).  Vectors k - 1 and k
-    must use up the weight left, so they are counted together for each state
-    and folded into the result: no state table holds k - 1 ranks.
+    for the rank's -1 shift.  Vector k is H(j, last), each row packed once.
+    Vectors k - 1 and k use up the weight left: one multiply-add of a packed
+    row per (state, t, weight, rank of vector k - 1) counts them.
     """
     last = len(parts) - 1
-    columns = _pair_columns(parts, rem, range(last + 1) if k > 1 else (last,))
+    columns = _pair_columns(parts, rem, range(last + 1) if k > 2 else (last,))
     tops = columns[last]  # tops[j] = H(j, last), the series of vector k
     if k == 1:
-        for r, c in tops[0][rem].items():
-            result[r,] = result.get((r,), 0) + c
+        result[()] = result.get((), 0) + pack(tops[0][rem])
         return
+    if k == 2:  # the one state (0, 0) reads H(0, t): one running product
+        heads = accumulate(parts[:last], _times_pairs_of, initial=tops[-1])
+        columns.update(enumerate([head] for head in islice(heads, 1, None)))
+    packed = [[pack(row) for row in series] for series in tops]
     # states[(j, used)]: ranks of vectors 1..i -> count.  Vectors i + 1..k - 1
     # each hold a top part of at least parts[t], so that weight stays reserved.
     states = {(0, 0): {(): 1}}
@@ -330,19 +335,50 @@ def _subscript_counts(
         states = nxt
     while states:  # the k - 1 and k fold
         (j, used), table = states.popitem()
-        highs: dict[tuple[int, int], int] = {}
+        highs: dict[int, int] = {}  # rank of vector k - 1 -> packed counts of vector k
         for t in range(j, last + 1):
-            series, rest = columns[t][j], tops[t]
+            series, rest = columns[t][j], packed[t]
             left = rem - used - parts[t]
             for w in range(left + 1):
-                if series[w]:
-                    for r2, v in rest[left - w].items():
-                        for r1, c in series[w].items():
-                            highs[r1, r2] = highs.get((r1, r2), 0) + c * v
-        for high, c in highs.items():
+                if series[w] and (x := rest[left - w]):
+                    for r, c in series[w].items():
+                        highs[r] = highs.get(r, 0) + c * x
+        for r, x in highs.items():
             for ranks, v in table.items():
-                ranks = ranks + high
-                result[ranks] = result.get(ranks, 0) + c * v
+                ranks += (r,)
+                result[ranks] = result.get(ranks, 0) + v * x
+
+
+def _rank_rows(n: int, k: int, flavor: Flavor) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Run the DP of :func:`kmarked_rank_counts`; return its items in key order."""
+    if n < 0 or k < 1:
+        raise ValueError("weight must be nonnegative" if n < 0 else "k must be >= 1")
+    step = 2 if flavor is Flavor.ODD else 1
+    frames = [(n - frame_weight(d, flavor), list(range(1, part_cap(d, flavor) + 1, step)))
+              for d in subscript_range(n, flavor)]
+    durfee = 0  # the Durfee symbols of n: two partitions into a subscript's parts
+    for rem, parts in frames:
+        pairs = [1] + [0] * rem
+        for v in parts * 2:
+            for w in range(v, rem + 1):
+                pairs[w] += pairs[w - v]
+        durfee += pairs[rem]
+    width = (durfee * (n + 1) ** (k - 1)).bit_length()
+    base, mask = width * (n + 1), (1 << width) - 1
+    pack = lambda row: sum(c << width * r + base for r, c in row.items())
+    packed: dict[tuple[int, ...], int] = {}
+    for rem, parts in frames:
+        if rem >= k - 1:
+            _subscript_counts(rem, k, parts, pack, packed)
+    def rows():  # a generator of its own, so that bad input raises at the call
+        for high, x in sorted(packed.items()):
+            r = -n - 1  # slot 0, always empty
+            while x:
+                x >>= width
+                r += 1
+                if c := x & mask:
+                    yield (*high, r), c
+    return rows()
 
 
 @lru_cache(maxsize=None)
@@ -355,27 +391,18 @@ def kmarked_rank_counts(
     Equal to :func:`kmarked_rank_distribution`.  For each subscript a
     transfer DP walks the vectors from 1 up over the state (position of the
     largest top part of the vector just placed, weight used, ranks so far);
-    the only link between vector i and vector i + 1 is that largest top part,
-    which bounds every entry of vector i + 1 from below.  Every vector is one
-    entry of a single table of pair-factor products.  Vectors k - 1 and k
-    must use up the weight left, so they are counted together for each state
-    and folded straight into the result; a lone vector (k = 1) is read from
-    the table at the weight left.  Time is polynomial in ``n`` for fixed
-    ``k``, so no weight guard applies.  The returned mapping is read-only
-    because it is cached.
+    that top part bounds every entry of the next vector from below.  The
+    last two vectors are counted together into one int per rank vector of
+    vectors 1..k - 1, whose B-bit slot r + n + 1 holds the count at rank r
+    of vector k; slot 0 stays empty, so decoding shifts by B exactly and
+    yields the keys in ascending order, the rows ``durfee count`` streams.
+    No slot carries: an int the fold reads enters the result times a
+    positive count, and with its ranks fixed a symbol is fixed by its merged
+    rows (a Durfee symbol of n) and the top-row lengths of vectors 1..k - 1,
+    each at most n, so no count reaches 2^B.  Time is polynomial in ``n``,
+    with no weight guard; the mapping is read-only because it is cached.
     """
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    step = 2 if flavor is Flavor.ODD else 1
-    counts: dict[tuple[int, ...], int] = {}
-    for d in subscript_range(n, flavor):
-        rem = n - frame_weight(d, flavor)
-        if rem >= k - 1:
-            parts = list(range(1, part_cap(d, flavor) + 1, step))
-            _subscript_counts(rem, k, parts, counts)
-    return MappingProxyType(counts)
+    return MappingProxyType(dict(_rank_rows(n, k, flavor)))
 
 
 def count_kmarked(m: Sequence[int], n: int, flavor: Flavor = Flavor.ORDINARY) -> int:

@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import bijections, marked, moments, qseries, symbols
-from .marked import KMarkedSymbol, PartitionPair, enumerate_kmarked, kmarked_rank_distribution
+from .marked import KMarkedSymbol, PartitionPair, kmarked_rank_distribution
 from .partitions import (
     MAX_WEIGHT, bounded_partitions_upto, count_rank, enumerate_partitions, rank
 )
@@ -151,6 +151,13 @@ def _rank_symmetry_tables(b: Bounds):
                         yield f"n={n} k={k} count {c} at {m} but {dist.get(image, 0)} at {image}"
 
 
+def _members(n: int, k: int) -> Iterator[tuple]:
+    """``(vectors, d, ranks)`` of each k-marked symbol of ``n``, k >= 2, from the block walk."""
+    for d, upper, lows in marked._blocks(n, k, Flavor.ORDINARY):
+        high = marked._upper_ranks(upper, k)
+        yield from (((p, *upper), d, (len(p.alpha) - len(p.beta) - 1, *high)) for p in lows)
+
+
 @_check("permute-corpus", lambda b: f"{_k_and_n(b)}, transpositions")
 def _permute_corpus(b: Bounds):
     """The composite rank-permuting map is a bijection of each corpus onto
@@ -168,13 +175,10 @@ def _permute_corpus(b: Bounds):
             index: dict[tuple[PartitionPair, ...], int] = {}
             subscripts = bytearray()
             rank_of, shared = [], {}  # equal rank vectors are one tuple
-            for d, upper, lows in marked._blocks(n, k, Flavor.ORDINARY):
-                high = marked._upper_ranks(upper, k)
-                for pair in lows:
-                    index[(pair, *upper)] = len(subscripts)
-                    subscripts.append(d)
-                    ranks = (len(pair.alpha) - len(pair.beta) - 1, *high)
-                    rank_of.append(shared.setdefault(ranks, ranks))
+            for vectors, d, ranks in _members(n, k):
+                index[vectors] = len(subscripts)
+                subscripts.append(d)
+                rank_of.append(shared.setdefault(ranks, ranks))
             seen = [bytearray(len(index)) for _ in transpositions]
             for vectors, d, ranks in zip(index, subscripts, rank_of):
                 s = KMarkedSymbol(vectors, d)
@@ -318,13 +322,13 @@ def _deficiencies(b: Bounds):
 @_check("lift-roundtrip", lambda b: f"k = 2, n <= {b.max_n}")
 def _lift_roundtrip(b: Bounds):
     for n in range(b.max_n + 1):
-        for s in enumerate_kmarked(n, 2):
+        for vectors, d, (r1, r2) in _members(n, 2):
+            s = KMarkedSymbol(vectors, d)
             lifted = bijections.symbol_to_strict_shifted(s)
             nb = marked.balanced_numbers(s)
             if not marked.is_strict_shifted_symbol(lifted):
                 yield f"lift of {s} not strict shifted"
-            shifted = tuple(r + 2 * t for r, t in zip(s.ranks[:-1], nb)) + s.ranks[-1:]
-            if lifted.ranks != shifted:
+            if lifted.ranks != (r1 + 2 * nb[0], r2):
                 yield f"rank shift wrong for {s}"
             if bijections.symbol_from_strict_shifted(lifted, nb) != s:
                 yield f"{s} fails the round trip"
@@ -333,10 +337,10 @@ def _lift_roundtrip(b: Bounds):
 @_check("flip-involution", lambda b: f"k = 2, n <= {b.max_n}, both positions")
 def _flip_involution(b: Bounds):
     for n in range(b.max_n + 1):
-        for s in enumerate_kmarked(n, 2):
-            for p in (1, 2):
+        for vectors, d, (r1, r2) in _members(n, 2):
+            s = KMarkedSymbol(vectors, d)
+            for p, flipped in ((1, (-r1, r2)), (2, (r1, -r2))):
                 t = bijections.flip_rank(s, p)
-                flipped = tuple(-r if i == p else r for i, r in enumerate(s.ranks, 1))
                 if t.ranks != flipped:
                     yield f"{s} position {p} flips to {t.ranks}"
                 if bijections.flip_rank(t, p) != s:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from durfee import bijections, cli, symbols
+from durfee import bijections, cli, marked, symbols
 from durfee.marked import KMarkedSymbol, PartitionPair, enumerate_kmarked, is_strict_shifted_symbol
 from durfee.serialize import parse, render
 from durfee.symbols import DurfeeSymbol, Flavor
@@ -71,7 +71,13 @@ def test_count_is_deterministic(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("--n", "-3"), ("--n", "4", "--k", "0"), ("--n", "3", "--k", "2", "--ranks", "1")]
+    "argv",
+    [
+        ("--n", "-3"),
+        ("--n", "4", "--k", "0"),
+        ("--n", "3", "--k", "2", "--ranks", "1"),
+        ("--n", "-3", "--k", "100000"),  # raises before writing a header longer than a block
+    ],
 )
 def test_count_bad_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "count", *argv)
@@ -83,7 +89,7 @@ def test_count_checks_ranks_before_counting(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("the table was computed before --ranks was checked")
 
-    monkeypatch.setattr(cli, "kmarked_rank_counts", fail)
+    monkeypatch.setattr(cli, "_rank_rows", fail)
     code, out, err = run_cli(capsys, "count", "--n", "40", "--k", "3", "--ranks", "1")
     assert_usage_error(code, out, err)
     assert err == "error: --ranks needs 3 entries\n"
@@ -95,12 +101,29 @@ def test_count_rejects_k_above_n_plus_one_before_counting(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("--k was not checked before counting")
 
-    monkeypatch.setattr(cli, "kmarked_rank_counts", fail)
+    monkeypatch.setattr(cli, "_rank_rows", fail)
     monkeypatch.setattr(cli, "_count_lines", fail)
     huge = "100000000000000000000"
     code, out, err = run_cli(capsys, "count", "--n", "5", "--k", huge)
     assert_usage_error(code, out, err)
     assert err == f"error: --k must be at most n + 1 = 6, got {huge}\n"
+
+
+def test_count_streams_rows_without_the_table(capsys, monkeypatch):
+    # The rows come straight from the DP's decoder: the cached table is never built.
+    table = marked.kmarked_rank_counts(18, 4)
+    expected = ["# n=18 k=4 flavor=ordinary", "m1\tm2\tm3\tm4\tcount"]
+    expected += ["\t".join(map(str, (*m, table[m]))) for m in sorted(table)]
+    expected.append("total\t\t\t\t" + str(sum(table.values())))
+
+    def fail(*args):
+        raise AssertionError("count built the whole table")
+
+    monkeypatch.setattr(marked, "kmarked_rank_counts", fail)
+    monkeypatch.setattr(cli, "kmarked_rank_counts", fail, raising=False)
+    code, out, _ = run_cli(capsys, "count", "--n", "18", "--k", "4")
+    assert code == 0
+    assert out == "\n".join(expected) + "\n"
 
 
 @pytest.mark.parametrize("n, k", [(5, 6), (0, 1)])

@@ -5,6 +5,7 @@ import pytest
 
 from durfee.marked import (
     KMarkedSymbol,
+    _rank_rows,
     PartitionPair,
     balanced_numbers,
     balanced_parts,
@@ -389,13 +390,23 @@ def test_single_vector_counts_match_rank_series_past_enumeration(flavor, series)
 
 
 @pytest.mark.parametrize("flavor,series", [(Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)])
-@pytest.mark.parametrize("n,k", [(40, 2), (28, 3), (20, 4)])
+@pytest.mark.parametrize("n,k", [(40, 2), (60, 2), (28, 3), (20, 4)])
 def test_marked_totals_match_symmetrized_moment_past_enumeration(flavor, series, n, k):
     # (k+1)-marked symbols of n number the 2k-th symmetrized moment of the
     # ranks, sum_m binom(m + floor((2k-1)/2), 2k) N(m, n); past the
     # enumeration guard N(m, n) comes from the rank series.
     moment = sum(binom(m + (2 * k - 1) // 2, 2 * k) * series(m, n)[n] for m in range(-n, n + 1))
     assert total_kmarked(n, k + 1, flavor) == moment
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_rank_rows_stream_the_table_in_ascending_order(flavor, k):
+    for n in range(17):
+        rows = list(_rank_rows(n, k, flavor))
+        keys = [m for m, _ in rows]
+        assert all(a < b for a, b in zip(keys, keys[1:])), n
+        assert rows == sorted(kmarked_rank_counts(n, k, flavor).items()), n
 
 
 def test_rank_counts_reject_bad_input():
