@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from . import qseries
 from .marked import KMarkedSymbol, _blocks, _rank_rows
@@ -243,8 +244,21 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """The command's parser; each subcommand's parser is one too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # No flag starts with "-" and a digit, so such an argument is a value:
+        # a negative list (--ranks -1,0) or fraction (--x -1/2), not only a number.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="durfee",
         description="Exact counting, bijections, and series checks for marked Durfee symbols.",
     )

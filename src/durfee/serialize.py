@@ -16,8 +16,11 @@ A corpus is written from the blocks ``(d, upper, lows)`` of
 :func:`durfee.marked._blocks`, in which only vector 1 varies:
 :func:`document_lines` yields each symbol's one-line JSON document (the text
 of ``json.dumps(symbol_to_document(s))``, built without a dict) and
-:func:`display_lines` its one-line display.  :func:`format_symbol` of a
-k-marked symbol is the display writer's one-block case.
+:func:`display_lines` its one-line display.  Each writer formats a vector
+once per call and a subscript's text once per call; per block it
+concatenates the texts of vectors 2..k, and per line it adds vector 1 in
+one f-string.  :func:`format_symbol` of a k-marked symbol is the display
+writer's one-block case.
 """
 
 from __future__ import annotations
@@ -116,8 +119,9 @@ def parse(text: str) -> KMarkedSymbol:
 
 
 def _document_facts(v: PartitionPair, top: bool) -> tuple[str, int, str, str]:
-    """JSON fragment, weight, rank term and balanced count of one vector,
-    ``top`` when it is vector k."""
+    """JSON fragment, weight, rank and balanced count of one vector, ``top``
+    when it is vector k.  Below k each text is followed by the ``", "`` that
+    separates it from the next vector's."""
     alpha, beta = v
     fragment = f'{{"alpha": {list(alpha)}, "beta": {list(beta)}}}'
     weight = sum(alpha) + sum(beta)
@@ -125,21 +129,29 @@ def _document_facts(v: PartitionPair, top: bool) -> tuple[str, int, str, str]:
         return fragment, weight, str(len(alpha) - len(beta)), "0"
     # Interned: a few dozen distinct numbers recur across all kept vectors.
     rank, balanced = len(alpha) - len(beta) - 1, len(balanced_parts(v))
-    return fragment, weight, sys.intern(str(rank)), sys.intern(str(balanced))
+    return f"{fragment}, ", weight, sys.intern(f"{rank}, "), sys.intern(f"{balanced}, ")
 
 
 def document_lines(blocks: Iterable[Block], flavor: Flavor) -> Iterator[str]:
     """``json.dumps(symbol_to_document(s))`` for each symbol of ``blocks``,
-    built as text.  The text of vectors 2..k is joined once per block; each
-    vector's facts come from one cache per call, keyed by the vector and
-    whether it is vector k."""
+    built as text.  Per call, one cache keeps each vector's facts, keyed by
+    the vector and whether it is vector k, and one dict keeps each
+    subscript's document head and frame weight.  Per block the texts of
+    vectors 2..k are concatenated and their weights added; per line one
+    f-string adds vector 1."""
     facts = lru_cache(maxsize=None)(_document_facts)
+    heads: dict[int, tuple[str, int]] = {}
     for d, upper, lows in blocks:
+        if d not in heads:
+            head = f'{{"flavor": "{flavor.value}", "d": {d}, "vectors": ['
+            heads[d] = head, frame_weight(d, flavor)
+        head, frame = heads[d]
         k = len(upper) + 1
-        high = [facts(v, i == k) for i, v in enumerate(upper, 2)]
-        head = f'{{"flavor": "{flavor.value}", "d": {d}, "vectors": ['
-        frame = frame_weight(d, flavor) + sum(weight for _, weight, _, _ in high)
-        fragments, ranks, balanced = ("".join(f", {x[j]}" for x in high) for j in (0, 2, 3))
+        fragments = ranks = balanced = ""
+        for i, v in enumerate(upper, 2):
+            fragment, weight, rank, count = facts(v, i == k)
+            fragments, ranks, balanced = fragments + fragment, ranks + rank, balanced + count
+            frame += weight
         for v in lows:
             fragment, weight, rank, count = facts(v, k == 1)
             yield (
@@ -158,14 +170,20 @@ def _display_facts(v: PartitionPair, i: int) -> tuple[str, ...]:
 def display_lines(blocks: Iterable[Block]) -> Iterator[str]:
     """One-line display of each symbol of ``blocks`` in the traditional
     orientation (vector k leftmost), entries carrying their vector index as
-    a subscript.  The rows of vectors 2..k are joined once per block; each
-    vector's rows come from one cache per call, keyed by the vector and its
-    index."""
+    a subscript.  Per call, one cache keeps each vector's rows, keyed by the
+    vector and its index, and one dict keeps each subscript's mark.  Per
+    block the rows of vectors k..2 are concatenated; per line one f-string
+    adds vector 1."""
     facts = lru_cache(maxsize=None)(_display_facts)
+    marks: dict[int, str] = {}
     for d, upper, lows in blocks:
-        high = [facts(v, i) for i, v in enumerate(upper, 2)][::-1]
-        top, bottom = ("".join(x[j] for x in high) for j in (0, 1))
-        mark = _subscript(d)
+        if d not in marks:
+            marks[d] = _subscript(d)
+        mark = marks[d]
+        top = bottom = ""
+        for i, v in enumerate(upper, 2):
+            t, b = facts(v, i)
+            top, bottom = t + top, b + bottom
         for v in lows:
             t, b = facts(v, 1)
             # An empty row shows as two spaces between its brackets and the slash.

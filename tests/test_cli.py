@@ -851,6 +851,53 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
+        (("count", "--k", "2"), "the following arguments are required: --n"),
+        (("series", "--gf", "nope", "--order", "3"), "argument --gf: invalid choice: 'nope'"),
+        (("count", "--n", "3", "--ranks"), "argument --ranks: expected one argument"),
+        (("enumerate", "--n", "3", "--zzz"), "unrecognized arguments: --zzz"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+        ((), "the following arguments are required: command"),
+    ],
+)
+def test_parser_errors_are_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    assert_usage_error(exc.value.code, out.out, out.err)
+    assert out.err.startswith(f"error: {message}")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--help"])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.startswith("usage: durfee count [-h] --n N")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("count", "--n", "5", "--k", "2", "--ranks", "-1,0"),
+        ("series", "--gf", "rk", "--order", "2", "--x", "-1/2,3"),
+        ("series", "--gf", "rk", "--order", "2", "--x", "-.5,3"),
+    ],
+)
+def test_negative_list_values_read_as_values(capsys, flags):
+    # A list flag's value given as its own argument reads as the "=" spelling
+    # reads it, even where its first entry is negative.
+    *head, flag, value = flags
+    spaced = run_cli(capsys, *head, flag, value)
+    assert spaced == run_cli(capsys, *head, f"{flag}={value}")
+    assert spaced[0] == 0
+    if head[0] == "count":
+        assert spaced[1].splitlines()[-1] == "-1\t0\t2"
+
+
 def test_closed_stdout_is_not_a_traceback():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

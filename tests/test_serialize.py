@@ -135,8 +135,8 @@ def test_json_documents_are_valid_json():
     assert json.loads(text)["d"] == 5
 
 
-def _corpus_blocks(k, flavor):
-    return [b for n in range(11) for b in _blocks(n, k, flavor)]
+def _corpus_blocks(k, flavor, max_n=10):
+    return [b for n in range(max_n + 1) for b in _blocks(n, k, flavor)]
 
 
 def _symbols(blocks, flavor=Flavor.ORDINARY):
@@ -159,13 +159,15 @@ def _display(s):
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_document_lines_match_json_dumps(k, flavor):
-    # One call over every block of weight <= 10: subscript and weight change
+    # One call over every block of weight <= 10 (<= 9 for k = 5, whose four
+    # upper vectors are concatenated per block): subscript and weight change
     # between blocks.
-    blocks = _corpus_blocks(k, flavor)
+    max_n = 10 if k < 5 else 9
+    blocks = _corpus_blocks(k, flavor, max_n)
     corpus = _symbols(blocks, flavor)
-    assert corpus == [s for n in range(11) for s in enumerate_kmarked(n, k, flavor)]
+    assert corpus == [s for n in range(max_n + 1) for s in enumerate_kmarked(n, k, flavor)]
     lines = list(document_lines(blocks, flavor))
     assert len(lines) == len(corpus)
     for s, line in zip(corpus, lines):
@@ -213,6 +215,18 @@ def test_line_writers_follow_a_change_of_subscript():
     lines = document_lines(blocks, Flavor.ORDINARY)
     assert [json.loads(line)["derived"]["weight"] for line in lines] == [55, 66, 55]
     assert format_symbol(KMarkedSymbol((PartitionPair((), ()),), 1)) == "(  /  )₁"
+
+
+def test_line_writers_follow_two_digit_subscripts():
+    # Subscripts 10, 12 and 10 again in one call: each block takes its own
+    # subscript's head, frame weight and mark, the second 10 the cached ones.
+    v1, *upper = SYM55.vectors
+    W = PartitionPair((9, 1), ())
+    blocks = [(10, tuple(upper), [v1, W]), (12, (W, upper[1]), (v1,)), (10, (), [W])]
+    _assert_writers_match_one_symbol_forms(blocks, Flavor.ORDINARY)
+    lines = list(document_lines(blocks, Flavor.ORDINARY))
+    assert [json.loads(line)["derived"]["weight"] for line in lines] == [130, 136, 171, 110]
+    assert [line[-3:] for line in display_lines(blocks)] == [")₁₀", ")₁₀", ")₁₂", ")₁₀"]
 
 
 def test_line_writers_keep_vector_facts_apart_by_index():
