@@ -35,7 +35,8 @@ tuple, so no caller can change what a later call returns.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .marked import KMarkedSymbol, PartitionPair, balanced_parts, is_strict_shifted_pair
 from .symbols import DurfeeSymbol
@@ -65,18 +66,22 @@ def _raise(pair: PartitionPair, negated: bool) -> tuple[PartitionPair, int]:
     return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept), len(bal)
 
 
-def _lift(vecs: list[PartitionPair], neg: Sequence[bool]) -> list[int]:
-    """Raise vectors 1 .. k-1 in place, every flip's guard first, and swap the
-    rows of vector k, flipping where ``neg`` is set; return t (t_k = 0)."""
-    for i in range(len(vecs) - 1):
+def _lift(
+    vectors: tuple[PartitionPair, ...], neg: Sequence[bool]
+) -> tuple[tuple[PartitionPair, ...], list[int]]:
+    """Raise vectors 1 .. k-1, every flip's guard first, and swap the rows of
+    vector k, flipping where ``neg`` is set; return the vectors and the
+    balanced numbers t_1 .. t_{k-1}."""
+    vecs = list(vectors)
+    t = [0] * (len(vecs) - 1)
+    for i in range(len(t)):
         if neg[i] and not vecs[i].alpha:
             raise ValueError(f"vector {i + 1} has no top part")
-    t = [0] * len(vecs)
-    for i in range(len(vecs) - 1):
+    for i in range(len(t)):
         vecs[i], t[i] = _raise(vecs[i], neg[i])
     if vecs and neg[-1]:  # the flip of vector k swaps its rows
-        vecs[-1] = PartitionPair(*vecs[-1][::-1])
-    return t
+        vecs[-1] = PartitionPair(vecs[-1].beta, vecs[-1].alpha)
+    return tuple(vecs), t
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -261,9 +266,7 @@ def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
 
     The i-th rank grows by twice the i-th balanced number for i < k.
     """
-    vecs = list(s.vectors)
-    _lift(vecs, (False,) * s.k)
-    return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
+    return KMarkedSymbol(_lift(s.vectors, (False,) * s.k)[0], s.d, s.flavor)
 
 
 def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSymbol:
@@ -296,26 +299,39 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
     return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _perm_getters(perms: tuple[tuple[int, ...], ...], k: int) -> tuple[Callable, ...]:
+    """Check each perm of 1..k once per distinct perms tuple; return per perm
+    a getter that reads a length-k sequence in perm order, as a tuple."""
+    ids = list(range(1, k + 1))
+    for perm in perms:
+        if sorted(perm) != ids:
+            raise ValueError("perm must be a permutation of 1..k")
+    # an itemgetter of one index returns a bare item; the one perm of 1..1 is the identity
+    return tuple(itemgetter(*[p - 1 for p in perm]) if k > 1 else tuple for perm in perms)
+
+
 def permuted_images(
     s: KMarkedSymbol, perms: Iterable[Sequence[int]]
 ) -> Iterator[KMarkedSymbol]:
     """Yield, per permutation, the symbol whose i-th rank is the perm(i)-th
     rank of ``s``.
 
-    Each ``perm`` lists perm(1) .. perm(k) as a permutation of 1..k.  The
-    composite route: flip every negative rank to its absolute value, lift to
-    the strict shifted world and merge the marks, all once; then per
+    Each ``perm`` lists perm(1) .. perm(k) as a permutation of 1..k, in ints.
+    The composite route: flip every negative rank to its absolute value, lift
+    to the strict shifted world and merge the marks, all once; then per
     permutation split the marks again with the permuted magnitudes (the
     balanced-number budget stays attached to positions, so the k-th stays 0),
     drop back, and restore the signs at their new positions.
     """
     vectors, d, flavor = s.vectors, s.d, s.flavor
     k = len(vectors)
-    perms = [tuple(perm) for perm in perms]
-    ids = list(range(1, k + 1))
-    for perm in perms:
-        if sorted(perm) != ids:
-            raise ValueError("perm must be a permutation of 1..k")
+    perms = tuple(map(tuple, perms))
+    for perm in perms:  # before the cache, whose keys take 1.0 and True for 1
+        for p in perm:
+            if type(p) is not int:
+                raise ValueError("perm must be a permutation of 1..k")
+    getters = _perm_getters(perms, k)
     if not k:  # else the targets are the lifted ranks, which always pass the check
         _check_targets(0, ())
     neg, mags = [], []
@@ -323,12 +339,21 @@ def permuted_images(
         x = len(alpha) - len(beta) - (i < k)
         neg.append(x < 0)
         mags.append(abs(x))
-    vecs = list(vectors)
-    t = _lift(vecs, neg)
-    gamma, delta = _merge(tuple(vecs))
-    for perm in perms:
-        rebuilt = _cut(gamma, delta, tuple([mags[p - 1] + 2 * y for p, y in zip(perm, t)]))
-        yield KMarkedSymbol(_drop(rebuilt, t, [neg[p - 1] for p in perm]), d, flavor)
+    lifted, t = _lift(vectors, neg)
+    gamma, delta = _merge(lifted)
+    lift = [2 * y for y in t] + [0]  # the balanced-number budget stays at its position
+    for get in getters:
+        rebuilt = _cut(gamma, delta, tuple(map(add, get(mags), lift)))
+        flips = get(neg)
+        top = rebuilt[-1]
+        if flips[-1]:  # the flip of vector k swaps its rows
+            top = PartitionPair(top.beta, top.alpha)
+        try:
+            vecs = (*map(_lower, rebuilt, t, flips), top)
+        except ValueError:  # again through _drop, which names the vector
+            _drop(rebuilt, t, flips)
+            raise
+        yield KMarkedSymbol(vecs, d, flavor)
 
 
 def permute_ranks(s: KMarkedSymbol, perm: Sequence[int]) -> KMarkedSymbol:

@@ -163,12 +163,16 @@ def is_valid(s: KMarkedSymbol) -> bool:
     return validate(s).ok
 
 
-def _blocks(n: int, k: int, flavor: Flavor, low: Callable = tuple) -> Iterator[tuple]:
+def _blocks(
+    n: int, k: int, flavor: Flavor, low: Callable = tuple, keep: Callable | None = None
+) -> Iterator[tuple]:
     """Yield ``(d, upper, lows)`` in canonical order for each subscript d and
     choice ``upper`` of vectors 2..k (index order; empty for k = 1), ``lows``
-    being ``low`` of every vector 1 the block admits.  Vector i < k meets the
-    vectors above only through the weight left and its top row's bound, so a
-    table per subscript keyed by (i, weight, bound) holds its shared choices."""
+    being ``low`` of every vector 1 the block admits.  Given ``keep``, vector
+    i >= 2 takes only the pairs p with ``keep(i, p)``, so the walk skips the
+    blocks beneath every other.  Vector i < k meets the vectors above only
+    through the weight left and its top row's bound, so a table per subscript
+    keyed by (i, weight, bound) holds its shared choices."""
     _check_weight(n)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -188,6 +192,8 @@ def _blocks(n: int, k: int, flavor: Flavor, low: Callable = tuple) -> Iterator[t
             if alpha or i == k  # only vector k may have an empty top row
             for beta in rows(avail - sum(alpha), ub if i == k else alpha[0], odd)
         ]
+        if keep is not None and i > 1:
+            pairs = [p for p in pairs if keep(i, p)]
         made = low(pairs) if i == 1 else [
             (p, budget - sum(p.alpha + p.beta), min(p.alpha[-1:] + p.beta[-1:], default=ub))
             for p in pairs

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import ge
 from types import MappingProxyType
 from typing import Mapping
 
@@ -23,9 +24,10 @@ MAX_WEIGHT = 40
 
 def is_partition(parts: tuple) -> bool:
     """True when ``parts`` is non-increasing with every entry a positive int."""
-    if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in parts):
-        return False
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+    for x in parts:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            return False
+    return all(map(ge, parts, parts[1:]))
 
 
 def _check_weight(n: int) -> None:

@@ -349,14 +349,15 @@ def _flip_involution(b: Bounds):
 
 def _strict_shifted_members(n: int, k: int) -> Iterator[tuple]:
     """``(vectors, d, ranks)`` of each strict shifted k-marked symbol of ``n`` with
-    nonnegative ranks, in enumeration order; vectors 2..k are tested once per block."""
+    nonnegative ranks, in enumeration order; the walk tests each pair of its
+    tables once and prunes at every vector."""
     shifted = marked.is_strict_shifted_pair
     # vector 1 with its rank, tested once per pair of the walk's table
     low = lambda ps: [(p, r) for p in ps if (r := len(p[0]) - len(p[1]) - 1) >= 0 and shifted(p)]
-    for d, upper, lows in marked._blocks(n, k, Flavor.ORDINARY, low):
+    keep = lambda i, p: shifted(p) if i < k else len(p.alpha) >= len(p.beta)
+    for d, upper, lows in marked._blocks(n, k, Flavor.ORDINARY, low, keep):
         high = marked._upper_ranks(upper, k)
-        if lows and min(high) >= 0 and all(map(shifted, upper[:-1])):
-            yield from (((pair, *upper), d, (r, *high)) for pair, r in lows)
+        yield from (((pair, *upper), d, (r, *high)) for pair, r in lows)
 
 
 @_check("merge-split-roundtrips", _k_and_n)

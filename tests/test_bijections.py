@@ -302,12 +302,18 @@ TOO_LOW = PartitionPair((1, 1), (2,))  # a vector below k of rank 0 that cannot 
         (lambda: permute_ranks(KMarkedSymbol((TOO_LOW, PartitionPair((2,), ())), 2), (2, 1)),
          "^largest bottom part exceeds largest top part$"),
         (lambda: permute_ranks(KMarkedSymbol((), 1), ()), "^need at least one rank target$"),
+        # a valid perm equal to the bad one comes first: a cached check must not accept it
+        (lambda: [permute_ranks(TWO_ONES, (1, 2)), permute_ranks(TWO_ONES, (1.0, 2))],
+         r"^perm must be a permutation of 1\.\.k$"),
+        (lambda: [permute_ranks(TWO_ONES, (1, 2)), permute_ranks(TWO_ONES, (True, 2))],
+         r"^perm must be a permutation of 1\.\.k$"),
     ],
     ids=[
         "split-no-targets", "from-negative-r", "subscripts-not-shifted", "minima-not-shifted",
         "flip-p-low", "flip-p-high", "flip-no-top-part", "from-not-shifted", "to-oversized-bottom",
         "permute-no-top-part", "permute-no-top-part-first", "permute-flip-before-lift",
-        "permute-oversized-bottom", "permute-no-vectors",
+        "permute-oversized-bottom", "permute-no-vectors", "permute-float-entry",
+        "permute-bool-entry",
     ],
 )
 def test_public_maps_keep_their_errors(call, match):
@@ -315,6 +321,15 @@ def test_public_maps_keep_their_errors(call, match):
     for _ in range(2):
         with pytest.raises(ValueError, match=match):
             call()
+
+
+def test_permuted_images_read_any_sequence_of_perms():
+    s = next(enumerate_kmarked(9, 3))
+    perms = list(permutations(range(1, 4)))
+    want = list(bijections.permuted_images(s, tuple(perms)))
+    assert [im.ranks for im in want] == [tuple(s.ranks[p - 1] for p in perm) for perm in perms]
+    assert list(bijections.permuted_images(s, [list(p) for p in perms])) == want
+    assert list(bijections.permuted_images(s, (list(p) for p in perms))) == want
 
 
 # sha256 of every image of permute_ranks over each corpus, recorded before the

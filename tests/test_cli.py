@@ -528,6 +528,18 @@ def test_strict_shifted_members_follow_the_enumeration(k):
         assert list(verify_mod._strict_shifted_members(n, k)) == want, n
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_strict_shifted_members_are_the_filtered_walk(k):
+    # the walk prunes at every vector, and keeps the members of the full walk
+    # with nonnegative ranks and strict shifted vectors below k, in its order
+    for n in range(13):
+        want = [
+            (vectors, d, ranks) for vectors, d, ranks in verify_mod._members(n, k)
+            if min(ranks) >= 0 and all(map(marked.is_strict_shifted_pair, vectors[:-1]))
+        ]
+        assert list(verify_mod._strict_shifted_members(n, k)) == want, n
+
+
 def test_phi_fails_when_any_longer_top_row_counts_as_strict_shifted(capsys, monkeypatch):
     # ((1, 1), (1,)) then passes for strict shifted: it is counted at n = 4,
     # and merging a symbol that holds it raises
