@@ -35,6 +35,7 @@ tuple, so no caller can change what a later call returns.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,6 +44,13 @@ from .symbols import DurfeeSymbol
 
 #: Entries of each stage memo: above the keys the verify corpora reuse, and bounded.
 _MEMO_SIZE = 512
+
+
+def _require_ints(values: Iterable, message: str) -> None:
+    """Raise ``message`` unless each value's type is int: memo keys take 1.0 and True for 1."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(message)
 
 
 def _flip_pair(pair: PartitionPair) -> PartitionPair:
@@ -216,6 +224,7 @@ def split_marks(ds: DurfeeSymbol, targets: Sequence[int]) -> KMarkedSymbol:
     inverse to :func:`merge_marks`.
     """
     m = tuple(targets)
+    _require_ints(m, "rank targets must be ints")
     _check_targets(ds.rank, m)
     return KMarkedSymbol(_cut(ds.alpha, ds.beta, m), ds.d, ds.flavor)
 
@@ -258,6 +267,7 @@ def from_strict_shifted(pair: PartitionPair, r: int) -> PartitionPair:
     the resulting difference may well be negative (a pair whose bottom row
     is entirely balanced inverts through here).
     """
+    _require_ints((r,), "r must be an int")
     return _lower(pair, r, False)
 
 
@@ -273,6 +283,7 @@ def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSym
     """Vector-wise inverse of :func:`symbol_to_strict_shifted` for the given
     balanced-number targets ``t`` (t_k must be 0)."""
     t = tuple(t)
+    _require_ints(t, "balanced numbers must be ints")
     if len(t) != s.k:
         raise ValueError("balanced-number vector must have length k")
     if t[-1] != 0:
@@ -287,6 +298,7 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
     the top row's largest part as the new top, and the rest of the old top
     becomes the new bottom.  Applying the map twice restores the symbol.
     """
+    _require_ints((p,), "vector index must be an int")
     if not 1 <= p <= s.k:
         raise ValueError(f"vector index {p} out of range 1..{s.k}")
     vecs = list(s.vectors)
@@ -327,10 +339,7 @@ def permuted_images(
     vectors, d, flavor = s.vectors, s.d, s.flavor
     k = len(vectors)
     perms = tuple(map(tuple, perms))
-    for perm in perms:  # before the cache, whose keys take 1.0 and True for 1
-        for p in perm:
-            if type(p) is not int:
-                raise ValueError("perm must be a permutation of 1..k")
+    _require_ints(chain.from_iterable(perms), "perm must be a permutation of 1..k")
     getters = _perm_getters(perms, k)
     if not k:  # else the targets are the lifted ranks, which always pass the check
         _check_targets(0, ())

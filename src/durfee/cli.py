@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NoReturn
 
 from . import qseries
-from .marked import KMarkedSymbol, _blocks, _rank_rows
+from .marked import KMarkedSymbol, blocks, rank_rows
 from .symbols import DurfeeSymbol, Flavor
 
 
@@ -129,7 +129,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     _check_k(args)
     if args.ranks is not None and len(args.ranks) != args.k:
         raise ValueError(f"--ranks needs {args.k} entries")
-    _write_lines(_count_lines(args, _rank_rows(args.n, args.k, args.flavor)))
+    _write_lines(_count_lines(args, rank_rows(args.n, args.k, args.flavor)))
     return 0
 
 
@@ -137,8 +137,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_k(args)
     from .serialize import display_lines, document_lines
 
-    blocks = _blocks(args.n, args.k, args.flavor)
-    _write_lines(display_lines(blocks) if args.pretty else document_lines(blocks, args.flavor))
+    walk = blocks(args.n, args.k, args.flavor)
+    _write_lines(display_lines(walk) if args.pretty else document_lines(walk, args.flavor))
     return 0
 
 

@@ -25,13 +25,14 @@ The i-th rank is len(alpha^i) - len(beta^i) - 1 for i < k and
 len(alpha^k) - len(beta^k) for i = k.
 
 Counts by rank vector come two independent ways.
-:func:`kmarked_rank_distribution` tallies the blocks of the walk that
-:func:`enumerate_kmarked` flattens; it is the oracle, costs time exponential
-in n and stops at the weight guard.
+:func:`kmarked_rank_distribution` tallies the blocks of :func:`blocks`, the
+walk that :func:`enumerate_kmarked` flattens and the corpus writers and checks
+read; it is the oracle, costs time exponential in n and stops at the weight guard.
 :func:`kmarked_rank_counts` is a transfer DP that builds no symbol, runs in
 polynomial time with no weight guard, and backs :func:`count_kmarked`,
 :func:`total_kmarked` and the marked rank series; it packs the rank of vector k
-into one int, and ``durfee count`` streams its rows in ascending order.
+into one int, and ``durfee count`` streams its rows in ascending order from
+:func:`rank_rows`.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def is_valid(s: KMarkedSymbol) -> bool:
     return validate(s).ok
 
 
-def _blocks(
+def blocks(
     n: int, k: int, flavor: Flavor, low: Callable = tuple, keep: Callable | None = None
 ) -> Iterator[tuple]:
     """Yield ``(d, upper, lows)`` in canonical order for each subscript d and
@@ -218,7 +219,7 @@ def _blocks(
 
 
 def _upper_ranks(upper: tuple[PartitionPair, ...], k: int) -> tuple[int, ...]:
-    """Ranks of the vectors 2..k of a block of :func:`_blocks`."""
+    """Ranks of the vectors 2..k of a block of :func:`blocks`."""
     return tuple(len(alpha) - len(beta) - (i < k) for i, (alpha, beta) in enumerate(upper, 2))
 
 
@@ -235,7 +236,7 @@ def enumerate_kmarked(
     symbols that hold it.  A weight outside the enumeration guard raises
     before the first symbol.
     """
-    for d, upper, lows in _blocks(n, k, flavor):
+    for d, upper, lows in blocks(n, k, flavor):
         for pair in lows:
             yield KMarkedSymbol((pair, *upper), d, flavor)
 
@@ -255,7 +256,7 @@ def kmarked_rank_distribution(
     # The rank of vector i is len(alpha) - len(beta), less 1 for i < k.
     tally = lambda pairs: Counter(len(alpha) - len(beta) - (k > 1) for alpha, beta in pairs)
     counts: dict[tuple[int, ...], int] = {}
-    for _, upper, lows in _blocks(n, k, flavor, tally):
+    for _, upper, lows in blocks(n, k, flavor, tally):
         high = _upper_ranks(upper, k)
         for r, c in lows.items():
             ranks = (r, *high)
@@ -355,7 +356,7 @@ def _subscript_counts(
                 result[ranks] = result.get(ranks, 0) + v * x
 
 
-def _rank_rows(n: int, k: int, flavor: Flavor) -> Iterator[tuple[tuple[int, ...], int]]:
+def rank_rows(n: int, k: int, flavor: Flavor) -> Iterator[tuple[tuple[int, ...], int]]:
     """Run the DP of :func:`kmarked_rank_counts`; return its items in key order."""
     if n < 0 or k < 1:
         raise ValueError("weight must be nonnegative" if n < 0 else "k must be >= 1")
@@ -408,7 +409,7 @@ def kmarked_rank_counts(
     each at most n, so no count reaches 2^B.  Time is polynomial in ``n``,
     with no weight guard; the mapping is read-only because it is cached.
     """
-    return MappingProxyType(dict(_rank_rows(n, k, flavor)))
+    return MappingProxyType(dict(rank_rows(n, k, flavor)))
 
 
 def count_kmarked(m: Sequence[int], n: int, flavor: Flavor = Flavor.ORDINARY) -> int:

@@ -13,7 +13,7 @@ losslessly.  Input must satisfy the marking conditions of
 one-vector documents.
 
 A corpus is written from the blocks ``(d, upper, lows)`` of
-:func:`durfee.marked._blocks`, in which only vector 1 varies:
+:func:`durfee.marked.blocks`, in which only vector 1 varies:
 :func:`document_lines` yields each symbol's one-line JSON document (the text
 of ``json.dumps(symbol_to_document(s))``, built without a dict) and
 :func:`display_lines` its one-line display.  Each writer formats a vector
@@ -35,7 +35,7 @@ from .symbols import DurfeeSymbol, Flavor, frame_weight
 
 _SUBSCRIPT_DIGITS = "₀₁₂₃₄₅₆₇₈₉"
 
-#: ``(d, upper, lows)`` as :func:`durfee.marked._blocks` yields it: subscript
+#: ``(d, upper, lows)`` as :func:`durfee.marked.blocks` yields it: subscript
 #: d, vectors 2..k in index order, and every vector 1 that goes with them.
 Block = tuple[int, tuple[PartitionPair, ...], Iterable[PartitionPair]]
 

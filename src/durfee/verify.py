@@ -3,22 +3,24 @@
 Every check compares quantities computed along independent routes (direct
 enumeration against closed formulas, forward maps against their inverses,
 series built three different ways).  A check is a generator that yields one
-detail string per counterexample and nothing else.  ``_check`` registers it
-in :data:`CHECKS` under a name, with a bound description and data parameters
-(a flavor, a route name), so one generator can serve several names.  The one
-driver that ``_check`` builds makes every report row: PASS when the generator
-yields nothing, else FAIL with ``counterexample: `` and the first detail, or
-``raised ValueError: `` and its message if the generator raised one.  A check
-that rejects its bounds raises when called instead: a usage error.
-Checks look library routines up on their modules as they run, so a patched
-or traced routine is the one called.  The corpus checks read member ranks from
-the block walk of :mod:`durfee.marked`, and call each map they check once per member.
+detail string per counterexample of one case, such as a (k, n).  ``_check``
+registers it in :data:`CHECKS` under a name, with a bound description, its
+``cases(bounds)`` (argument tuples in run order; by default one empty case)
+and data parameters (a flavor, a route name), so one generator can serve
+several names.  The one driver that ``_check`` builds calls the check once
+per case and makes the report row from the chained details: PASS when there
+are none, else FAIL with ``counterexample: `` and the first, or ``raised
+ValueError: `` and its message if a case raised one first.  A check that
+rejects its bounds raises when called instead: a usage error.  Checks look
+library routines up on their modules as they run, so a patched or traced
+routine is the one called.  The corpus checks read member ranks from the
+block walk of :mod:`durfee.marked`, and call each map they check once per member.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -68,12 +70,13 @@ class CheckResult(Record):
 CHECKS: dict[str, Callable[[Bounds], CheckResult]] = {}
 
 
-def _check(name: str, bound: Callable[[Bounds], str], **params):
-    """Register the decorated generator as check ``name`` with ``params``;
+def _check(name: str, bound: Callable[[Bounds], str], cases: Callable = lambda b: [()], **params):
+    """Register the decorated generator as check ``name``, run per case with ``params``;
     stacked registrations apply bottom-up, so the lowest enters CHECKS first."""
     def register(gen: Callable[..., Iterator[str]]):
         def run(b: Bounds) -> CheckResult:
-            details = gen(b, **params)  # a check that rejects its bounds raises here
+            # every call made up front: a check that rejects its bounds raises here
+            details = chain.from_iterable([gen(b, *case, **params) for case in cases(b)])
             try:
                 detail = next(details, None)
             except ValueError as exc:
@@ -92,6 +95,11 @@ def _k_and_n(b: Bounds) -> str:
     return f"k in {b.ks()}, n <= {b.max_n}"
 
 
+def _grid(ks: tuple[int, ...] = (), cap: int = MAX_WEIGHT):
+    """Cases (k, n), k outer: k in ``ks`` or else the bounds' ks, n <= min(max_n, ``cap``)."""
+    return lambda b: [(k, n) for k in ks or b.ks() for n in range(min(b.max_n, cap) + 1)]
+
+
 def _series_bound(b: Bounds) -> str:
     return f"k in {b.ks()}, order {b.order}, x = {tuple(str(v) for v in b.x)}"
 
@@ -107,18 +115,16 @@ def _rank_vectors(n: int, k: int, dist: dict, signed: bool = True) -> set[tuple[
     return set(dist).union(m for m, _ in ball)
 
 
-@_check("theorem-main-odd", lambda b: f"k = 2, n <= {b.max_n}", flavor=Flavor.ODD, ks=(2,))
-@_check("theorem-main-ordinary", _k_and_n, flavor=Flavor.ORDINARY)
-def _theorem_main(b: Bounds, flavor: Flavor, ks: tuple[int, ...] | None = None):
+@_check("theorem-main-odd", lambda b: f"k = 2, n <= {b.max_n}", _grid((2,)), flavor=Flavor.ODD)
+@_check("theorem-main-ordinary", _k_and_n, _grid(), flavor=Flavor.ORDINARY)
+def _theorem_main(b: Bounds, k: int, n: int, flavor: Flavor):
     """Enumerated counts by rank vector against the closed formula."""
-    for k in ks or b.ks():
-        for n in range(b.max_n + 1):
-            dist = kmarked_rank_distribution(n, k, flavor)
-            for m in _rank_vectors(n, k, dist):
-                expect = moments.marked_count_formula(m, n, flavor)
-                got = dist.get(m, 0)
-                if got != expect:
-                    yield f"n={n} k={k} m={m} enumerated={got} formula={expect}"
+    dist = kmarked_rank_distribution(n, k, flavor)
+    for m in _rank_vectors(n, k, dist):
+        expect = moments.marked_count_formula(m, n, flavor)
+        got = dist.get(m, 0)
+        if got != expect:
+            yield f"n={n} k={k} m={m} enumerated={got} formula={expect}"
 
 
 def _rank_orbit(m: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -130,8 +136,8 @@ def _rank_orbit(m: tuple[int, ...]) -> set[tuple[int, ...]]:
     return orbit
 
 
-@_check("rank-symmetry-tables", _k_and_n)
-def _rank_symmetry_tables(b: Bounds):
+@_check("rank-symmetry-tables", _k_and_n, _grid())
+def _rank_symmetry_tables(b: Bounds, k: int, n: int):
     """Count tables invariant under coordinate permutations and sign flips.
 
     Every observed vector must share its count with its orbit representative
@@ -140,81 +146,81 @@ def _rank_symmetry_tables(b: Bounds):
     of every observed vector: a missing representative fails, and a
     representative's walk covers every member of its orbit.
     """
-    for k in b.ks():
-        for n in range(b.max_n + 1):
-            dist = kmarked_rank_distribution(n, k, Flavor.ORDINARY)
-            for m, c in dist.items():
-                rep = tuple(sorted(map(abs, m), reverse=True))
-                images = _rank_orbit(m) if m == rep else (rep,)
-                for image in images:
-                    if dist.get(image, 0) != c:
-                        yield f"n={n} k={k} count {c} at {m} but {dist.get(image, 0)} at {image}"
+    dist = kmarked_rank_distribution(n, k, Flavor.ORDINARY)
+    for m, c in dist.items():
+        rep = tuple(sorted(map(abs, m), reverse=True))
+        images = _rank_orbit(m) if m == rep else (rep,)
+        for image in images:
+            if dist.get(image, 0) != c:
+                yield f"n={n} k={k} count {c} at {m} but {dist.get(image, 0)} at {image}"
 
 
-def _members(n: int, k: int) -> Iterator[tuple]:
-    """``(vectors, d, ranks)`` of each k-marked symbol of ``n``, k >= 2, from the block walk."""
-    for d, upper, lows in marked._blocks(n, k, Flavor.ORDINARY):
+def _members(n: int, k: int, strict: bool = False) -> Iterator[tuple]:
+    """``(vectors, d, ranks)`` of each k-marked symbol of ``n``, k >= 2, from the block walk,
+    in enumeration order.  Given ``strict``, of each strict shifted one with nonnegative
+    ranks: the walk tests each pair of its tables once and prunes at every vector."""
+    shifted = marked.is_strict_shifted_pair
+    # vector 1 with its rank, once per pair of the walk's table
+    low = lambda ps: [(p, r) for p in ps if (r := len(p[0]) - len(p[1]) - 1) >= 0 and shifted(p)]
+    keep = lambda i, p: shifted(p) if i < k else len(p.alpha) >= len(p.beta)
+    if not strict:
+        low, keep = lambda ps: [(p, len(p[0]) - len(p[1]) - 1) for p in ps], None
+    for d, upper, lows in marked.blocks(n, k, Flavor.ORDINARY, low, keep):
         high = marked._upper_ranks(upper, k)
-        yield from (((p, *upper), d, (len(p.alpha) - len(p.beta) - 1, *high)) for p in lows)
+        yield from (((pair, *upper), d, (r, *high)) for pair, r in lows)
 
 
-@_check("permute-corpus", lambda b: f"{_k_and_n(b)}, transpositions")
-def _permute_corpus(b: Bounds):
+@_check("permute-corpus", lambda b: f"{_k_and_n(b)}, transpositions", _grid())
+def _permute_corpus(b: Bounds, k: int, n: int):
     """The composite rank-permuting map is a bijection of each corpus onto
     itself, realizing every transposition.  A corpus, read from the block walk,
     is its vector tuples (which fix the subscript at one weight) mapped to their
     positions, with a subscript byte and a rank vector each.  One byte per
     member and transposition records the images met so far."""
-    for k in b.ks():
-        transpositions = [
-            tuple({i: j, j: i}.get(p, p) for p in range(1, k + 1))
-            for i, j in combinations(range(1, k + 1), 2)
-        ]
-        permuted = [itemgetter(*(p - 1 for p in perm)) for perm in transpositions]
-        for n in range(b.max_n + 1):
-            index: dict[tuple[PartitionPair, ...], int] = {}
-            subscripts = bytearray()
-            rank_of, shared = [], {}  # equal rank vectors are one tuple
-            for vectors, d, ranks in _members(n, k):
-                index[vectors] = len(subscripts)
-                subscripts.append(d)
-                rank_of.append(shared.setdefault(ranks, ranks))
-            seen = [bytearray(len(index)) for _ in transpositions]
-            for vectors, d, ranks in zip(index, subscripts, rank_of):
-                s = KMarkedSymbol(vectors, d)
-                images = bijections.permuted_images(s, transpositions)
-                for perm, want, hit, im in zip(transpositions, permuted, seen, images):
-                    j = index.get(im.vectors)
-                    got = im.ranks if j is None else rank_of[j]  # a member's ranks are known
-                    if got != want(ranks):
-                        yield f"n={n} k={k} perm={perm} ranks {ranks} -> {got}"
-                    if j is None or subscripts[j] != im.d or im.flavor is not s.flavor or hit[j]:
-                        yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
-                    else:
-                        hit[j] = 1
+    transpositions = [
+        tuple({i: j, j: i}.get(p, p) for p in range(1, k + 1))
+        for i, j in combinations(range(1, k + 1), 2)
+    ]
+    permuted = [itemgetter(*(p - 1 for p in perm)) for perm in transpositions]
+    index: dict[tuple[PartitionPair, ...], int] = {}
+    subscripts = bytearray()
+    rank_of, shared = [], {}  # equal rank vectors are one tuple
+    for vectors, d, ranks in _members(n, k):
+        index[vectors] = len(subscripts)
+        subscripts.append(d)
+        rank_of.append(shared.setdefault(ranks, ranks))
+    seen = [bytearray(len(index)) for _ in transpositions]
+    for vectors, d, ranks in zip(index, subscripts, rank_of):
+        s = KMarkedSymbol(vectors, d)
+        images = bijections.permuted_images(s, transpositions)
+        for perm, want, hit, im in zip(transpositions, permuted, seen, images):
+            j = index.get(im.vectors)
+            got = im.ranks if j is None else rank_of[j]  # a member's ranks are known
+            if got != want(ranks):
+                yield f"n={n} k={k} perm={perm} ranks {ranks} -> {got}"
+            if j is None or subscripts[j] != im.d or im.flavor is not s.flavor or hit[j]:
+                yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
+            else:
+                hit[j] = 1
 
 
-@_check("moment-identity-odd", lambda b: f"k = 1, n <= {b.max_n}", flavor=Flavor.ODD, ks=(1,))
+@_check("moment-identity-odd", lambda b: f"k = 1, n <= {b.max_n}", _grid((1,)), flavor=Flavor.ODD)
 @_check(
-    "moment-identity-ordinary", lambda b: f"k in (1, 2), n <= {b.max_n}",
-    flavor=Flavor.ORDINARY, ks=(1, 2),
+    "moment-identity-ordinary", lambda b: f"k in (1, 2), n <= {b.max_n}", _grid((1, 2)),
+    flavor=Flavor.ORDINARY,
 )
-def _moment_identity(b: Bounds, flavor: Flavor, ks: tuple[int, ...]):
-    for k in ks:
-        for n in range(b.max_n + 1):
-            res = moments.check_moment_identity(k, n, flavor)
-            if not res.equal:
-                yield f"k={k} n={n} marked={res.marked_total} moment={res.moment}"
+def _moment_identity(b: Bounds, k: int, n: int, flavor: Flavor):
+    res = moments.check_moment_identity(k, n, flavor)
+    if not res.equal:
+        yield f"k={k} n={n} marked={res.marked_total} moment={res.moment}"
 
 
-@_check("solution-count", lambda b: f"n <= {min(b.max_n, 12)}, k <= 3")
-def _solution_count(b: Bounds):
-    for k in (1, 2, 3):
-        for n in range(min(b.max_n, 12) + 1):
-            closed = moments.solution_count(n, k)
-            brute = moments.solution_count_brute(n, k)
-            if closed != brute:
-                yield f"n={n} k={k} closed={closed} brute={brute}"
+@_check("solution-count", lambda b: f"n <= {min(b.max_n, 12)}, k <= 3", _grid((1, 2, 3), 12))
+def _solution_count(b: Bounds, k: int, n: int):
+    closed = moments.solution_count(n, k)
+    brute = moments.solution_count_brute(n, k)
+    if closed != brute:
+        yield f"n={n} k={k} closed={closed} brute={brute}"
 
 
 @_check("partial-fractions-odd", _series_bound, flavor=Flavor.ODD, route="partial_fractions")
@@ -239,37 +245,39 @@ def _marked_series(b: Bounds, flavor: Flavor, route: str):
     )
 
 
-@_check("odd-rank-gf", lambda b: f"|m| <= 6, n <= {b.max_n}", flavor=Flavor.ODD)
-@_check("rank-gf", lambda b: f"|m| <= 6, n <= {b.max_n}", flavor=Flavor.ORDINARY)
-def _rank_gf(b: Bounds, flavor: Flavor):
+_RANKS = lambda b: [(m,) for m in range(-6, 7)]
+
+
+@_check("odd-rank-gf", lambda b: f"|m| <= 6, n <= {b.max_n}", _RANKS, flavor=Flavor.ODD)
+@_check("rank-gf", lambda b: f"|m| <= 6, n <= {b.max_n}", _RANKS, flavor=Flavor.ORDINARY)
+def _rank_gf(b: Bounds, m: int, flavor: Flavor):
     """Rank series coefficients against enumerated rank counts: partitions
     for the ordinary flavor, odd symbols for the odd one."""
     ordinary = flavor is Flavor.ORDINARY
-    for m in range(-6, 7):
-        series = (qseries.rank_gf if ordinary else qseries.odd_rank_gf)(m, b.max_n)
-        for n in range(b.max_n + 1):
-            got = count_rank(m, n) if ordinary else count_durfee_rank(m, n, flavor)
-            if series[n] != got:
-                yield f"m={m} n={n} series={series[n]} count={got}"
+    series = (qseries.rank_gf if ordinary else qseries.odd_rank_gf)(m, b.max_n)
+    for n in range(b.max_n + 1):
+        got = count_rank(m, n) if ordinary else count_durfee_rank(m, n, flavor)
+        if series[n] != got:
+            yield f"m={m} n={n} series={series[n]} count={got}"
 
 
-@_check("durfee-bijection", lambda b: f"1 <= n <= {b.max_n}")
-def _durfee_bijection(b: Bounds):
+@_check("durfee-bijection", lambda b: f"1 <= n <= {b.max_n}",
+        lambda b: [(n,) for n in range(1, b.max_n + 1)])
+def _durfee_bijection(b: Bounds, n: int):
     """to_durfee keeps each partition's rank, from_durfee undoes it, and the
     images of the partitions of n are the symbols of n, each once."""
-    for n in range(1, b.max_n + 1):
-        images = set()
-        for p in enumerate_partitions(n):
-            image = symbols.to_durfee(p)
-            if image.rank != rank(p):
-                yield f"{p} -> {image} changes the rank"
-            if symbols.from_durfee(image) != p:
-                yield f"{p} fails the round trip"
-            if image in images:
-                yield f"{image} is the image of two partitions"
-            images.add(image)
-        if images != set(enumerate_durfee(n)):
-            yield f"n={n} images are not the symbols of n"
+    images = set()
+    for p in enumerate_partitions(n):
+        image = symbols.to_durfee(p)
+        if image.rank != rank(p):
+            yield f"{p} -> {image} changes the rank"
+        if symbols.from_durfee(image) != p:
+            yield f"{p} fails the round trip"
+        if image in images:
+            yield f"{image} is the image of two partitions"
+        images.add(image)
+    if images != set(enumerate_durfee(n)):
+        yield f"n={n} images are not the symbols of n"
 
 
 def _pairs_upto(total: int) -> Iterator[PartitionPair]:
@@ -319,86 +327,67 @@ def _deficiencies(b: Bounds):
                 yield f"{pair} index {j} oversized part with deficiency {d}"
 
 
-@_check("lift-roundtrip", lambda b: f"k = 2, n <= {b.max_n}")
-def _lift_roundtrip(b: Bounds):
-    for n in range(b.max_n + 1):
-        for vectors, d, (r1, r2) in _members(n, 2):
-            s = KMarkedSymbol(vectors, d)
-            lifted = bijections.symbol_to_strict_shifted(s)
-            nb = marked.balanced_numbers(s)
-            if not marked.is_strict_shifted_symbol(lifted):
-                yield f"lift of {s} not strict shifted"
-            if lifted.ranks != (r1 + 2 * nb[0], r2):
-                yield f"rank shift wrong for {s}"
-            if bijections.symbol_from_strict_shifted(lifted, nb) != s:
-                yield f"{s} fails the round trip"
+@_check("lift-roundtrip", lambda b: f"k = 2, n <= {b.max_n}", _grid((2,)))
+def _lift_roundtrip(b: Bounds, k: int, n: int):
+    for vectors, d, (r1, r2) in _members(n, k):
+        s = KMarkedSymbol(vectors, d)
+        lifted = bijections.symbol_to_strict_shifted(s)
+        nb = marked.balanced_numbers(s)
+        if not marked.is_strict_shifted_symbol(lifted):
+            yield f"lift of {s} not strict shifted"
+        if lifted.ranks != (r1 + 2 * nb[0], r2):
+            yield f"rank shift wrong for {s}"
+        if bijections.symbol_from_strict_shifted(lifted, nb) != s:
+            yield f"{s} fails the round trip"
 
 
-@_check("flip-involution", lambda b: f"k = 2, n <= {b.max_n}, both positions")
-def _flip_involution(b: Bounds):
-    for n in range(b.max_n + 1):
-        for vectors, d, (r1, r2) in _members(n, 2):
-            s = KMarkedSymbol(vectors, d)
-            for p, flipped in ((1, (-r1, r2)), (2, (r1, -r2))):
-                t = bijections.flip_rank(s, p)
-                if t.ranks != flipped:
-                    yield f"{s} position {p} flips to {t.ranks}"
-                if bijections.flip_rank(t, p) != s:
-                    yield f"{s} position {p} not an involution"
+@_check("flip-involution", lambda b: f"k = 2, n <= {b.max_n}, both positions", _grid((2,)))
+def _flip_involution(b: Bounds, k: int, n: int):
+    for vectors, d, (r1, r2) in _members(n, k):
+        s = KMarkedSymbol(vectors, d)
+        for p, flipped in ((1, (-r1, r2)), (2, (r1, -r2))):
+            t = bijections.flip_rank(s, p)
+            if t.ranks != flipped:
+                yield f"{s} position {p} flips to {t.ranks}"
+            if bijections.flip_rank(t, p) != s:
+                yield f"{s} position {p} not an involution"
 
 
-def _strict_shifted_members(n: int, k: int) -> Iterator[tuple]:
-    """``(vectors, d, ranks)`` of each strict shifted k-marked symbol of ``n`` with
-    nonnegative ranks, in enumeration order; the walk tests each pair of its
-    tables once and prunes at every vector."""
-    shifted = marked.is_strict_shifted_pair
-    # vector 1 with its rank, tested once per pair of the walk's table
-    low = lambda ps: [(p, r) for p in ps if (r := len(p[0]) - len(p[1]) - 1) >= 0 and shifted(p)]
-    keep = lambda i, p: shifted(p) if i < k else len(p.alpha) >= len(p.beta)
-    for d, upper, lows in marked._blocks(n, k, Flavor.ORDINARY, low, keep):
-        high = marked._upper_ranks(upper, k)
-        yield from (((pair, *upper), d, (r, *high)) for pair, r in lows)
+@_check("merge-split-roundtrips", _k_and_n, _grid())
+def _merge_split_roundtrips(b: Bounds, k: int, n: int):
+    for vectors, d, ranks in _members(n, k, strict=True):
+        s = KMarkedSymbol(vectors, d)
+        ds = bijections.merge_marks(s)
+        if ds.rank != sum(ranks) + k - 1:
+            yield f"merged rank wrong for {s}"
+        if bijections.split_marks(ds, ranks) != s:
+            yield f"{s} fails merge-then-split"
+    for ds in enumerate_durfee(n):
+        r = ds.rank - (k - 1)
+        if r < 0:
+            continue
+        for head in product(range(r + 1), repeat=k - 1):
+            if sum(head) > r:
+                continue
+            targets = head + (r - sum(head),)
+            s = bijections.split_marks(ds, targets)
+            if s.ranks != targets or not marked.is_valid(s):
+                yield f"split of {ds} at {targets} invalid"
+            if bijections.merge_marks(s) != ds:
+                yield f"{ds} at {targets} fails split-then-merge"
 
 
-@_check("merge-split-roundtrips", _k_and_n)
-def _merge_split_roundtrips(b: Bounds):
-    for k in b.ks():
-        for n in range(b.max_n + 1):
-            for vectors, d, ranks in _strict_shifted_members(n, k):
-                s = KMarkedSymbol(vectors, d)
-                ds = bijections.merge_marks(s)
-                if ds.rank != sum(ranks) + k - 1:
-                    yield f"merged rank wrong for {s}"
-                if bijections.split_marks(ds, ranks) != s:
-                    yield f"{s} fails merge-then-split"
-            for ds in enumerate_durfee(n):
-                r = ds.rank - (k - 1)
-                if r < 0:
-                    continue
-                for head in product(range(r + 1), repeat=k - 1):
-                    if sum(head) > r:
-                        continue
-                    targets = head + (r - sum(head),)
-                    s = bijections.split_marks(ds, targets)
-                    if s.ranks != targets or not marked.is_valid(s):
-                        yield f"split of {ds} at {targets} invalid"
-                    if bijections.merge_marks(s) != ds:
-                        yield f"{ds} at {targets} fails split-then-merge"
-
-
-@_check("strict-shifted-counts", _k_and_n)
-def _ss_count_identity(b: Bounds):
+@_check("strict-shifted-counts", _k_and_n, _grid())
+def _ss_count_identity(b: Bounds, k: int, n: int):
     """Strict shifted symbols with prescribed nonnegative ranks are counted
     by a single plain rank count."""
-    for k in b.ks():
-        for n in range(b.max_n + 1):
-            tally: dict[tuple[int, ...], int] = {}
-            for _, _, ranks in _strict_shifted_members(n, k):
-                tally[ranks] = tally.get(ranks, 0) + 1
-            for m in _rank_vectors(n, k, tally, signed=False):
-                expect = count_rank(sum(m) + k - 1, n)
-                if tally.get(m, 0) != expect:
-                    yield f"n={n} k={k} m={m} counted={tally.get(m, 0)} expected={expect}"
+    tally: dict[tuple[int, ...], int] = {}
+    for _, _, ranks in _members(n, k, strict=True):
+        tally[ranks] = tally.get(ranks, 0) + 1
+    for m in _rank_vectors(n, k, tally, signed=False):
+        expect = count_rank(sum(m) + k - 1, n)
+        if tally.get(m, 0) != expect:
+            yield f"n={n} k={k} m={m} counted={tally.get(m, 0)} expected={expect}"
 
 
 @_check("subscript-labels", lambda b: f"strict shifted pairs, |alpha| + |beta| <= {b.max_n}")

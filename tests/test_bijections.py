@@ -273,6 +273,8 @@ NOT_SHIFTED = PartitionPair((2, 2), (2,))
 TWO_ONES = KMarkedSymbol((PartitionPair((1,), ()), PartitionPair((1,), ())), 1)
 NO_TOP = PartitionPair((), (1,))  # a vector below k of rank -2 with nothing to flip
 TOO_LOW = PartitionPair((1, 1), (2,))  # a vector below k of rank 0 that cannot lift
+SIX = PartitionPair((3, 2, 1), ())  # strict shifted, with one label to drop at r = 1
+SIX_DS = DurfeeSymbol((3, 2, 1), (1,), 3)  # rank 2: targets (1, 0) split it
 
 
 # the error cases that the example tests above do not already cover
@@ -307,13 +309,30 @@ TOO_LOW = PartitionPair((1, 1), (2,))  # a vector below k of rank 0 that cannot 
          r"^perm must be a permutation of 1\.\.k$"),
         (lambda: [permute_ranks(TWO_ONES, (1, 2)), permute_ranks(TWO_ONES, (True, 2))],
          r"^perm must be a permutation of 1\.\.k$"),
+        # each other parameter that keys a memo, or indexes the vectors, after a valid equal one
+        (lambda: [from_strict_shifted(SIX, 1), from_strict_shifted(SIX, 1.0)], "^r must be an int$"),
+        (lambda: [from_strict_shifted(SIX, 1), from_strict_shifted(SIX, True)], "^r must be an int$"),
+        (lambda: [symbol_from_strict_shifted(TWO_ONES, (0, 0)),
+                  symbol_from_strict_shifted(TWO_ONES, (0.0, 0))],
+         "^balanced numbers must be ints$"),
+        (lambda: [symbol_from_strict_shifted(TWO_ONES, (0, 0)),
+                  symbol_from_strict_shifted(TWO_ONES, (False, 0))],
+         "^balanced numbers must be ints$"),
+        (lambda: [split_marks(SIX_DS, (1, 0)), split_marks(SIX_DS, (1.0, 0))],
+         "^rank targets must be ints$"),
+        (lambda: [split_marks(SIX_DS, (1, 0)), split_marks(SIX_DS, (True, 0))],
+         "^rank targets must be ints$"),
+        (lambda: [flip_rank(TWO_ONES, 1), flip_rank(TWO_ONES, 1.0)], "^vector index must be an int$"),
+        (lambda: [flip_rank(TWO_ONES, 1), flip_rank(TWO_ONES, True)], "^vector index must be an int$"),
     ],
     ids=[
         "split-no-targets", "from-negative-r", "subscripts-not-shifted", "minima-not-shifted",
         "flip-p-low", "flip-p-high", "flip-no-top-part", "from-not-shifted", "to-oversized-bottom",
         "permute-no-top-part", "permute-no-top-part-first", "permute-flip-before-lift",
         "permute-oversized-bottom", "permute-no-vectors", "permute-float-entry",
-        "permute-bool-entry",
+        "permute-bool-entry", "from-float-r", "from-bool-r", "symbol-from-float-t",
+        "symbol-from-bool-t", "split-float-target", "split-bool-target", "flip-float-p",
+        "flip-bool-p",
     ],
 )
 def test_public_maps_keep_their_errors(call, match):

@@ -89,7 +89,7 @@ def test_count_checks_ranks_before_counting(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("the table was computed before --ranks was checked")
 
-    monkeypatch.setattr(cli, "_rank_rows", fail)
+    monkeypatch.setattr(cli, "rank_rows", fail)
     code, out, err = run_cli(capsys, "count", "--n", "40", "--k", "3", "--ranks", "1")
     assert_usage_error(code, out, err)
     assert err == "error: --ranks needs 3 entries\n"
@@ -101,7 +101,7 @@ def test_count_rejects_k_above_n_plus_one_before_counting(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("--k was not checked before counting")
 
-    monkeypatch.setattr(cli, "_rank_rows", fail)
+    monkeypatch.setattr(cli, "rank_rows", fail)
     monkeypatch.setattr(cli, "_count_lines", fail)
     huge = "100000000000000000000"
     code, out, err = run_cli(capsys, "count", "--n", "5", "--k", huge)
@@ -505,6 +505,28 @@ def test_a_raising_check_is_its_own_fail_row(capsys, monkeypatch):
     assert rows == GOLDEN_PHI_PASS
 
 
+def test_a_value_error_in_a_later_case_is_the_rows_detail(monkeypatch):
+    # The driver runs a check's (k, n) cases in order: cases that pass come
+    # first, the one that raises ends the row, and the next row still runs.
+    original = verify_mod.moments.check_moment_identity
+    seen = []
+
+    def raising(k, n, flavor):
+        seen.append((k, n))
+        if (k, n) == (2, 3):
+            raise ValueError("no moment at k=2 n=3")
+        return original(k, n, flavor)
+
+    monkeypatch.setattr(verify_mod.moments, "check_moment_identity", raising)
+    row, odd = run_checks(("moment-identity-ordinary", "moment-identity-odd"), Bounds(max_n=6))
+    assert row == CheckResult(
+        "moment-identity-ordinary", "k in (1, 2), n <= 6", False,
+        "counterexample: raised ValueError: no moment at k=2 n=3",
+    )
+    assert seen[:11] == [(1, n) for n in range(7)] + [(2, n) for n in range(4)]
+    assert odd.ok and seen[11:] == [(1, n) for n in range(7)]
+
+
 def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
     def unpermuted(s, perms):
         return [s for _ in perms]
@@ -525,7 +547,7 @@ def test_strict_shifted_members_follow_the_enumeration(k):
             (s.vectors, s.d, s.ranks) for s in enumerate_kmarked(n, k)
             if is_strict_shifted_symbol(s) and min(s.ranks) >= 0
         ]
-        assert list(verify_mod._strict_shifted_members(n, k)) == want, n
+        assert list(verify_mod._members(n, k, strict=True)) == want, n
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -537,7 +559,7 @@ def test_strict_shifted_members_are_the_filtered_walk(k):
             (vectors, d, ranks) for vectors, d, ranks in verify_mod._members(n, k)
             if min(ranks) >= 0 and all(map(marked.is_strict_shifted_pair, vectors[:-1]))
         ]
-        assert list(verify_mod._strict_shifted_members(n, k)) == want, n
+        assert list(verify_mod._members(n, k, strict=True)) == want, n
 
 
 def test_phi_fails_when_any_longer_top_row_counts_as_strict_shifted(capsys, monkeypatch):

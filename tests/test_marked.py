@@ -5,7 +5,6 @@ import pytest
 
 from durfee.marked import (
     KMarkedSymbol,
-    _rank_rows,
     PartitionPair,
     balanced_numbers,
     balanced_parts,
@@ -18,6 +17,7 @@ from durfee.marked import (
     ith_rank,
     kmarked_rank_counts,
     kmarked_rank_distribution,
+    rank_rows,
     total_kmarked,
     validate,
 )
@@ -403,7 +403,7 @@ def test_marked_totals_match_symmetrized_moment_past_enumeration(flavor, series,
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_rank_rows_stream_the_table_in_ascending_order(flavor, k):
     for n in range(17):
-        rows = list(_rank_rows(n, k, flavor))
+        rows = list(rank_rows(n, k, flavor))
         keys = [m for m, _ in rows]
         assert all(a < b for a, b in zip(keys, keys[1:])), n
         assert rows == sorted(kmarked_rank_counts(n, k, flavor).items()), n

@@ -4,7 +4,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from durfee.marked import KMarkedSymbol, PartitionPair, _blocks, enumerate_kmarked
+from durfee import marked
+from durfee.marked import KMarkedSymbol, PartitionPair, enumerate_kmarked
 from durfee.serialize import (
     display_lines,
     document_lines,
@@ -136,7 +137,7 @@ def test_json_documents_are_valid_json():
 
 
 def _corpus_blocks(k, flavor, max_n=10):
-    return [b for n in range(max_n + 1) for b in _blocks(n, k, flavor)]
+    return [b for n in range(max_n + 1) for b in marked.blocks(n, k, flavor)]
 
 
 def _symbols(blocks, flavor=Flavor.ORDINARY):
