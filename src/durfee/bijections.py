@@ -16,20 +16,23 @@ Each stage is one private core (flip, raise, lower, merge, cut, and the
 one-pass top-part labels); the public maps are thin wrappers that check
 their arguments and build the symbol.  :func:`permuted_images` composes the
 cores to realize arbitrary permutations of the rank vector: it lifts a
-symbol once (raise every vector below k: flip a negative rank, then transfer
-the balanced parts; merge) and rebuilds one image per permutation (cut,
-then lower every vector below k: drop back, then flip back);
-:func:`permute_ranks` is its one-permutation case.  Every stage preserves
-validity: rank flips and balanced transfers rearrange entries within one
-vector, so the whole-vector interlacing bounds never move.
+symbol once (per vector below k, its facts: rank sign and magnitude, and the
+vector flipped if negative, then raised; merge) and reads each image from one
+row of the images memo (cut, lower each vector below k, each beside its flip)
+through a getter of the flips its signs need; :func:`permute_ranks` is its
+one-permutation case.  Every stage preserves validity: rank flips and balanced
+transfers rearrange entries within one vector, so the whole-vector
+interlacing bounds never move.
 
-Raise, lower, merge and cut are pure functions of immutable tuples, and a
-corpus holds few distinct keys, so each is memoized in a least-recently-used
-cache of constant size: raise and lower per vector, merge per lifted vector
-tuple, and the cut per merged rows and rank targets, whose keys recur across
-a lifted symbol's sign and balanced-number variants.  Every guard raises on
-every call, since an exception is not cached, and every cached value is a
-tuple, so no caller can change what a later call returns.
+The stages are pure functions of immutable tuples, and a corpus holds few
+distinct keys, so each is memoized in a least-recently-used cache of 512
+entries: flip, raise, lower and the composite's facts per vector, merge per
+lifted vector tuple, the images per merged rows, permuted magnitudes and
+balanced numbers, and (in 256) the cut per merged rows and rank targets;
+their keys recur across a lifted symbol's sign and balanced-number variants.
+Every guard raises on every call, since an exception is not cached, and
+every cached value is a tuple, so no caller can change what a later call
+returns.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .marked import KMarkedSymbol, PartitionPair, balanced_parts, is_strict_shifted_pair
+from .marked import _set_d, _set_flavor, _set_vectors
 from .symbols import DurfeeSymbol
 
 #: Entries of each stage memo: above the keys the verify corpora reuse, and bounded.
@@ -53,6 +57,7 @@ def _require_ints(values: Iterable, message: str) -> None:
             raise ValueError(message)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _flip_pair(pair: PartitionPair) -> PartitionPair:
     """Flip of a vector below k with a top part: the bottom row joins the
     largest top part as the new top, the rest of the old top is the bottom."""
@@ -74,22 +79,19 @@ def _raise(pair: PartitionPair, negated: bool) -> tuple[PartitionPair, int]:
     return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept), len(bal)
 
 
-def _lift(
-    vectors: tuple[PartitionPair, ...], neg: Sequence[bool]
-) -> tuple[tuple[PartitionPair, ...], list[int]]:
-    """Raise vectors 1 .. k-1, every flip's guard first, and swap the rows of
-    vector k, flipping where ``neg`` is set; return the vectors and the
-    balanced numbers t_1 .. t_{k-1}."""
-    vecs = list(vectors)
-    t = [0] * (len(vecs) - 1)
-    for i in range(len(t)):
-        if neg[i] and not vecs[i].alpha:
-            raise ValueError(f"vector {i + 1} has no top part")
-    for i in range(len(t)):
-        vecs[i], t[i] = _raise(vecs[i], neg[i])
-    if vecs and neg[-1]:  # the flip of vector k swaps its rows
-        vecs[-1] = PartitionPair(vecs[-1].beta, vecs[-1].alpha)
-    return tuple(vecs), t
+_raise_core = _raise.__wrapped__  # for a memo that holds what it returns
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _vector_facts(pair: PartitionPair) -> tuple[bool, int, PartitionPair, int]:
+    """Sign and magnitude of the rank of a vector below k, and the vector
+    flipped if negative (with no top part to flip, raise), then raised, with
+    its balanced number."""
+    alpha, beta = pair
+    if not alpha:
+        raise ValueError("no top part to flip")
+    x = len(alpha) - len(beta) - 1
+    return (x < 0, abs(x), *_raise_core(pair, x < 0))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -124,7 +126,7 @@ def _split_point(gamma: tuple, delta: tuple, m: int, extra: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE // 2)  # behind the images memo, half the entries keep most hits
 def _cut(gamma: tuple, delta: tuple, m: tuple[int, ...]) -> tuple[PartitionPair, ...]:
     """Cut vectors k, k-1, ..., 2 off the front of the merged rows for the
     checked rank targets ``m``; what is left is vector 1."""
@@ -173,10 +175,10 @@ def _require_strict_shifted(pair: PartitionPair) -> None:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _lower(pair: PartitionPair, r: int, negated: bool) -> PartitionPair:
-    """Move ``r`` top parts back down, the smallest with each label 0 .. r-1,
-    then flip when ``negated``.  The drop leaves more top parts than bottom
-    parts, so the flip always finds a top part."""
+def _lower(pair: PartitionPair, r: int) -> PartitionPair:
+    """Move ``r`` top parts back down, the smallest with each label 0 .. r-1.
+    The drop leaves more top parts than bottom parts, so a flip after it
+    always finds a top part."""
     _require_strict_shifted(pair)
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -187,22 +189,39 @@ def _lower(pair: PartitionPair, r: int, negated: bool) -> PartitionPair:
         moved_idx = set(_label_min_indices(pair)[:r])
         new_alpha = tuple(a for i, a in enumerate(alpha) if i not in moved_idx)
         new_beta = tuple(sorted(beta + tuple(alpha[i] for i in moved_idx), reverse=True))
-        pair = PartitionPair(new_alpha, new_beta)
-    return _flip_pair(pair) if negated else pair
+        return PartitionPair(new_alpha, new_beta)
+    return pair
 
 
-def _drop(vecs: tuple, t: Sequence[int], neg: Sequence[bool]) -> tuple[PartitionPair, ...]:
-    """Lower vectors 1 .. k-1 by the balanced numbers ``t`` and swap the rows
-    of vector k, flipping where ``neg`` is set; return the vectors."""
+def _drop(vecs: tuple, t: Sequence[int]) -> tuple[PartitionPair, ...]:
+    """Lower vectors 1 .. k-1 by the balanced numbers ``t``; vector k stays."""
     out: list[PartitionPair] = []
     try:
-        for pair, r, flip in zip(vecs[:-1], t, neg):
-            out.append(_lower(pair, r, flip))
+        for pair, r in zip(vecs[:-1], t):
+            out.append(_lower(pair, r))
     except ValueError as exc:
         raise ValueError(f"vector {len(out) + 1}: {exc}") from None
-    if vecs:  # the flip of vector k swaps its rows
-        out.append(PartitionPair(*vecs[-1][::-1]) if neg[-1] else vecs[-1])
-    return tuple(out)
+    return (*out, *vecs[-1:])
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _images(gamma: tuple, delta: tuple, mags: tuple, t: tuple) -> tuple[PartitionPair, ...]:
+    """Cut the merged rows for the magnitudes ``mags`` plus twice the balanced
+    numbers ``t`` (t_k = 0), lower vectors below k by ``t`` (a guard raises as
+    :func:`_drop` names it), and return each vector's image, then its flip."""
+    rebuilt = _cut(gamma, delta, tuple(map(add, mags, map(add, t, t))))
+    *low, top = _drop(rebuilt, t)
+    return (*chain(*zip(low, map(_flip_pair, low))), top, PartitionPair._make(top[::-1]))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _selectors(getters: tuple[Callable, ...], neg: tuple[bool, ...]) -> tuple[Callable, ...]:
+    """Per perm getter, the getter of the image's vectors from a row of
+    :func:`_images`: the flip at each position that a negative rank moves to
+    (a slice keeps the one vector of k = 1 in a tuple)."""
+    if len(neg) == 1:
+        return (itemgetter(slice(neg[0], neg[0] + 1)),) * len(getters)
+    return tuple(itemgetter(*[2 * i + f for i, f in enumerate(get(neg))]) for get in getters)
 
 
 def merge_marks(s: KMarkedSymbol) -> DurfeeSymbol:
@@ -268,7 +287,7 @@ def from_strict_shifted(pair: PartitionPair, r: int) -> PartitionPair:
     is entirely balanced inverts through here).
     """
     _require_ints((r,), "r must be an int")
-    return _lower(pair, r, False)
+    return _lower(pair, r)
 
 
 def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
@@ -276,7 +295,8 @@ def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
 
     The i-th rank grows by twice the i-th balanced number for i < k.
     """
-    return KMarkedSymbol(_lift(s.vectors, (False,) * s.k)[0], s.d, s.flavor)
+    vecs = s.vectors
+    return KMarkedSymbol((*(_raise(v, False)[0] for v in vecs[:-1]), *vecs[-1:]), s.d, s.flavor)
 
 
 def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSymbol:
@@ -288,7 +308,7 @@ def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSym
         raise ValueError("balanced-number vector must have length k")
     if t[-1] != 0:
         raise ValueError("the k-th balanced number is 0 by definition")
-    return KMarkedSymbol(_drop(s.vectors, t, (False,) * s.k), s.d, s.flavor)
+    return KMarkedSymbol(_drop(s.vectors, t), s.d, s.flavor)
 
 
 def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
@@ -298,13 +318,14 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
     the top row's largest part as the new top, and the rest of the old top
     becomes the new bottom.  Applying the map twice restores the symbol.
     """
-    _require_ints((p,), "vector index must be an int")
-    if not 1 <= p <= s.k:
-        raise ValueError(f"vector index {p} out of range 1..{s.k}")
+    if type(p) is not int:  # a memo key takes 1.0 and True for 1
+        raise ValueError("vector index must be an int")
     vecs = list(s.vectors)
-    if p == s.k:
-        vecs[p - 1] = PartitionPair(*vecs[p - 1][::-1])
-    elif not vecs[p - 1].alpha:
+    if not 1 <= p <= len(vecs):
+        raise ValueError(f"vector index {p} out of range 1..{len(vecs)}")
+    if p == len(vecs):
+        vecs[-1] = PartitionPair._make(vecs[-1][::-1])
+    elif not vecs[p - 1][0]:
         raise ValueError(f"vector {p} has no top part")
     else:
         vecs[p - 1] = _flip_pair(vecs[p - 1])
@@ -339,30 +360,28 @@ def permuted_images(
     vectors, d, flavor = s.vectors, s.d, s.flavor
     k = len(vectors)
     perms = tuple(map(tuple, perms))
-    _require_ints(chain.from_iterable(perms), "perm must be a permutation of 1..k")
+    if not {int}.issuperset(map(type, chain.from_iterable(perms))):
+        raise ValueError("perm must be a permutation of 1..k")
     getters = _perm_getters(perms, k)
     if not k:  # else the targets are the lifted ranks, which always pass the check
         _check_targets(0, ())
-    neg, mags = [], []
-    for i, (alpha, beta) in enumerate(vectors, 1):  # the ranks, in one pass
-        x = len(alpha) - len(beta) - (i < k)
-        neg.append(x < 0)
-        mags.append(abs(x))
-    lifted, t = _lift(vectors, neg)
+    top = vectors[-1]  # vector k, whose flip swaps its rows
+    x = len(top[0]) - len(top[1])
+    last = (x < 0, abs(x), PartitionPair._make(top[::-1]) if x < 0 else top, 0)
+    try:
+        neg, mags, lifted, t = zip(*map(_vector_facts, vectors[:-1]), last)
+    except ValueError:  # every flip guard before every raise: a vector below k with no top part
+        for i, (alpha, _) in enumerate(vectors[:-1], 1):
+            if not alpha:
+                raise ValueError(f"vector {i} has no top part") from None
+        raise
     gamma, delta = _merge(lifted)
-    lift = [2 * y for y in t] + [0]  # the balanced-number budget stays at its position
-    for get in getters:
-        rebuilt = _cut(gamma, delta, tuple(map(add, get(mags), lift)))
-        flips = get(neg)
-        top = rebuilt[-1]
-        if flips[-1]:  # the flip of vector k swaps its rows
-            top = PartitionPair(top.beta, top.alpha)
-        try:
-            vecs = (*map(_lower, rebuilt, t, flips), top)
-        except ValueError:  # again through _drop, which names the vector
-            _drop(rebuilt, t, flips)
-            raise
-        yield KMarkedSymbol(vecs, d, flavor)
+    for get, select in zip(getters, _selectors(getters, neg)):  # t stays at its positions
+        image = object.__new__(KMarkedSymbol)  # set through its slots, without __init__
+        _set_vectors(image, select(_images(gamma, delta, get(mags), t)))
+        _set_d(image, d)
+        _set_flavor(image, flavor)
+        yield image
 
 
 def permute_ranks(s: KMarkedSymbol, perm: Sequence[int]) -> KMarkedSymbol:

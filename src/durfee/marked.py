@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, islice
+from operator import gt
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -478,9 +479,7 @@ def balanced_numbers(s: KMarkedSymbol) -> tuple[int, ...]:
 def is_strict_shifted_pair(pair: PartitionPair) -> bool:
     """True when the top row is strictly longer and alpha_{i+1} > beta_i throughout."""
     alpha, beta = pair
-    if len(alpha) <= len(beta):
-        return False
-    return all(alpha[i + 1] > beta[i] for i in range(len(beta)))
+    return len(alpha) > len(beta) and all(map(gt, alpha[1:], beta))
 
 
 def is_strict_shifted_symbol(s: KMarkedSymbol) -> bool:

@@ -6,7 +6,8 @@ coefficient (negative upper argument allowed) is the only primitive; the
 identities are finite sums over the rank counts N(m, n), read from the
 numerators of the rank series :func:`durfee.qseries.rank_gf` (``odd_rank_gf``
 for the odd flavor), while the marked totals come from the counting DP
-:func:`durfee.marked.kmarked_rank_counts`.  Nothing here enumerates.
+:func:`durfee.marked.kmarked_rank_counts`.  The closed count formula reads a
+memoised table per (n, k, flavor), indexed by sum_i |m_i|.  Nothing here enumerates.
 """
 
 from __future__ import annotations
@@ -76,21 +77,27 @@ def marked_count_formula(
 
         sum_j binom(j + k - 2, k - 2) * count(sum_i |m_i| + 2j + k - 1; n).
 
-    The sum stops once the rank argument exceeds ``n``, where the counts
-    vanish.
+    The sum depends on ``m`` only through sum_i |m_i|, so it is read from
+    :func:`_formula_table`; it vanishes past the table's end.
     """
     m = tuple(m)
     k = len(m)
     if k < 2:
         raise ValueError("rank vector must have length k >= 2")
-    s = sum(abs(x) for x in m)
-    total = 0
-    j = 0
-    while s + 2 * j + k - 1 <= n:
-        count = _flavor_distribution(n, flavor).get(s + 2 * j + k - 1, 0)
-        total += binom(j + k - 2, k - 2) * count
-        j += 1
-    return total
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
+    s = sum(map(abs, m))
+    table = _formula_table(n, k, flavor)
+    return table[int(s)] if s < len(table) and s == int(s) else 0  # as the sum read 2.0 as 2
+
+
+@lru_cache(maxsize=512)
+def _formula_table(n: int, k: int, flavor: Flavor) -> tuple[int, ...]:
+    """The sum of :func:`marked_count_formula` at each s = sum_i |m_i| <= n - k + 1;
+    it stops once the rank argument exceeds ``n``, where the counts vanish."""
+    dist = _flavor_distribution(n, flavor)
+    return tuple(sum(binom(j + k - 2, k - 2) * dist.get(s + 2 * j + k - 1, 0)
+                     for j in range((n - s - k + 1) // 2 + 1)) for s in range(n - k + 2))
 
 
 class MomentCountCheck(NamedTuple):

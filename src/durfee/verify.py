@@ -177,10 +177,10 @@ def _permute_corpus(b: Bounds, k: int, n: int):
     is its vector tuples (which fix the subscript at one weight) mapped to their
     positions, with a subscript byte and a rank vector each.  One byte per
     member and transposition records the images met so far."""
-    transpositions = [
+    transpositions = tuple(
         tuple({i: j, j: i}.get(p, p) for p in range(1, k + 1))
         for i, j in combinations(range(1, k + 1), 2)
-    ]
+    )
     permuted = [itemgetter(*(p - 1 for p in perm)) for perm in transpositions]
     index: dict[tuple[PartitionPair, ...], int] = {}
     subscripts = bytearray()
@@ -189,11 +189,10 @@ def _permute_corpus(b: Bounds, k: int, n: int):
         index[vectors] = len(subscripts)
         subscripts.append(d)
         rank_of.append(shared.setdefault(ranks, ranks))
-    seen = [bytearray(len(index)) for _ in transpositions]
+    checks = tuple(zip(transpositions, permuted, [bytearray(len(index)) for _ in transpositions]))
     for vectors, d, ranks in zip(index, subscripts, rank_of):
         s = KMarkedSymbol(vectors, d)
-        images = bijections.permuted_images(s, transpositions)
-        for perm, want, hit, im in zip(transpositions, permuted, seen, images):
+        for (perm, want, hit), im in zip(checks, bijections.permuted_images(s, transpositions)):
             j = index.get(im.vectors)
             got = im.ranks if j is None else rank_of[j]  # a member's ranks are known
             if got != want(ranks):

@@ -1,5 +1,6 @@
 import hashlib
-from itertools import permutations
+from itertools import permutations, product
+from operator import itemgetter
 
 import pytest
 
@@ -376,8 +377,12 @@ def test_permute_ranks_images_are_pinned():
     assert got == PINNED_IMAGES
 
 
-# the memoized stage cores: raise and lower per vector, merge and cut per symbol
-STAGE_CACHES = (bijections._raise, bijections._lower, bijections._merge, bijections._cut)
+# the memoized stage cores: raise, lower, the flip and the composite's facts per
+# vector, merge and cut per symbol, and per image the composite's rows and getters
+STAGE_CACHES = (
+    bijections._raise, bijections._lower, bijections._flip_pair, bijections._vector_facts,
+    bijections._merge, bijections._cut, bijections._images, bijections._selectors,
+)
 
 
 def _stage_results():
@@ -420,11 +425,24 @@ def test_stage_caches_hold_tuples():
             for pair, negated in zip(s.vectors[:-1], (False, True)):
                 lifted, r = bijections._raise(pair, negated)
                 assert type(r) is int
-                for image in (lifted, bijections._lower(lifted, r, negated)):
+                for image in (lifted, bijections._lower(lifted, r)):
                     assert type(image) is PartitionPair and _immutable(image)
+            for pair in s.vectors[:-1]:
+                flipped = bijections._flip_pair(pair)
+                assert type(flipped) is PartitionPair and _immutable(flipped)
+                negated, magnitude, lifted, r = facts = bijections._vector_facts(pair)
+                assert [type(x) for x in facts] == [bool, int, PartitionPair, int]
+                assert _immutable(lifted)
             if is_strict_shifted_symbol(s) and min(s.ranks) >= 0:
                 gamma, delta = bijections._merge(s.vectors)
                 assert _immutable(gamma) and _immutable(delta)
                 cut = bijections._cut(gamma, delta, s.ranks)
                 assert type(cut) is tuple and all(type(v) is PartitionPair for v in cut)
                 assert _immutable(cut)
+                row = bijections._images(gamma, delta, s.ranks, (0, 0, 0))
+                assert type(row) is tuple and len(row) == 6 and _immutable(row)
+                assert all(type(v) is PartitionPair for v in row)
+    getters = bijections._perm_getters(((2, 1, 3), (1, 3, 2)), 3)
+    for neg in product((False, True), repeat=3):
+        selectors = bijections._selectors(getters, neg)
+        assert type(selectors) is tuple and all(type(g) is itemgetter for g in selectors)

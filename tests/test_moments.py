@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from durfee.marked import count_kmarked
+from durfee.marked import count_kmarked, kmarked_rank_counts
 from durfee.moments import (
     _flavor_distribution,
     binom,
@@ -12,9 +12,9 @@ from durfee.moments import (
     solution_count_brute,
     symmetrized_moment,
 )
-from durfee.partitions import rank_distribution
+from durfee.partitions import count_rank, rank_distribution
 from durfee.qseries import odd_rank_gf, rank_gf
-from durfee.symbols import Flavor, durfee_rank_distribution
+from durfee.symbols import Flavor, count_durfee_rank, durfee_rank_distribution
 
 
 @pytest.mark.parametrize(
@@ -89,6 +89,65 @@ def test_marked_count_formula_examples():
     assert marked_count_formula((-1, 1), 4) == 1  # signs are immaterial
     with pytest.raises(ValueError):
         marked_count_formula((1,), 4)
+
+
+# a negative weight raises in every counting entry point, the formula included
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: marked_count_formula((5, 5), -1), "^weight must be nonnegative$"),
+        (lambda: marked_count_formula((5, 5), -1, Flavor.ODD), "^weight must be nonnegative$"),
+        (lambda: count_kmarked((5, 5), -1), "^weight must be nonnegative$"),
+        (lambda: kmarked_rank_counts(-1, 2), "^weight must be nonnegative$"),
+        (lambda: symmetrized_moment(2, -1), "^weight must be nonnegative$"),
+        (lambda: marked_count_formula((1,), -1), "^rank vector must have length k >= 2$"),
+    ],
+    ids=[
+        "formula-negative-n", "formula-odd-negative-n", "count-negative-n", "counts-negative-n",
+        "moment-negative-n", "formula-short-vector-first",
+    ],
+)
+def test_public_errors(call, match):
+    # twice: the formula's table memo must not remember a rejected input
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def _signed_ball(k: int, radius: int) -> list[tuple[int, ...]]:
+    """Every integer vector of length k with sum_i |m_i| <= radius."""
+    ball = [((), radius)]
+    for _ in range(k):
+        ball = [(m + (x,), left - abs(x)) for m, left in ball for x in range(-left, left + 1)]
+    return [m for m, _ in ball]
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_marked_count_formula_is_the_sum_it_tabulates(flavor):
+    # The formula reads one table per (n, k, flavor) at sum_i |m_i|; every
+    # vector of the signed l1 ball of radius n - k + 1, and one just outside
+    # it, must read the j-sum over singly-marked rank counts N(r, n), which
+    # are enumerated here (N vanishes past r = n, so j may run to n).
+    if flavor is Flavor.ORDINARY:
+        count = count_rank
+    else:
+        count = lambda r, n: count_durfee_rank(r, n, flavor)
+    for k in range(2, 6):
+        for n in range(25):
+            radius = max(0, n - k + 1)
+            want = [
+                sum(binom(j + k - 2, k - 2) * count(s + 2 * j + k - 1, n) for j in range(n + 1))
+                for s in range(radius + 2)
+            ]
+            assert want[-1] == 0, (k, n)
+            # past k = 3 the whole ball only up to n = 14 (near 10^5 vectors), then its
+            # vectors that are zero past the first two entries
+            ball = _signed_ball(k, radius) if k <= 3 or n <= 14 else [
+                (*m, *[0] * (k - 2)) for m in _signed_ball(2, radius)
+            ]
+            for m in ball + [(0,) * (k - 1) + (-(radius + 1),)]:
+                got = marked_count_formula(m, n, flavor)
+                assert got == want[sum(map(abs, m))], (k, n, m)
 
 
 def test_rank_counts_from_the_series_match_enumeration():
