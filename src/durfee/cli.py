@@ -18,9 +18,10 @@ status 141, as a shell reports for a writer stopped by SIGPIPE.
 Count tables and reports are byte-deterministic for fixed flags.
 
 Each command imports only what it runs: loading this module imports the
-counting DP and the series code, while ``verify``, ``map`` and ``enumerate``
-import ``verify``, ``bijections`` and ``serialize`` (and ``json``) when they
-start.  ``count`` and ``enumerate`` write their lines in blocks.
+marked symbols and their counting DP; ``series`` imports the series code,
+``verify``, ``map`` and ``enumerate`` import ``verify``, ``bijections`` and
+``serialize`` (and ``json``), and a ``--x`` value imports ``fractions``, each
+when it runs.  ``count`` and ``enumerate`` write their lines in blocks.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import Iterable, Iterator, NoReturn
 
-from . import qseries
-from .marked import KMarkedSymbol, blocks, rank_rows
+from .marked import KMarkedSymbol, blocks, count_kmarked, rank_rows
 from .symbols import DurfeeSymbol, Flavor
 
 
@@ -44,16 +43,19 @@ def _flavor(value: str) -> Flavor:
         raise argparse.ArgumentTypeError(f"choose from ordinary, odd (got {value!r})")
 
 
+# An empty entry (``1,,0``, ``2,``, ``""``) is no number: both list types reject it.
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _fraction_list(text: str) -> tuple[Fraction, ...]:
+def _fraction_list(text: str) -> tuple:
+    from fractions import Fraction
+
     try:
-        return tuple(Fraction(x.strip()) for x in text.split(",") if x.strip() != "")
+        return tuple(Fraction(x) for x in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
 
@@ -102,18 +104,20 @@ def _write_lines(lines: Iterable[str]) -> None:
 
 
 def _count_lines(args: argparse.Namespace, rows: Iterable[tuple]) -> Iterator[str]:
+    """The table of ``rows``, (prefix, ranks, counts) as ``rank_rows`` gives
+    them, each prefix's rows as one text; with ``--ranks``, its one row and
+    no total."""
     k = args.k
     yield f"# n={args.n} k={k} flavor={args.flavor.value}"
     yield "\t".join([f"m{i}" for i in range(1, k + 1)] + ["count"])
-    row = "\t".join(["%d"] * (k + 1))
-    if args.ranks is not None:  # a tuple, as ``_int_list`` parses it
-        yield row % (*args.ranks, next((c for m, c in rows if m == args.ranks), 0))
-        return
+    prefix_text = "%d\t" * (k - 1)
     total = 0
-    for m, c in rows:
-        yield row % (*m, c)
-        total += c
-    yield "\t".join(["total"] + [""] * (k - 1) + [str(total)])
+    for prefix, ranks, counts in rows:
+        head = prefix_text % prefix
+        yield "\n".join([f"{head}{r}\t{c}" for r, c in zip(ranks, counts)])
+        total += sum(counts)
+    if args.ranks is None:
+        yield "\t".join(["total"] + [""] * (k - 1) + [str(total)])
 
 
 def _check_k(args: argparse.Namespace) -> None:
@@ -127,9 +131,15 @@ def _check_k(args: argparse.Namespace) -> None:
 def cmd_count(args: argparse.Namespace) -> int:
     _check_size("n", args.n)
     _check_k(args)
-    if args.ranks is not None and len(args.ranks) != args.k:
+    # Both calls run the DP, so bad input raises before the header is written.
+    if args.ranks is None:
+        rows = rank_rows(args.n, args.k, args.flavor)
+    elif len(args.ranks) != args.k:
         raise ValueError(f"--ranks needs {args.k} entries")
-    _write_lines(_count_lines(args, rank_rows(args.n, args.k, args.flavor)))
+    else:  # a tuple, as ``_int_list`` parses it
+        count = count_kmarked(args.ranks, args.n, args.flavor)
+        rows = [(args.ranks[:-1], args.ranks[-1:], [count])]
+    _write_lines(_count_lines(args, rows))
     return 0
 
 
@@ -210,34 +220,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _marked_series(function: str):
-    """A ``--gf`` entry for a marked rank series, one vector per ``--x`` value;
-    ``function`` is looked up on ``qseries`` when the command runs."""
-    def series(args: argparse.Namespace) -> qseries.QSeries:
-        if args.x is None:
-            raise ValueError(f"{args.gf} needs --x")
-        build = getattr(qseries, function)
-        return build(args.x, len(args.x), args.order, args.flavor or Flavor.ORDINARY)
-    return (("x", "flavor"), series)
+def _marked_args(args: argparse.Namespace) -> tuple:
+    """A marked rank series' arguments: one vector per ``--x`` value."""
+    if args.x is None:
+        raise ValueError(f"{args.gf} needs --x")
+    return args.x, len(args.x), args.order, args.flavor or Flavor.ORDINARY
 
 
-# --gf name -> (the optional flags it reads; the series it prints, built from
+# --gf name -> (the optional flags it reads; the ``qseries`` function it
+# prints, looked up when the command runs; that function's arguments, from
 # the parsed flags, with --m defaulting to 0 and --flavor to ordinary)
 _SERIES = {
-    "partition": ((), lambda args: qseries.partition_gf(args.order)),
-    "rank": (("m",), lambda args: qseries.rank_gf(args.m or 0, args.order)),
-    "odd-rank": (("m",), lambda args: qseries.odd_rank_gf(args.m or 0, args.order)),
-    "rk": _marked_series("marked_rank_gf"),
-    "rk-product": _marked_series("marked_rank_gf_product"),
-    "rk-partial": _marked_series("marked_rank_gf_partial_fractions"),
+    "partition": ((), "partition_gf", lambda args: (args.order,)),
+    "rank": (("m",), "rank_gf", lambda args: (args.m or 0, args.order)),
+    "odd-rank": (("m",), "odd_rank_gf", lambda args: (args.m or 0, args.order)),
+    "rk": (("x", "flavor"), "marked_rank_gf", _marked_args),
+    "rk-product": (("x", "flavor"), "marked_rank_gf_product", _marked_args),
+    "rk-partial": (("x", "flavor"), "marked_rank_gf_partial_fractions", _marked_args),
 }
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from . import qseries
+
     _check_size("order", args.order)
-    flags, build = _SERIES[args.gf]
+    flags, function, arguments = _SERIES[args.gf]
     _refuse_unread(args, args.gf, ("m", "x", "flavor"), flags)
-    series = build(args)
+    series = getattr(qseries, function)(*arguments(args))
     print("n\tcoefficient")
     for n, c in enumerate(series.coeffs):
         print(f"{n}\t{c}")

@@ -30,9 +30,11 @@ walk that :func:`enumerate_kmarked` flattens and the corpus writers and checks
 read; it is the oracle, costs time exponential in n and stops at the weight guard.
 :func:`kmarked_rank_counts` is a transfer DP that builds no symbol, runs in
 polynomial time with no weight guard, and backs :func:`count_kmarked`,
-:func:`total_kmarked` and the marked rank series; it packs the rank of vector k
-into one int, and ``durfee count`` streams its rows in ascending order from
-:func:`rank_rows`.
+:func:`total_kmarked` and the marked rank series.  It packs the counts by rank
+of vector k into one int per prefix of ranks 1..k-1, a layout no other module
+reads: :func:`rank_rows` decodes each int once into its prefix's run of rows,
+which ``durfee count`` streams in ascending order, and :func:`count_kmarked`
+reads one slot.
 """
 
 from __future__ import annotations
@@ -357,8 +359,9 @@ def _subscript_counts(
                 result[ranks] = result.get(ranks, 0) + v * x
 
 
-def rank_rows(n: int, k: int, flavor: Flavor) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Run the DP of :func:`kmarked_rank_counts`; return its items in key order."""
+def _packed_counts(n: int, k: int, flavor: Flavor) -> tuple[dict[tuple[int, ...], int], int]:
+    """Run the DP of :func:`kmarked_rank_counts`: ({ranks of vectors 1..k-1:
+    packed counts of vector k}, slot width B)."""
     if n < 0 or k < 1:
         raise ValueError("weight must be nonnegative" if n < 0 else "k must be >= 1")
     step = 2 if flavor is Flavor.ODD else 1
@@ -372,20 +375,40 @@ def rank_rows(n: int, k: int, flavor: Flavor) -> Iterator[tuple[tuple[int, ...],
                 pairs[w] += pairs[w - v]
         durfee += pairs[rem]
     width = (durfee * (n + 1) ** (k - 1)).bit_length()
-    base, mask = width * (n + 1), (1 << width) - 1
+    base = width * n
     pack = lambda row: sum(c << width * r + base for r, c in row.items())
     packed: dict[tuple[int, ...], int] = {}
     for rem, parts in frames:
         if rem >= k - 1:
             _subscript_counts(rem, k, parts, pack, packed)
+    return packed, width
+
+
+def rank_rows(
+    n: int, k: int, flavor: Flavor
+) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
+    """Run the DP of :func:`kmarked_rank_counts` and return its table one
+    prefix at a time, in ascending order: ``(prefix, ranks, counts)``, where
+    ``prefix`` holds the ranks of vectors 1..k-1, ``ranks`` the ascending
+    ranks of vector k whose count is nonzero and ``counts`` those counts.
+    Each prefix's packed int is decoded once, from its lowest occupied slot,
+    into two lists of ints rather than a tuple per row."""
+    packed, width = _packed_counts(n, k, flavor)
+    mask = (1 << width) - 1
+
     def rows():  # a generator of its own, so that bad input raises at the call
-        for high, x in sorted(packed.items()):
-            r = -n - 1  # slot 0, always empty
+        for prefix, x in sorted(packed.items()):
+            skip = ((x & -x).bit_length() - 1) // width  # the empty slots below the first count
+            x >>= width * skip
+            r = skip - n
+            ranks, counts = [], []
             while x:
+                if c := x & mask:
+                    ranks.append(r)
+                    counts.append(c)
                 x >>= width
                 r += 1
-                if c := x & mask:
-                    yield (*high, r), c
+            yield prefix, ranks, counts
     return rows()
 
 
@@ -401,25 +424,30 @@ def kmarked_rank_counts(
     largest top part of the vector just placed, weight used, ranks so far);
     that top part bounds every entry of the next vector from below.  The
     last two vectors are counted together into one int per rank vector of
-    vectors 1..k - 1, whose B-bit slot r + n + 1 holds the count at rank r
-    of vector k; slot 0 stays empty, so decoding shifts by B exactly and
-    yields the keys in ascending order, the rows ``durfee count`` streams.
-    No slot carries: an int the fold reads enters the result times a
-    positive count, and with its ranks fixed a symbol is fixed by its merged
-    rows (a Durfee symbol of n) and the top-row lengths of vectors 1..k - 1,
-    each at most n, so no count reaches 2^B.  Time is polynomial in ``n``,
-    with no weight guard; the mapping is read-only because it is cached.
+    vectors 1..k - 1, whose B-bit slot r + n holds the count at rank r of
+    vector k.  No slot carries: an int the fold reads enters the result
+    times a positive count, and with its ranks fixed a symbol is fixed by
+    its merged rows (a Durfee symbol of n) and the top-row lengths of
+    vectors 1..k - 1, each at most n, so no count reaches 2^B.  Time is
+    polynomial in ``n``, with no weight guard; the mapping is read-only
+    because it is cached.
     """
-    return MappingProxyType(dict(rank_rows(n, k, flavor)))
+    return MappingProxyType({
+        (*prefix, r): c
+        for prefix, ranks, counts in rank_rows(n, k, flavor) for r, c in zip(ranks, counts)
+    })
 
 
 def count_kmarked(m: Sequence[int], n: int, flavor: Flavor = Flavor.ORDINARY) -> int:
-    """Number of k-marked symbols of ``n`` whose rank vector equals ``m``,
-    from :func:`kmarked_rank_counts`."""
+    """Number of k-marked symbols of ``n`` whose rank vector equals ``m``:
+    one run of the DP of :func:`kmarked_rank_counts` that reads the slot of
+    ``m`` alone.  For many vectors of one weight, read that cached table."""
     m = tuple(m)
     if len(m) < 1:
         raise ValueError("rank vector must have length k >= 1")
-    return kmarked_rank_counts(n, len(m), flavor).get(m, 0)
+    packed, width = _packed_counts(n, len(m), flavor)
+    slot = m[-1] + n
+    return packed.get(m[:-1], 0) >> width * slot & (1 << width) - 1 if slot >= 0 else 0
 
 
 def total_kmarked(n: int, k: int, flavor: Flavor = Flavor.ORDINARY) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from durfee import bijections, cli, marked, symbols
+from durfee import bijections, cli, marked, qseries, symbols
 from durfee.marked import KMarkedSymbol, PartitionPair, enumerate_kmarked, is_strict_shifted_symbol
 from durfee.serialize import parse, render
 from durfee.symbols import DurfeeSymbol, Flavor
@@ -90,6 +90,7 @@ def test_count_checks_ranks_before_counting(capsys, monkeypatch):
         raise AssertionError("the table was computed before --ranks was checked")
 
     monkeypatch.setattr(cli, "rank_rows", fail)
+    monkeypatch.setattr(cli, "count_kmarked", fail)
     code, out, err = run_cli(capsys, "count", "--n", "40", "--k", "3", "--ranks", "1")
     assert_usage_error(code, out, err)
     assert err == "error: --ranks needs 3 entries\n"
@@ -102,11 +103,13 @@ def test_count_rejects_k_above_n_plus_one_before_counting(capsys, monkeypatch):
         raise AssertionError("--k was not checked before counting")
 
     monkeypatch.setattr(cli, "rank_rows", fail)
+    monkeypatch.setattr(cli, "count_kmarked", fail)
     monkeypatch.setattr(cli, "_count_lines", fail)
     huge = "100000000000000000000"
-    code, out, err = run_cli(capsys, "count", "--n", "5", "--k", huge)
-    assert_usage_error(code, out, err)
-    assert err == f"error: --k must be at most n + 1 = 6, got {huge}\n"
+    for ranks in ((), ("--ranks", "0")):
+        code, out, err = run_cli(capsys, "count", "--n", "5", "--k", huge, *ranks)
+        assert_usage_error(code, out, err)
+        assert err == f"error: --k must be at most n + 1 = 6, got {huge}\n"
 
 
 def test_count_streams_rows_without_the_table(capsys, monkeypatch):
@@ -137,6 +140,70 @@ def test_count_past_enumeration_guard(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "50", "--k", "2")
     assert code == 0
     assert out.strip().splitlines()[-1] == "total\t\t9020018"
+
+
+def _oracle_count_text(n, k, flavor, ranks=None):
+    """``count``'s stdout, built from the enumeration oracle instead of the DP."""
+    table = marked.kmarked_rank_distribution(n, k, flavor)
+    lines = [f"# n={n} k={k} flavor={flavor.value}"]
+    lines.append("\t".join([f"m{i}" for i in range(1, k + 1)] + ["count"]))
+    if ranks is not None:
+        lines.append("\t".join(map(str, (*ranks, table.get(ranks, 0)))))
+    else:
+        lines += ["\t".join(map(str, (*m, c))) for m, c in sorted(table.items())]
+        lines.append("total" + "\t" * k + str(sum(table.values())))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_count_matches_the_enumeration_oracle(capsys, flavor):
+    # k = n + 1 is the largest --k count takes, and its table is empty.
+    for n in range(11):
+        for k in sorted({k for k in (1, 2, 3, 4, n + 1) if k <= n + 1}):
+            argv = ("count", "--n", str(n), "--k", str(k), "--flavor", flavor.value)
+            expected = _oracle_count_text(n, k, flavor)
+            assert run_cli(capsys, *argv) == (0, expected, ""), (n, k)
+            if k == n + 1:
+                assert expected.endswith("\ntotal" + "\t" * k + "0\n")
+
+
+@pytest.mark.parametrize(
+    "n, flavor, ranks, present",
+    [
+        (8, Flavor.ORDINARY, (1, 0), True),
+        (8, Flavor.ORDINARY, (5, 5), False),  # prints 0
+        (8, Flavor.ORDINARY, (0, -9), False),  # below the lowest rank of n
+        (9, Flavor.ORDINARY, (-1, -2, -1), True),
+        (10, Flavor.ODD, (0, 0, 1, -1), True),
+        (7, Flavor.ODD, (-4,), True),  # k = 1: no prefix
+        (7, Flavor.ODD, (-3,), False),
+    ],
+)
+def test_count_ranks_matches_the_enumeration_oracle(capsys, n, flavor, ranks, present):
+    assert (ranks in marked.kmarked_rank_distribution(n, len(ranks), flavor)) is present
+    argv = ("count", "--n", str(n), "--k", str(len(ranks)), "--flavor", flavor.value)
+    out = run_cli(capsys, *argv, f"--ranks={','.join(map(str, ranks))}")
+    assert out == (0, _oracle_count_text(n, len(ranks), flavor, ranks), "")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("count", "--n", "5", "--k", "2"), "--ranks", "1,,0"),
+        (("map", "--map", "phi-inv"), "--ranks", ",1"),
+        (("map", "--map", "psi-inv"), "--t", "0,2,"),
+        (("map", "--map", "symmetry"), "--perm", "2,,1"),
+        (("verify", "--suite", "cor11"), "--x", "2,,3,5"),
+        (("series", "--gf", "rk", "--order", "3"), "--x", "2, ,3"),
+    ],
+)
+def test_list_flags_reject_an_empty_entry(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value])
+    out = capsys.readouterr()
+    assert_usage_error(exc.value.code, out.out, out.err)
+    kind = "rationals" if flag == "--x" else "integers"
+    assert out.err == f"error: argument {flag}: expected comma-separated {kind}, got {value!r}\n"
 
 
 @pytest.mark.parametrize("argv", [("--n", "3", "--k", "0"), ("--n", "-2")])
@@ -852,7 +919,7 @@ def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     def exhausted(order):
         raise MemoryError
 
-    monkeypatch.setattr(cli.qseries, "partition_gf", exhausted)
+    monkeypatch.setattr(qseries, "partition_gf", exhausted)
     code, out, err = run_cli(capsys, "series", "--gf", "partition", "--order", "5")
     assert_usage_error(code, out, err)
     assert err == "error: out of memory\n"
@@ -869,9 +936,12 @@ def test_negative_order_is_usage_error(capsys, gf):
 @pytest.mark.parametrize("x", ["", ","])
 @pytest.mark.parametrize("gf", ["rk", "rk-product", "rk-partial"])
 def test_series_at_an_empty_point_is_usage_error(capsys, gf, x):
-    code, out, err = run_cli(capsys, "series", "--gf", gf, "--x", x, "--order", "3")
-    assert_usage_error(code, out, err)
-    assert err == "error: k must be >= 1\n"
+    # Every entry of an empty point is empty, and the parser rejects each one.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "--gf", gf, "--x", x, "--order", "3"])
+    out = capsys.readouterr()
+    assert_usage_error(exc.value.code, out.out, out.err)
+    assert out.err == f"error: argument --x: expected comma-separated rationals, got {x!r}\n"
 
 
 def test_series_pole_is_usage_error(capsys):
@@ -1005,6 +1075,31 @@ def test_cli_imports_only_what_a_command_runs(call):
     assert _python("-c", probe).stdout == "[]\n"
 
 
+def _modules_loaded(code):
+    """Modules a fresh interpreter holds after running ``code``."""
+    show = "import sys; sys.stderr.write(' '.join(sys.modules))"
+    return set(_python("-c", f"{code}\n{show}").stderr.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--n", "5", "--k", "2"], ["enumerate", "--n", "4", "--k", "2"], ["--help"]],
+    ids=["count", "enumerate", "help"],
+)
+def test_start_up_loads_only_what_the_command_runs(argv):
+    # Against a bare interpreter, so that what a host's site hooks load does not count.
+    run = f"from durfee.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass"
+    loaded = _modules_loaded(run) - _modules_loaded("pass")
+    assert "durfee.marked" in loaded
+    never = {"fractions", "decimal", "durfee.qseries", "durfee.bijections", "durfee.verify"}
+    assert loaded & never == set()
+    writes_json = {"json", "durfee.serialize"}
+    if argv[0] == "enumerate":
+        assert writes_json <= loaded
+    else:
+        assert loaded & writes_json == set()
+
+
 def test_lazy_package_exports(tmp_path):
     probe = (
         "import durfee, sys; "
@@ -1021,7 +1116,8 @@ def test_lazy_package_exports(tmp_path):
 
 
 def test_importtime_lists_lazily_loaded_modules():
-    report = _python("-X", "importtime", "-c", "import durfee.cli").stderr
+    # ``import durfee.cli`` binds ``durfee``, whose lazy attribute loads qseries.
+    report = _python("-X", "importtime", "-c", "import durfee.cli; durfee.qseries").stderr
     listed = {line.rsplit("|", 1)[-1].strip() for line in report.splitlines()}
     assert {"durfee.cli", "durfee.qseries", "durfee.marked"} <= listed
 

@@ -402,11 +402,17 @@ def test_marked_totals_match_symmetrized_moment_past_enumeration(flavor, series,
 @pytest.mark.parametrize("flavor", list(Flavor))
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_rank_rows_stream_the_table_in_ascending_order(flavor, k):
+    # Flattened, the (prefix, ranks, counts) runs are the rows of the table,
+    # each once, in ascending order; the enumeration oracle gives the table.
     for n in range(17):
-        rows = list(rank_rows(n, k, flavor))
+        rows = [
+            ((*prefix, r), c)
+            for prefix, ranks, counts in rank_rows(n, k, flavor)
+            for r, c in zip(ranks, counts, strict=True)
+        ]
         keys = [m for m, _ in rows]
         assert all(a < b for a, b in zip(keys, keys[1:])), n
-        assert rows == sorted(kmarked_rank_counts(n, k, flavor).items()), n
+        assert rows == sorted(kmarked_rank_distribution(n, k, flavor).items()), n
 
 
 def test_rank_counts_reject_bad_input():
