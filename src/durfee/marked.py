@@ -33,8 +33,8 @@ polynomial time with no weight guard, and backs :func:`count_kmarked`,
 :func:`total_kmarked` and the marked rank series.  It packs the counts by rank
 of vector k into one int per prefix of ranks 1..k-1, a layout no other module
 reads: :func:`rank_rows` decodes each int once into its prefix's run of rows,
-which ``durfee count`` streams in ascending order, and :func:`count_kmarked`
-reads one slot.
+which ``durfee count`` streams in ascending order and :func:`total_kmarked`
+sums, and :func:`count_kmarked` reads one slot.
 """
 
 from __future__ import annotations
@@ -451,9 +451,9 @@ def count_kmarked(m: Sequence[int], n: int, flavor: Flavor = Flavor.ORDINARY) ->
 
 
 def total_kmarked(n: int, k: int, flavor: Flavor = Flavor.ORDINARY) -> int:
-    """Number of k-marked symbols of ``n`` over all rank vectors, from
-    :func:`kmarked_rank_counts`."""
-    return sum(kmarked_rank_counts(n, k, flavor).values())
+    """Number of k-marked symbols of ``n`` over all rank vectors: the sum of
+    the counts of :func:`rank_rows`, with no table built or cached."""
+    return sum(sum(counts) for _, _, counts in rank_rows(n, k, flavor))
 
 
 def balanced_parts(pair: PartitionPair) -> frozenset[int]:

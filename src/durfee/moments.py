@@ -6,8 +6,10 @@ coefficient (negative upper argument allowed) is the only primitive; the
 identities are finite sums over the rank counts N(m, n), read from the
 numerators of the rank series :func:`durfee.qseries.rank_gf` (``odd_rank_gf``
 for the odd flavor), while the marked totals come from the counting DP
-:func:`durfee.marked.kmarked_rank_counts`.  The closed count formula reads a
-memoised table per (n, k, flavor), indexed by sum_i |m_i|.  Nothing here enumerates.
+:func:`durfee.marked.rank_rows`.  The closed count formula reads a memoised
+table per (n, k, flavor), indexed by sum_i |m_i|.  Nothing here enumerates.
+Routines of other modules are looked up on their modules as they run, so a
+patched routine is the one that every route calls.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .marked import total_kmarked
-from .qseries import _divide_euler, _rank_numerator
+from . import marked, qseries
 from .symbols import Flavor
 
 
@@ -44,9 +45,9 @@ def _flavor_distribution(n: int, flavor: Flavor) -> Mapping[int, int]:
     if n < 0:
         raise ValueError("weight must be nonnegative")
     p = [1] + [0] * n
-    _divide_euler(p, 1 if flavor is Flavor.ORDINARY else 2, 1)
+    qseries._divide_euler(p, 1 if flavor is Flavor.ORDINARY else 2, 1)
     counts = {
-        m: sum(c * p[n - e] for e, c in enumerate(_rank_numerator(m, n, flavor)) if c)
+        m: sum(c * p[n - e] for e, c in enumerate(qseries._rank_numerator(m, n, flavor)) if c)
         for m in range(-n, n + 1)
     }
     if n == 0 and flavor is Flavor.ORDINARY:
@@ -113,9 +114,9 @@ def check_moment_identity(
     symmetrized moment; the two agree for every k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    marked = total_kmarked(n, k + 1, flavor)
+    total = marked.total_kmarked(n, k + 1, flavor)
     moment = symmetrized_moment(2 * k, n, flavor)
-    return MomentCountCheck(marked == moment, marked, moment)
+    return MomentCountCheck(total == moment, total, moment)
 
 
 def solution_count(n: int, k: int) -> int:

@@ -1,20 +1,23 @@
 """Truncated power series in q with exact rational coefficients, plus the
 generating functions used to cross-check the enumeration modules.
 
-A :class:`QSeries` stores coefficients c_0 .. c_Q as fractions; arithmetic
-discards terms beyond the truncation order, so equality of two series means
-literal agreement of every retained coefficient.
+A :class:`QSeries` holds a truncation order and the coefficients c_0 ..
+c_order as an immutable tuple of fractions; two series are equal when every
+retained coefficient agrees.  Every series is built and summed on a list and
+wrapped once, when it is returned.  The series product and reciprocal remain
+only for the traced benchmark's rows (``perfbench/traced.py``) that time them.
 
-Every generating function below is built on one list of Python ints, updated
-in place by two kernels that multiply or divide it by a sparse factor
-(1 - c q^a) in O(order) steps, and wrapped in a :class:`QSeries` at the end.
-Where a factor has a rational coefficient, the list is held scaled: entry e
-is L^e times the true coefficient of q^e, with L the least common multiple of
-the factors' denominators.  That is the substitution q -> q/L, under which the
-factor (1 - c q^a) becomes (1 - c L^a q^a) with an integer coefficient, so the
-kernels never touch a ``Fraction``.  :func:`_unscaled` divides once, entry e
-by L^e, when the series is wrapped.  Nothing is cached, so every call returns
-a fresh series.
+The partition, rank and product-form series run on one list of Python ints,
+updated in place by two kernels that multiply or divide it by a sparse factor
+(1 - c q^a) in O(order) steps.  Where a factor has a rational coefficient,
+the list is held scaled: entry e is L^e times the true coefficient of q^e,
+with L the least common multiple of the factors' denominators.  That is the
+substitution q -> q/L, under which the factor (1 - c q^a) becomes
+(1 - c L^a q^a) with an integer coefficient, so the kernels never touch a
+``Fraction``.  :func:`_unscaled` divides once, entry e by L^e, when the
+series is wrapped.  The partial-fraction form sums its k scaled singly-marked
+series on one list of fractions.  Nothing is cached, so every call returns a
+fresh series.
 """
 
 from __future__ import annotations
@@ -24,33 +27,24 @@ from itertools import count
 from math import lcm
 from typing import Sequence
 
-from .marked import kmarked_rank_counts
+from . import marked
 from .symbols import Flavor
 
 Rational = Fraction | int
 
 
 class QSeries:
+    """c_0 .. c_order of a series truncated after q^order, as a tuple of fractions."""
+
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Sequence[Rational] | None = None):
+    def __init__(self, order: int, coeffs: Sequence[Rational]):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
+        if len(coeffs) != order + 1:
+            raise ValueError("need exactly order + 1 coefficients")
         self.order = order
-        if coeffs is None:
-            self.coeffs = [Fraction(0)] * (order + 1)
-        else:
-            if len(coeffs) != order + 1:
-                raise ValueError("need exactly order + 1 coefficients")
-            self.coeffs = [Fraction(c) for c in coeffs]
-
-    @classmethod
-    def monomial(cls, coeff: Rational, exponent: int, order: int) -> "QSeries":
-        """c * q^e truncated at ``order``; vanishes if e exceeds the order."""
-        s = cls(order)
-        if 0 <= exponent <= order:
-            s.coeffs[exponent] = Fraction(coeff)
-        return s
+        self.coeffs = tuple(map(Fraction, coeffs))
 
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
@@ -60,65 +54,29 @@ class QSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def _coerce(self, other) -> "QSeries":
-        if isinstance(other, QSeries):
-            if other.order != self.order:
-                raise ValueError("truncation orders differ")
-            return other
-        return QSeries.monomial(other, 0, self.order)
-
-    def __add__(self, other) -> "QSeries":
-        o = self._coerce(other)
-        out = QSeries(self.order)
-        out.coeffs = [a + b for a, b in zip(self.coeffs, o.coeffs)]
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QSeries":
-        out = QSeries(self.order)
-        out.coeffs = [-a for a in self.coeffs]
-        return out
-
-    def __sub__(self, other) -> "QSeries":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "QSeries":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "QSeries":
+    def __mul__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
-            out = QSeries(self.order)
-            c = Fraction(other)
-            out.coeffs = [a * c for a in self.coeffs]
-            return out
-        o = self._coerce(other)
-        out = QSeries(self.order)
+            return NotImplemented
+        if other.order != self.order:
+            raise ValueError("truncation orders differ")
+        out = [Fraction(0)] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.order - i + 1):
-                b = o.coeffs[j]
-                if b:
-                    out.coeffs[i + j] += a * b
-        return out
-
-    __rmul__ = __mul__
+            if a:
+                for j, b in enumerate(other.coeffs[: self.order - i + 1]):
+                    if b:
+                        out[i + j] += a * b
+        return QSeries(self.order, out)
 
     def reciprocal(self) -> "QSeries":
         """Multiplicative inverse; defined only when the constant term is nonzero."""
-        if not self.coeffs[0]:
+        a = self.coeffs
+        if not a[0]:
             raise ValueError("constant term is zero")
-        out = QSeries(self.order)
-        inv0 = 1 / self.coeffs[0]
-        out.coeffs[0] = inv0
+        inv0 = 1 / a[0]
+        out = [inv0]
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * out.coeffs[n - i]
-            out.coeffs[n] = -inv0 * acc
-        return out
+            out.append(-inv0 * sum(a[i] * out[n - i] for i in range(1, n + 1) if a[i]))
+        return QSeries(self.order, out)
 
     def __repr__(self) -> str:
         terms = [f"{c}*q^{n}" for n, c in enumerate(self.coeffs) if c]
@@ -227,16 +185,16 @@ def marked_rank_gf(
     built), so the series is independent of the product and partial-fraction
     forms below."""
     xs = _checked_point(x, k)
-    out = QSeries(order)
+    coeffs = []
     for n in range(order + 1):
         acc = Fraction(0)
-        for m, c in kmarked_rank_counts(n, k, flavor).items():
+        for m, c in marked.kmarked_rank_counts(n, k, flavor).items():
             term = Fraction(c)
             for xi, mi in zip(xs, m):
                 term *= xi**mi
             acc += term
-        out.coeffs[n] = acc
-    return out
+        coeffs.append(acc)
+    return QSeries(order, coeffs)
 
 
 def marked_rank_gf_product(
@@ -299,12 +257,13 @@ def marked_rank_gf_partial_fractions(
         for j in range(k):
             if i != j and (xs[i] == xs[j] or xs[i] * xs[j] == 1):
                 raise ValueError("pole at evaluation point")
-    out = QSeries(order)
+    out = [0] * (order + 1)
     for i, xi in enumerate(xs):
         scale = Fraction(1)
         for j, xj in enumerate(xs):
             if j == i:
                 continue
             scale /= (xi - xj) * (1 - Fraction(1) / (xi * xj))
-        out += marked_rank_gf((xi,), 1, order, flavor) * scale
-    return out
+        series = marked_rank_gf((xi,), 1, order, flavor)
+        out = [a + scale * c for a, c in zip(out, series.coeffs)]
+    return QSeries(order, out)

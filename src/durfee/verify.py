@@ -24,12 +24,10 @@ from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from . import bijections, marked, moments, qseries, symbols
-from .marked import KMarkedSymbol, PartitionPair, kmarked_rank_distribution
-from .partitions import (
-    MAX_WEIGHT, bounded_partitions_upto, count_rank, enumerate_partitions, rank
-)
-from .symbols import Flavor, Record, count_durfee_rank, enumerate_durfee, set_field
+from . import bijections, marked, moments, partitions, qseries, symbols
+from .marked import KMarkedSymbol, PartitionPair
+from .partitions import MAX_WEIGHT
+from .symbols import Flavor, Record, set_field
 
 
 class Bounds(Record):
@@ -119,7 +117,7 @@ def _rank_vectors(n: int, k: int, dist: dict, signed: bool = True) -> set[tuple[
 @_check("theorem-main-ordinary", _k_and_n, _grid(), flavor=Flavor.ORDINARY)
 def _theorem_main(b: Bounds, k: int, n: int, flavor: Flavor):
     """Enumerated counts by rank vector against the closed formula."""
-    dist = kmarked_rank_distribution(n, k, flavor)
+    dist = marked.kmarked_rank_distribution(n, k, flavor)
     for m in _rank_vectors(n, k, dist):
         expect = moments.marked_count_formula(m, n, flavor)
         got = dist.get(m, 0)
@@ -146,7 +144,7 @@ def _rank_symmetry_tables(b: Bounds, k: int, n: int):
     of every observed vector: a missing representative fails, and a
     representative's walk covers every member of its orbit.
     """
-    dist = kmarked_rank_distribution(n, k, Flavor.ORDINARY)
+    dist = marked.kmarked_rank_distribution(n, k, Flavor.ORDINARY)
     for m, c in dist.items():
         rep = tuple(sorted(map(abs, m), reverse=True))
         images = _rank_orbit(m) if m == rep else (rep,)
@@ -255,7 +253,7 @@ def _rank_gf(b: Bounds, m: int, flavor: Flavor):
     ordinary = flavor is Flavor.ORDINARY
     series = (qseries.rank_gf if ordinary else qseries.odd_rank_gf)(m, b.max_n)
     for n in range(b.max_n + 1):
-        got = count_rank(m, n) if ordinary else count_durfee_rank(m, n, flavor)
+        got = partitions.count_rank(m, n) if ordinary else symbols.count_durfee_rank(m, n, flavor)
         if series[n] != got:
             yield f"m={m} n={n} series={series[n]} count={got}"
 
@@ -266,23 +264,24 @@ def _durfee_bijection(b: Bounds, n: int):
     """to_durfee keeps each partition's rank, from_durfee undoes it, and the
     images of the partitions of n are the symbols of n, each once."""
     images = set()
-    for p in enumerate_partitions(n):
+    for p in partitions.enumerate_partitions(n):
         image = symbols.to_durfee(p)
-        if image.rank != rank(p):
+        if image.rank != partitions.rank(p):
             yield f"{p} -> {image} changes the rank"
         if symbols.from_durfee(image) != p:
             yield f"{p} fails the round trip"
         if image in images:
             yield f"{image} is the image of two partitions"
         images.add(image)
-    if images != set(enumerate_durfee(n)):
+    if images != set(symbols.enumerate_durfee(n)):
         yield f"n={n} images are not the symbols of n"
 
 
 def _pairs_upto(total: int) -> Iterator[PartitionPair]:
     """Every pair of weight <= ``total`` whose bottom row does not exceed its top row."""
-    for alpha in bounded_partitions_upto(total, total):
-        for beta in bounded_partitions_upto(total - sum(alpha), alpha[0] if alpha else 0):
+    upto = partitions.bounded_partitions_upto
+    for alpha in upto(total, total):
+        for beta in upto(total - sum(alpha), alpha[0] if alpha else 0):
             yield PartitionPair(alpha, beta)
 
 
@@ -361,7 +360,7 @@ def _merge_split_roundtrips(b: Bounds, k: int, n: int):
             yield f"merged rank wrong for {s}"
         if bijections.split_marks(ds, ranks) != s:
             yield f"{s} fails merge-then-split"
-    for ds in enumerate_durfee(n):
+    for ds in symbols.enumerate_durfee(n):
         r = ds.rank - (k - 1)
         if r < 0:
             continue
@@ -384,7 +383,7 @@ def _ss_count_identity(b: Bounds, k: int, n: int):
     for _, _, ranks in _members(n, k, strict=True):
         tally[ranks] = tally.get(ranks, 0) + 1
     for m in _rank_vectors(n, k, tally, signed=False):
-        expect = count_rank(sum(m) + k - 1, n)
+        expect = partitions.count_rank(sum(m) + k - 1, n)
         if tally.get(m, 0) != expect:
             yield f"n={n} k={k} m={m} counted={tally.get(m, 0)} expected={expect}"
 

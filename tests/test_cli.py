@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from durfee import bijections, cli, marked, qseries, symbols
+from durfee import bijections, cli, marked, partitions, qseries, symbols
 from durfee.marked import KMarkedSymbol, PartitionPair, enumerate_kmarked, is_strict_shifted_symbol
 from durfee.serialize import parse, render
 from durfee.symbols import DurfeeSymbol, Flavor
@@ -710,7 +710,7 @@ def test_rank_symmetry_tables_fails_on_a_corrupted_table(monkeypatch, k, rep, me
         "representative deleted": lambda dist: dist.pop(rep),
     }[corruption]
     wrong = rep if corruption == "representative deleted" else member
-    original = verify_mod.kmarked_rank_distribution
+    original = verify_mod.marked.kmarked_rank_distribution
     bounds = Bounds(max_n=6)
     clean = run_checks(("rank-symmetry-tables", *_TABLE_NEIGHBOURS), bounds)
 
@@ -722,7 +722,7 @@ def test_rank_symmetry_tables_fails_on_a_corrupted_table(monkeypatch, k, rep, me
         edit(dist)
         return dist
 
-    monkeypatch.setattr(verify_mod, "kmarked_rank_distribution", corrupted)
+    monkeypatch.setattr(verify_mod.marked, "kmarked_rank_distribution", corrupted)
     fail, *others = run_checks(("rank-symmetry-tables", *_TABLE_NEIGHBOURS), bounds)
     assert clean[0].ok and not fail.ok
     assert fail.detail.startswith(f"counterexample: n=6 k={k} count ")
@@ -816,7 +816,7 @@ def test_verify_reports_each_series_route_separately(capsys, monkeypatch):
     def corrupted(xs, k, order, flavor):
         series = original(xs, k, order, flavor)
         if (flavor, k) in wrong:
-            series = series + verify_mod.qseries.QSeries.monomial(1, order, order)
+            series = verify_mod.qseries.QSeries(order, (*series.coeffs[:-1], series[order] + 1))
         return series
 
     monkeypatch.setattr(verify_mod.qseries, "marked_rank_gf_partial_fractions", corrupted)
@@ -828,6 +828,71 @@ def test_verify_reports_each_series_route_separately(capsys, monkeypatch):
     assert rows["partial-fractions-ordinary"][3].startswith("counterexample: k=2 ")
     assert rows["partial-fractions-odd"][3].startswith("counterexample: k=3 ")
     assert rows["product-form-ordinary"][2] == rows["product-form-odd"][2] == "PASS"
+
+
+def _clear_memos():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("durfee."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+def _count_off_by_one(original):
+    return lambda *args: original(*args) + 1
+
+
+def _numerator_off_at_q5(original):
+    def patched(m, order, flavor):
+        coeffs = original(m, order, flavor)
+        if order >= 5:
+            coeffs[5] += 1
+        return coeffs
+    return patched
+
+
+def _counts_off_at_rank_zero(original):
+    def patched(n, k, flavor=Flavor.ORDINARY):
+        counts = dict(original(n, k, flavor))
+        counts[(0,) * k] = counts.get((0,) * k, 0) + 1
+        return counts
+    return patched
+
+
+def _rows_off_at_first_count(original):
+    def patched(n, k, flavor):
+        rows = list(original(n, k, flavor))
+        if rows:
+            rows[0][2][0] += 1
+        return iter(rows)
+    return patched
+
+
+_SERIES_ROWS = {"product-form-ordinary", "product-form-odd",
+                "partial-fractions-ordinary", "partial-fractions-odd"}
+
+
+@pytest.mark.parametrize("module, name, corrupt, failed", [
+    (qseries, "_rank_numerator", _numerator_off_at_q5,
+     {"rank-gf", "odd-rank-gf", "theorem-main-ordinary", "theorem-main-odd",
+      "moment-identity-ordinary", "moment-identity-odd"}),
+    (marked, "kmarked_rank_counts", _counts_off_at_rank_zero, _SERIES_ROWS),
+    (marked, "rank_rows", _rows_off_at_first_count,
+     {"moment-identity-ordinary", "moment-identity-odd", *_SERIES_ROWS}),
+    (partitions, "count_rank", _count_off_by_one, {"rank-gf", "strict-shifted-counts"}),
+    (symbols, "count_durfee_rank", _count_off_by_one, {"odd-rank-gf"}),
+], ids=["rank-numerator", "kmarked-rank-counts", "rank-rows", "count-rank", "count-durfee-rank"])
+def test_one_patch_reaches_every_route(monkeypatch, module, name, corrupt, failed):
+    # The checks and the library look each other's routines up on their
+    # modules, so a routine patched where it is defined is the one every
+    # route calls: each row that reads it fails, and no other row.
+    _clear_memos()
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    try:
+        results = run_suite("all", Bounds(max_n=8))
+    finally:
+        _clear_memos()
+    assert {r.name for r in results if not r.ok} == failed
 
 
 def test_series_partition(capsys):

@@ -163,7 +163,7 @@ def test_rank_counts_match_the_rank_series():
     for flavor, series in ((Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)):
         for m in range(-60, 61):
             coeffs = series(m, 60).coeffs
-            assert [_flavor_distribution(n, flavor).get(m, 0) for n in range(61)] == coeffs, m
+            assert tuple(_flavor_distribution(n, flavor).get(m, 0) for n in range(61)) == coeffs, m
 
 
 @pytest.mark.parametrize(
