@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "bijections": """flip_rank from_strict_shifted merge_marks permute_ranks permuted_images
+    "bijections": """flip_rank from_strict_shifted merge_marks permute_ranks rank_permuter
         split_marks subscript_minima subscripts symbol_from_strict_shifted
         symbol_to_strict_shifted to_strict_shifted""",
     "marked": """KMarkedSymbol PartitionPair ValidationResult balanced_numbers balanced_parts

@@ -14,22 +14,17 @@ Four families of maps live here, each with its inverse:
 
 Each stage is one private core (flip, raise, lower, merge, cut, and the
 one-pass top-part labels); the public maps are thin wrappers that check
-their arguments and build the symbol.  :func:`permuted_images` composes the
-cores to realize arbitrary permutations of the rank vector: it lifts a
-symbol once (per vector below k, its facts: rank sign and magnitude, and the
-vector flipped if negative, then raised; merge) and reads each image from one
-row of the images memo (cut, lower each vector below k, each beside its flip)
-through a getter of the flips its signs need; :func:`permute_ranks` is its
-one-permutation case.  Every stage preserves validity: rank flips and balanced
-transfers rearrange entries within one vector, so the whole-vector
-interlacing bounds never move.
+their arguments and build the symbol.  :func:`rank_permuter` composes the
+cores to realize arbitrary permutations of the rank vector: it checks its
+perms once and returns a map that lifts a symbol once (flip each negative
+rank, raise, merge) and reads each image from one row of cut and lowered
+vectors, each beside its flip, picking the flips that the permuted signs
+need; :func:`permute_ranks` is its one-permutation case.  Every stage
+preserves validity: rank flips and balanced transfers rearrange entries
+within one vector, so the whole-vector interlacing bounds never move.
 
 The stages are pure functions of immutable tuples, and a corpus holds few
-distinct keys, so each is memoized in a least-recently-used cache of 512
-entries: flip, raise, lower and the composite's facts per vector, merge per
-lifted vector tuple, the images per merged rows, permuted magnitudes and
-balanced numbers, and (in 256) the cut per merged rows and rank targets;
-their keys recur across a lifted symbol's sign and balanced-number variants.
+distinct keys, so each is memoized in a small least-recently-used cache.
 Every guard raises on every call, since an exception is not cached, and
 every cached value is a tuple, so no caller can change what a later call
 returns.
@@ -39,8 +34,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import add, getitem, itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .marked import KMarkedSymbol, PartitionPair, balanced_parts, is_strict_shifted_pair
 from .marked import _set_d, _set_flavor, _set_vectors
@@ -79,21 +74,6 @@ def _raise(pair: PartitionPair, negated: bool) -> tuple[PartitionPair, int]:
     return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept), len(bal)
 
 
-_raise_core = _raise.__wrapped__  # for a memo that holds what it returns
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _vector_facts(pair: PartitionPair) -> tuple[bool, int, PartitionPair, int]:
-    """Sign and magnitude of the rank of a vector below k, and the vector
-    flipped if negative (with no top part to flip, raise), then raised, with
-    its balanced number."""
-    alpha, beta = pair
-    if not alpha:
-        raise ValueError("no top part to flip")
-    x = len(alpha) - len(beta) - 1
-    return (x < 0, abs(x), *_raise_core(pair, x < 0))
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _merge(vecs: tuple[PartitionPair, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """All top rows and all bottom rows of a strict shifted vector tuple."""
@@ -102,17 +82,6 @@ def _merge(vecs: tuple[PartitionPair, ...]) -> tuple[tuple[int, ...], tuple[int,
     gamma = tuple(sorted((x for v in vecs for x in v.alpha), reverse=True))
     delta = tuple(sorted((x for v in vecs for x in v.beta), reverse=True))
     return gamma, delta
-
-
-def _check_targets(rank: int, m: tuple[int, ...]) -> None:
-    k = len(m)
-    if k < 1:
-        raise ValueError("need at least one rank target")
-    if k > 1 and any(x < 0 for x in m):
-        # one target is the identity map, which tolerates a negative rank
-        raise ValueError("rank targets must be nonnegative")
-    if rank != sum(m) + k - 1:
-        raise ValueError("rank != sum(m_i) + k - 1")
 
 
 def _split_point(gamma: tuple, delta: tuple, m: int, extra: int) -> int:
@@ -205,23 +174,13 @@ def _drop(vecs: tuple, t: Sequence[int]) -> tuple[PartitionPair, ...]:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _images(gamma: tuple, delta: tuple, mags: tuple, t: tuple) -> tuple[PartitionPair, ...]:
+def _images(gamma: tuple, delta: tuple, mags: tuple, t: tuple) -> tuple[tuple, ...]:
     """Cut the merged rows for the magnitudes ``mags`` plus twice the balanced
     numbers ``t`` (t_k = 0), lower vectors below k by ``t`` (a guard raises as
-    :func:`_drop` names it), and return each vector's image, then its flip."""
+    :func:`_drop` names it), and return per vector its image beside its flip."""
     rebuilt = _cut(gamma, delta, tuple(map(add, mags, map(add, t, t))))
     *low, top = _drop(rebuilt, t)
-    return (*chain(*zip(low, map(_flip_pair, low))), top, PartitionPair._make(top[::-1]))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _selectors(getters: tuple[Callable, ...], neg: tuple[bool, ...]) -> tuple[Callable, ...]:
-    """Per perm getter, the getter of the image's vectors from a row of
-    :func:`_images`: the flip at each position that a negative rank moves to
-    (a slice keeps the one vector of k = 1 in a tuple)."""
-    if len(neg) == 1:
-        return (itemgetter(slice(neg[0], neg[0] + 1)),) * len(getters)
-    return tuple(itemgetter(*[2 * i + f for i, f in enumerate(get(neg))]) for get in getters)
+    return (*zip(low, map(_flip_pair, low)), (top, PartitionPair._make(top[::-1])))
 
 
 def merge_marks(s: KMarkedSymbol) -> DurfeeSymbol:
@@ -244,7 +203,14 @@ def split_marks(ds: DurfeeSymbol, targets: Sequence[int]) -> KMarkedSymbol:
     """
     m = tuple(targets)
     _require_ints(m, "rank targets must be ints")
-    _check_targets(ds.rank, m)
+    k = len(m)
+    if k < 1:
+        raise ValueError("need at least one rank target")
+    if k > 1 and any(x < 0 for x in m):
+        # one target is the identity map, which tolerates a negative rank
+        raise ValueError("rank targets must be nonnegative")
+    if ds.rank != sum(m) + k - 1:
+        raise ValueError("rank != sum(m_i) + k - 1")
     return KMarkedSymbol(_cut(ds.alpha, ds.beta, m), ds.d, ds.flavor)
 
 
@@ -318,8 +284,7 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
     the top row's largest part as the new top, and the rest of the old top
     becomes the new bottom.  Applying the map twice restores the symbol.
     """
-    if type(p) is not int:  # a memo key takes 1.0 and True for 1
-        raise ValueError("vector index must be an int")
+    _require_ints((p,), "vector index must be an int")
     vecs = list(s.vectors)
     if not 1 <= p <= len(vecs):
         raise ValueError(f"vector index {p} out of range 1..{len(vecs)}")
@@ -332,59 +297,59 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
     return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _perm_getters(perms: tuple[tuple[int, ...], ...], k: int) -> tuple[Callable, ...]:
-    """Check each perm of 1..k once per distinct perms tuple; return per perm
-    a getter that reads a length-k sequence in perm order, as a tuple."""
+def rank_permuter(
+    perms: Iterable[Sequence[int]], k: int
+) -> Callable[[KMarkedSymbol], tuple[KMarkedSymbol, ...]]:
+    """Return the map from a k-marked symbol to its images, one per perm: the
+    i-th rank of an image is the perm(i)-th rank of the symbol.
+
+    Each ``perm`` lists perm(1) .. perm(k) as a permutation of 1..k, in ints;
+    the perms are checked here, once.  The composite route: flip every
+    negative rank to its absolute value, lift to the strict shifted world and
+    merge the marks, all once per symbol; then per permutation split the
+    marks again with the permuted magnitudes (the balanced-number budget
+    stays attached to positions, so the k-th stays 0), drop back, and restore
+    the signs at their new positions.
+    """
+    perms = tuple(map(tuple, perms))
+    _require_ints(chain.from_iterable(perms), "perm must be a permutation of 1..k")
     ids = list(range(1, k + 1))
     for perm in perms:
         if sorted(perm) != ids:
             raise ValueError("perm must be a permutation of 1..k")
+    if k < 1:
+        raise ValueError("need at least one rank target")
     # an itemgetter of one index returns a bare item; the one perm of 1..1 is the identity
-    return tuple(itemgetter(*[p - 1 for p in perm]) if k > 1 else tuple for perm in perms)
+    getters = [itemgetter(*[p - 1 for p in perm]) if k > 1 else tuple for perm in perms]
 
+    def images(s: KMarkedSymbol) -> tuple[KMarkedSymbol, ...]:
+        vectors, d, flavor = s.vectors, s.d, s.flavor
+        if len(vectors) != k:
+            raise ValueError(f"symbol has {len(vectors)} vectors, not k = {k}")
+        *low, top = vectors
+        xs = [len(alpha) - len(beta) - 1 for alpha, beta in low]
+        xs.append(len(top[0]) - len(top[1]))
+        neg = [x < 0 for x in xs]
+        if not all(alpha for alpha, _ in low):  # every flip guard before every raise
+            i = next(i for i, (alpha, _) in enumerate(low, 1) if not alpha)
+            raise ValueError(f"vector {i} has no top part")
+        last = (PartitionPair._make(top[::-1]) if neg[-1] else top, 0)  # vector k: swap its rows
+        lifted, t = zip(*map(_raise, low, neg), last)
+        gamma, delta = _merge(lifted)
+        mags = tuple(map(abs, xs))
+        out = []
+        for get in getters:  # t stays at its positions; each sign picks from its vector's pair
+            image = object.__new__(KMarkedSymbol)  # set through its slots, without __init__
+            _set_vectors(image, tuple(map(getitem, _images(gamma, delta, get(mags), t), get(neg))))
+            _set_d(image, d)
+            _set_flavor(image, flavor)
+            out.append(image)
+        return tuple(out)
 
-def permuted_images(
-    s: KMarkedSymbol, perms: Iterable[Sequence[int]]
-) -> Iterator[KMarkedSymbol]:
-    """Yield, per permutation, the symbol whose i-th rank is the perm(i)-th
-    rank of ``s``.
-
-    Each ``perm`` lists perm(1) .. perm(k) as a permutation of 1..k, in ints.
-    The composite route: flip every negative rank to its absolute value, lift
-    to the strict shifted world and merge the marks, all once; then per
-    permutation split the marks again with the permuted magnitudes (the
-    balanced-number budget stays attached to positions, so the k-th stays 0),
-    drop back, and restore the signs at their new positions.
-    """
-    vectors, d, flavor = s.vectors, s.d, s.flavor
-    k = len(vectors)
-    perms = tuple(map(tuple, perms))
-    if not {int}.issuperset(map(type, chain.from_iterable(perms))):
-        raise ValueError("perm must be a permutation of 1..k")
-    getters = _perm_getters(perms, k)
-    if not k:  # else the targets are the lifted ranks, which always pass the check
-        _check_targets(0, ())
-    top = vectors[-1]  # vector k, whose flip swaps its rows
-    x = len(top[0]) - len(top[1])
-    last = (x < 0, abs(x), PartitionPair._make(top[::-1]) if x < 0 else top, 0)
-    try:
-        neg, mags, lifted, t = zip(*map(_vector_facts, vectors[:-1]), last)
-    except ValueError:  # every flip guard before every raise: a vector below k with no top part
-        for i, (alpha, _) in enumerate(vectors[:-1], 1):
-            if not alpha:
-                raise ValueError(f"vector {i} has no top part") from None
-        raise
-    gamma, delta = _merge(lifted)
-    for get, select in zip(getters, _selectors(getters, neg)):  # t stays at its positions
-        image = object.__new__(KMarkedSymbol)  # set through its slots, without __init__
-        _set_vectors(image, select(_images(gamma, delta, get(mags), t)))
-        _set_d(image, d)
-        _set_flavor(image, flavor)
-        yield image
+    return images
 
 
 def permute_ranks(s: KMarkedSymbol, perm: Sequence[int]) -> KMarkedSymbol:
     """Return a symbol whose i-th rank is the perm(i)-th rank of ``s``: the
-    one-permutation case of :func:`permuted_images`."""
-    return next(permuted_images(s, (perm,)))
+    one-permutation case of :func:`rank_permuter`."""
+    return rank_permuter((perm,), s.k)(s)[0]

@@ -73,11 +73,40 @@ def _derived(s: KMarkedSymbol) -> dict[str, Any]:
     }
 
 
-def _integer(x: Any) -> int:
-    """``x`` itself when it is a JSON integer; a bool, float or string is not."""
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
+#: The JSON name of each type that a document field must have.
+_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _of_kind(x: Any, kind: type, path: str) -> Any:
+    """``x`` itself when its type is ``kind`` (a bool, float or string is no
+    integer); else the error of a document malformed at the field ``path``,
+    which is empty for the whole document."""
+    if type(x) is not kind:
+        got = _KINDS[type(x)] if type(x) in (dict, list) else json.dumps(x)
+        where = f"{path}: " if path else ""
+        raise ValueError(f"malformed symbol document: {where}expected {_KINDS[kind]}, got {got}")
     return x
+
+
+def _key(obj: dict, key: str, path: str = "") -> Any:
+    """``obj[key]``, where ``path`` names ``obj`` as :func:`_of_kind` reads it."""
+    if key not in obj:
+        where = f"{path}: " if path else ""
+        raise ValueError(f"malformed symbol document: {where}missing key {key!r}")
+    return obj[key]
+
+
+def _pair(v: Any, path: str) -> PartitionPair:
+    """The vector document ``v``, which ``path`` names."""
+    _of_kind(v, dict, path)
+    rows = []
+    for key in ("alpha", "beta"):
+        row = _of_kind(_key(v, key, path), list, f"{path}.{key}")
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                _of_kind(x, int, f"{path}.{key}[{j}]")
+        rows.append(tuple(row))
+    return PartitionPair(*rows)
 
 
 def _typed(x: Any) -> Any:
@@ -86,24 +115,22 @@ def _typed(x: Any) -> Any:
 
 
 def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
-    try:
-        flavor = Flavor(doc["flavor"])
-        d = _integer(doc["d"])
-        vectors = tuple(
-            PartitionPair(tuple(map(_integer, v["alpha"])), tuple(map(_integer, v["beta"])))
-            for v in doc["vectors"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed symbol document: {exc}") from None
-    s = KMarkedSymbol(vectors, d, flavor)
+    """The symbol of a document; a malformed one raises an error that names
+    the field at fault, as in ``vectors[0]: missing key 'beta'``."""
+    name = _key(_of_kind(doc, dict, ""), "flavor")
+    if name not in [f.value for f in Flavor]:
+        raise ValueError(f"malformed symbol document: flavor: unknown flavor {json.dumps(name)}")
+    d = _of_kind(_key(doc, "d"), int, "d")
+    vectors = _of_kind(_key(doc, "vectors"), list, "vectors")
+    vectors = tuple(_pair(v, f"vectors[{i}]") for i, v in enumerate(vectors))
+    s = KMarkedSymbol(vectors, d, Flavor(name))
     verdict = validate(s)
     if not verdict:
         raise ValueError(f"invalid symbol document: {verdict.reason}")
     derived = doc.get("derived")
     if derived is None:
         return s
-    if not isinstance(derived, dict):
-        raise ValueError("malformed symbol document: derived must be an object")
+    _of_kind(derived, dict, "derived")
     for key, value in _derived(s).items():
         if key in derived and _typed(derived[key]) != _typed(value):
             raise ValueError(f"document {key} {derived[key]} disagrees with rows ({value})")

@@ -188,9 +188,10 @@ def _permute_corpus(b: Bounds, k: int, n: int):
         subscripts.append(d)
         rank_of.append(shared.setdefault(ranks, ranks))
     checks = tuple(zip(transpositions, permuted, [bytearray(len(index)) for _ in transpositions]))
+    images = bijections.rank_permuter(transpositions, k)
     for vectors, d, ranks in zip(index, subscripts, rank_of):
         s = KMarkedSymbol(vectors, d)
-        for (perm, want, hit), im in zip(checks, bijections.permuted_images(s, transpositions)):
+        for (perm, want, hit), im in zip(checks, images(s)):
             j = index.get(im.vectors)
             got = im.ranks if j is None else rank_of[j]  # a member's ranks are known
             if got != want(ranks):

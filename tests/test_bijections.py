@@ -1,6 +1,5 @@
 import hashlib
-from itertools import permutations, product
-from operator import itemgetter
+from itertools import permutations
 
 import pytest
 
@@ -10,6 +9,7 @@ from durfee.bijections import (
     from_strict_shifted,
     merge_marks,
     permute_ranks,
+    rank_permuter,
     split_marks,
     subscript_minima,
     subscripts,
@@ -325,6 +325,7 @@ SIX_DS = DurfeeSymbol((3, 2, 1), (1,), 3)  # rank 2: targets (1, 0) split it
          "^rank targets must be ints$"),
         (lambda: [flip_rank(TWO_ONES, 1), flip_rank(TWO_ONES, 1.0)], "^vector index must be an int$"),
         (lambda: [flip_rank(TWO_ONES, 1), flip_rank(TWO_ONES, True)], "^vector index must be an int$"),
+        (lambda: rank_permuter(((1, 2),), 2)(ETA), "^symbol has 3 vectors, not k = 2$"),
     ],
     ids=[
         "split-no-targets", "from-negative-r", "subscripts-not-shifted", "minima-not-shifted",
@@ -333,7 +334,7 @@ SIX_DS = DurfeeSymbol((3, 2, 1), (1,), 3)  # rank 2: targets (1, 0) split it
         "permute-oversized-bottom", "permute-no-vectors", "permute-float-entry",
         "permute-bool-entry", "from-float-r", "from-bool-r", "symbol-from-float-t",
         "symbol-from-bool-t", "split-float-target", "split-bool-target", "flip-float-p",
-        "flip-bool-p",
+        "flip-bool-p", "permuter-other-k",
     ],
 )
 def test_public_maps_keep_their_errors(call, match):
@@ -343,13 +344,15 @@ def test_public_maps_keep_their_errors(call, match):
             call()
 
 
-def test_permuted_images_read_any_sequence_of_perms():
-    s = next(enumerate_kmarked(9, 3))
+def test_rank_permuter_reads_any_sequence_of_perms():
+    corpus = list(enumerate_kmarked(9, 3))
     perms = list(permutations(range(1, 4)))
-    want = list(bijections.permuted_images(s, tuple(perms)))
-    assert [im.ranks for im in want] == [tuple(s.ranks[p - 1] for p in perm) for perm in perms]
-    assert list(bijections.permuted_images(s, [list(p) for p in perms])) == want
-    assert list(bijections.permuted_images(s, (list(p) for p in perms))) == want
+    want = list(map(rank_permuter(tuple(perms), 3), corpus))
+    for s, images in zip(corpus, want):
+        assert [im.ranks for im in images] == [tuple(s.ranks[p - 1] for p in perm) for perm in perms]
+    # the perms are read once, when the map is built, and serve every symbol
+    assert list(map(rank_permuter([list(p) for p in perms], 3), corpus)) == want
+    assert list(map(rank_permuter((list(p) for p in perms), 3), corpus)) == want
 
 
 # sha256 of every image of permute_ranks over each corpus, recorded before the
@@ -377,12 +380,17 @@ def test_permute_ranks_images_are_pinned():
     assert got == PINNED_IMAGES
 
 
-# the memoized stage cores: raise, lower, the flip and the composite's facts per
-# vector, merge and cut per symbol, and per image the composite's rows and getters
+# the memoized stage cores: raise, lower and the flip per vector, merge and cut
+# per symbol, and per image the composite's rows
 STAGE_CACHES = (
-    bijections._raise, bijections._lower, bijections._flip_pair, bijections._vector_facts,
-    bijections._merge, bijections._cut, bijections._images, bijections._selectors,
+    bijections._raise, bijections._lower, bijections._flip_pair,
+    bijections._merge, bijections._cut, bijections._images,
 )
+
+
+def test_the_stage_caches_are_every_memo():
+    memos = {f for f in vars(bijections).values() if hasattr(f, "cache_clear")}
+    assert memos == set(STAGE_CACHES)
 
 
 def _stage_results():
@@ -390,12 +398,12 @@ def _stage_results():
     out = []
     for flavor in Flavor:
         for k in (1, 2, 3):
-            perms = list(permutations(range(1, k + 1)))
+            images = bijections.rank_permuter(permutations(range(1, k + 1)), k)
             for n in range(9):
                 for s in enumerate_kmarked(n, k, flavor):
                     lifted = symbol_to_strict_shifted(s)
                     out.append((
-                        list(bijections.permuted_images(s, perms)),
+                        images(s),
                         [flip_rank(s, p) for p in range(1, k + 1)],
                         lifted,
                         symbol_from_strict_shifted(lifted, balanced_numbers(s)),
@@ -430,9 +438,6 @@ def test_stage_caches_hold_tuples():
             for pair in s.vectors[:-1]:
                 flipped = bijections._flip_pair(pair)
                 assert type(flipped) is PartitionPair and _immutable(flipped)
-                negated, magnitude, lifted, r = facts = bijections._vector_facts(pair)
-                assert [type(x) for x in facts] == [bool, int, PartitionPair, int]
-                assert _immutable(lifted)
             if is_strict_shifted_symbol(s) and min(s.ranks) >= 0:
                 gamma, delta = bijections._merge(s.vectors)
                 assert _immutable(gamma) and _immutable(delta)
@@ -440,9 +445,5 @@ def test_stage_caches_hold_tuples():
                 assert type(cut) is tuple and all(type(v) is PartitionPair for v in cut)
                 assert _immutable(cut)
                 row = bijections._images(gamma, delta, s.ranks, (0, 0, 0))
-                assert type(row) is tuple and len(row) == 6 and _immutable(row)
-                assert all(type(v) is PartitionPair for v in row)
-    getters = bijections._perm_getters(((2, 1, 3), (1, 3, 2)), 3)
-    for neg in product((False, True), repeat=3):
-        selectors = bijections._selectors(getters, neg)
-        assert type(selectors) is tuple and all(type(g) is itemgetter for g in selectors)
+                assert type(row) is tuple and len(row) == 3 and _immutable(row)
+                assert all(type(v) is PartitionPair for pair in row for v in pair)

@@ -326,7 +326,8 @@ def test_map_non_integer_document_is_usage_error(capsys, monkeypatch, field, val
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, out, err = run_cli(capsys, "map", "--map", "theta", "--p", "1")
     assert_usage_error(code, out, err)
-    assert err.startswith("error: malformed symbol document: expected an integer")
+    where = "d" if field == "d" else f"vectors[0].{field}[0]"
+    assert err.startswith(f"error: malformed symbol document: {where}: expected an integer, got ")
 
 
 # Each equals the value of the rows under ==: weight 1, rank 0, no balanced part.
@@ -515,8 +516,8 @@ def test_verify_reports_counterexample_when_core_is_corrupted(capsys, monkeypatc
     assert "FAIL" in out and "counterexample" in out and "m=(0, 0)" in out
 
 
-def _phi_rows_with_permuted_images(capsys, monkeypatch, patched):
-    monkeypatch.setattr(verify_mod.bijections, "permuted_images", patched)
+def _phi_rows_with_rank_permuter(capsys, monkeypatch, patched):
+    monkeypatch.setattr(verify_mod.bijections, "rank_permuter", patched)
     code, out, _ = run_cli(capsys, "verify", "--suite", "phi", "--max-n", "6")
     assert code == 1
     return {line.split("\t")[0]: line for line in out.splitlines()[1:-1]}
@@ -534,13 +535,14 @@ GOLDEN_PHI_PASS = {
 def test_permute_corpus_fails_on_a_repeated_image(capsys, monkeypatch):
     # Two symbols of one weight and rank vector get the same images: every
     # image still has the right ranks, but one is no longer fresh.
-    original = bijections.permuted_images
+    original = bijections.rank_permuter
     first: dict = {}
 
-    def repeating(s, perms):
-        return first.setdefault((s.k, s.weight, s.ranks), list(original(s, perms)))
+    def repeating(perms, k):
+        images = original(perms, k)
+        return lambda s: first.setdefault((s.k, s.weight, s.ranks), images(s))
 
-    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, repeating)
+    rows = _phi_rows_with_rank_permuter(capsys, monkeypatch, repeating)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2] == "FAIL" and "image not fresh member" in fail[3]
     assert rows == GOLDEN_PHI_PASS
@@ -549,12 +551,13 @@ def test_permute_corpus_fails_on_a_repeated_image(capsys, monkeypatch):
 def test_permute_corpus_fails_on_a_wrong_subscript(capsys, monkeypatch):
     # The right vectors under the next subscript: the vectors alone are found
     # in the corpus index, so the subscript must be compared as well.
-    original = bijections.permuted_images
+    original = bijections.rank_permuter
 
-    def shifted(s, perms):
-        return [KMarkedSymbol(im.vectors, im.d + 1) for im in original(s, perms)]
+    def shifted(perms, k):
+        images = original(perms, k)
+        return lambda s: [KMarkedSymbol(im.vectors, im.d + 1) for im in images(s)]
 
-    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, shifted)
+    rows = _phi_rows_with_rank_permuter(capsys, monkeypatch, shifted)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2] == "FAIL" and "image not fresh member" in fail[3]
     assert rows == GOLDEN_PHI_PASS
@@ -563,10 +566,12 @@ def test_permute_corpus_fails_on_a_wrong_subscript(capsys, monkeypatch):
 def test_a_raising_check_is_its_own_fail_row(capsys, monkeypatch):
     # A library ValueError inside one check is that check's FAIL row, the
     # other checks still report, and the run exits 1, not 2.
-    def raising(s, perms):
-        raise ValueError("vector 1: not strict shifted")
+    def raising(perms, k):
+        def images(s):
+            raise ValueError("vector 1: not strict shifted")
+        return images
 
-    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, raising)
+    rows = _phi_rows_with_rank_permuter(capsys, monkeypatch, raising)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2:] == ["FAIL", "counterexample: raised ValueError: vector 1: not strict shifted"]
     assert rows == GOLDEN_PHI_PASS
@@ -595,10 +600,10 @@ def test_a_value_error_in_a_later_case_is_the_rows_detail(monkeypatch):
 
 
 def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
-    def unpermuted(s, perms):
-        return [s for _ in perms]
+    def unpermuted(perms, k):
+        return lambda s: [s for _ in perms]
 
-    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, unpermuted)
+    rows = _phi_rows_with_rank_permuter(capsys, monkeypatch, unpermuted)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2] == "FAIL" and fail[3].startswith("counterexample: ")
     assert " ranks " in fail[3] and "not fresh" not in fail[3]
@@ -868,6 +873,26 @@ def _rows_off_at_first_count(original):
     return patched
 
 
+def _split_one_further(original):
+    return lambda gamma, delta, m, extra: original(gamma, delta, m, extra) + bool(delta)
+
+
+def _reversed(original):
+    return lambda pair: original(pair)[::-1]
+
+
+def _without_smallest(original):
+    return lambda pair: (parts := original(pair)) and parts - {min(parts)}
+
+
+def _two_top_parts_unflipped(original):
+    return lambda pair: pair if len(pair.alpha) == 2 else original(pair)
+
+
+def _one_part_fewer(original):
+    return lambda pair, r: original(pair, r - 1 if r > 1 else r)
+
+
 _SERIES_ROWS = {"product-form-ordinary", "product-form-odd",
                 "partial-fractions-ordinary", "partial-fractions-odd"}
 
@@ -881,7 +906,16 @@ _SERIES_ROWS = {"product-form-ordinary", "product-form-odd",
      {"moment-identity-ordinary", "moment-identity-odd", *_SERIES_ROWS}),
     (partitions, "count_rank", _count_off_by_one, {"rank-gf", "strict-shifted-counts"}),
     (symbols, "count_durfee_rank", _count_off_by_one, {"odd-rank-gf"}),
-], ids=["rank-numerator", "kmarked-rank-counts", "rank-rows", "count-rank", "count-durfee-rank"])
+    (bijections, "_split_point", _split_one_further, {"merge-split-roundtrips", "permute-corpus"}),
+    (bijections, "_label_min_indices", _reversed, {"pair-roundtrips", "subscript-labels"}),
+    (marked, "balanced_parts", _without_smallest,
+     {"deficiency-nonnegative", "lift-roundtrip", "pair-roundtrips"}),
+    (bijections, "_flip_pair", _two_top_parts_unflipped, {"flip-involution", "permute-corpus"}),
+    (bijections, "_lower", _one_part_fewer, {"lift-roundtrip", "pair-roundtrips", "permute-corpus"}),
+], ids=[
+    "rank-numerator", "kmarked-rank-counts", "rank-rows", "count-rank", "count-durfee-rank",
+    "split-point", "label-min-indices", "balanced-parts", "flip-pair", "lower",
+])
 def test_one_patch_reaches_every_route(monkeypatch, module, name, corrupt, failed):
     # The checks and the library look each other's routines up on their
     # modules, so a routine patched where it is defined is the one every
@@ -1200,8 +1234,8 @@ def test_package_exports_the_same_names():
         "is_strict_shifted_symbol", "is_valid", "ith_rank", "kmarked_rank_counts",
         "kmarked_rank_distribution", "marked_count_formula", "marked_rank_gf",
         "marked_rank_gf_partial_fractions", "marked_rank_gf_product", "merge_marks",
-        "odd_rank_gf", "partition_gf", "permute_ranks", "permuted_images", "rank",
-        "rank_distribution", "rank_gf", "rank_moment", "solution_count",
+        "odd_rank_gf", "partition_gf", "permute_ranks", "rank", "rank_distribution",
+        "rank_gf", "rank_moment", "rank_permuter", "solution_count",
         "solution_count_brute", "split_marks", "subscript_minima", "subscripts",
         "symbol_from_strict_shifted", "symbol_to_strict_shifted", "symmetrized_moment",
         "to_durfee", "to_strict_shifted", "total_kmarked", "validate",

@@ -79,7 +79,7 @@ def test_derived_cross_checks(key, value):
 def test_derived_block_must_be_an_object():
     doc = symbol_to_document(SYM55)
     doc["derived"] = [55]
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError, match="^malformed symbol document: derived: expected an object"):
         document_to_symbol(doc)
 
 
@@ -102,6 +102,28 @@ def test_malformed_documents_rejected():
         document_to_symbol({"flavor": "weird", "d": 1, "vectors": []})
 
 
+# Each error names the field at fault, not the Python error that reading it raised.
+@pytest.mark.parametrize("doc, message", [
+    ([], "expected an object, got an array"),
+    ({"d": 1, "vectors": []}, "missing key 'flavor'"),
+    ({"flavor": 1, "d": 1, "vectors": []}, "flavor: unknown flavor 1"),
+    ({"flavor": "weird", "d": 1, "vectors": []}, 'flavor: unknown flavor "weird"'),
+    ({"flavor": "ordinary", "vectors": []}, "missing key 'd'"),
+    ({"flavor": "ordinary", "d": 1}, "missing key 'vectors'"),
+    ({"flavor": "ordinary", "d": 1, "vectors": 5}, "vectors: expected an array, got 5"),
+    ({"flavor": "ordinary", "d": 1, "vectors": [None]}, "vectors[0]: expected an object, got null"),
+    ({"flavor": "ordinary", "d": 1, "vectors": [{"alpha": [1]}]}, "vectors[0]: missing key 'beta'"),
+    ({"flavor": "ordinary", "d": 1, "vectors": [{"alpha": {}, "beta": []}]},
+     "vectors[0].alpha: expected an array, got an object"),
+    ({"flavor": "ordinary", "d": 1, "vectors": [{"alpha": [1], "beta": []}, {"alpha": [2, None]}]},
+     "vectors[1].alpha[1]: expected an integer, got null"),
+])
+def test_malformed_documents_name_the_field(doc, message):
+    with pytest.raises(ValueError) as raised:
+        document_to_symbol(doc)
+    assert str(raised.value) == f"malformed symbol document: {message}"
+
+
 # Each would read as the valid one-vector symbol ((1) / ())_1 under int().
 @pytest.mark.parametrize(
     "field, value", [("alpha", [1.9]), ("alpha", [True]), ("alpha", ["1"]), ("d", 1.5)]
@@ -113,8 +135,11 @@ def test_non_integer_entries_rejected(field, value):
         doc["d"] = value
     else:
         doc["vectors"][0][field] = value
-    with pytest.raises(ValueError, match="malformed symbol document: expected an integer"):
+    where, got = ("d", value) if field == "d" else (f"vectors[0].{field}[0]", value[0])
+    with pytest.raises(ValueError) as raised:
         document_to_symbol(doc)
+    want = f"malformed symbol document: {where}: expected an integer, got {json.dumps(got)}"
+    assert str(raised.value) == want
 
 
 def test_derived_block_optional_on_input():
