@@ -13,15 +13,25 @@ Four families of maps live here, each with its inverse:
 * :func:`flip_rank` - negate one coordinate of the rank vector.
 
 Each stage is one private core (flip, raise, lower, merge, cut, and the
-one-pass top-part labels); the public maps are thin wrappers that check
-their arguments and build the symbol.  :func:`rank_permuter` composes the
-cores to realize arbitrary permutations of the rank vector: it checks its
-perms once and returns a map that lifts a symbol once (flip each negative
-rank, raise, merge) and reads each image from one row of cut and lowered
-vectors, each beside its flip, picking the flips that the permuted signs
-need; :func:`permute_ranks` is its one-permutation case.  Every stage
-preserves validity: rank flips and balanced transfers rearrange entries
-within one vector, so the whole-vector interlacing bounds never move.
+one-pass top-part labels).  The vector-wise maps and the composite that
+permutes the rank vector each take one block ``(d, upper, lows)`` of
+:func:`durfee.marked.blocks`, in which only vector 1 varies, and do the work
+for vectors 2..k once per block and vector 1's per member:
+:func:`flip_block` and :func:`lift_block` return the image block,
+:func:`drop_block` and :func:`permute_block` yield per member.  Each public
+symbol map is its block map's one-block case, as
+:func:`durfee.serialize.format_symbol` is for the corpus writers, and checks
+its arguments; a block map that yields raises in the turn of the first
+member whose map raises, with that member's message.
+
+:func:`rank_permuter` checks its perms once and returns the map from a
+symbol to its images, which :func:`permute_block` reads: it lifts each
+member once (flip each negative rank, raise, merge) and reads each image
+from one memoised flat row of cut and lowered vectors, each beside its flip,
+through the permuter's getter for the member's sign pattern;
+:func:`permute_ranks` is its one-permutation case.  Every stage preserves
+validity: rank flips and balanced transfers rearrange entries within one
+vector, so the whole-vector interlacing bounds never move.
 
 The stages are pure functions of immutable tuples, and a corpus holds few
 distinct keys, so each is memoized in a small least-recently-used cache.
@@ -34,12 +44,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import add, getitem, itemgetter
-from typing import Callable, Iterable, Sequence
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .marked import KMarkedSymbol, PartitionPair, balanced_parts, is_strict_shifted_pair
-from .marked import _set_d, _set_flavor, _set_vectors
-from .symbols import DurfeeSymbol
+from . import marked
+from .marked import Block, KMarkedSymbol, PartitionPair
+from .symbols import DurfeeSymbol, Flavor
 
 #: Entries of each stage memo: above the keys the verify corpora reuse, and bounded.
 _MEMO_SIZE = 512
@@ -68,7 +78,7 @@ def _raise(pair: PartitionPair, negated: bool) -> tuple[PartitionPair, int]:
     alpha, beta = pair = _flip_pair(pair) if negated else pair
     if beta and (not alpha or beta[0] > alpha[0]):
         raise ValueError("largest bottom part exceeds largest top part")
-    bal = balanced_parts(pair)
+    bal = marked.balanced_parts(pair)
     moved = tuple(beta[j - 1] for j in bal)
     kept = tuple(b for j, b in enumerate(beta, 1) if j not in bal)
     return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept), len(bal)
@@ -77,7 +87,7 @@ def _raise(pair: PartitionPair, negated: bool) -> tuple[PartitionPair, int]:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _merge(vecs: tuple[PartitionPair, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """All top rows and all bottom rows of a strict shifted vector tuple."""
-    if not all(is_strict_shifted_pair(v) for v in vecs[:-1]):
+    if not all(map(marked.is_strict_shifted_pair, vecs[:-1])):
         raise ValueError("not strict shifted")
     gamma = tuple(sorted((x for v in vecs for x in v.alpha), reverse=True))
     delta = tuple(sorted((x for v in vecs for x in v.beta), reverse=True))
@@ -139,7 +149,7 @@ def _label_min_indices(pair: PartitionPair) -> list[int]:
 
 
 def _require_strict_shifted(pair: PartitionPair) -> None:
-    if not is_strict_shifted_pair(pair):
+    if not marked.is_strict_shifted_pair(pair):
         raise ValueError("not strict shifted")
 
 
@@ -162,25 +172,36 @@ def _lower(pair: PartitionPair, r: int) -> PartitionPair:
     return pair
 
 
-def _drop(vecs: tuple, t: Sequence[int]) -> tuple[PartitionPair, ...]:
-    """Lower vectors 1 .. k-1 by the balanced numbers ``t``; vector k stays."""
+def _drop(pairs: Sequence[PartitionPair], t: Iterable[int], first: int = 1) -> list[PartitionPair]:
+    """Lower each of ``pairs``, vectors ``first``, ``first`` + 1, ..., by
+    its balanced number in ``t``; a guard's error names the vector."""
     out: list[PartitionPair] = []
     try:
-        for pair, r in zip(vecs[:-1], t):
+        for pair, r in zip(pairs, t):
             out.append(_lower(pair, r))
     except ValueError as exc:
-        raise ValueError(f"vector {len(out) + 1}: {exc}") from None
-    return (*out, *vecs[-1:])
+        raise ValueError(f"vector {first + len(out)}: {exc}") from None
+    return out
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _images(gamma: tuple, delta: tuple, mags: tuple, t: tuple) -> tuple[tuple, ...]:
+def _images(gamma: tuple, delta: tuple, mags: tuple, t: tuple) -> tuple[PartitionPair, ...]:
     """Cut the merged rows for the magnitudes ``mags`` plus twice the balanced
     numbers ``t`` (t_k = 0), lower vectors below k by ``t`` (a guard raises as
-    :func:`_drop` names it), and return per vector its image beside its flip."""
-    rebuilt = _cut(gamma, delta, tuple(map(add, mags, map(add, t, t))))
-    *low, top = _drop(rebuilt, t)
-    return (*zip(low, map(_flip_pair, low)), (top, PartitionPair._make(top[::-1])))
+    :func:`_drop` names it), and return one flat row: each vector's image,
+    then its flip."""
+    *low, top = _cut(gamma, delta, tuple(map(add, mags, map(add, t, t))))
+    low = _drop(low, t)
+    return (*chain(*zip(low, map(_flip_pair, low))), top, PartitionPair._make(top[::-1]))
+
+
+def _join(high: tuple, low: tuple) -> tuple:
+    """The entries of two non-increasing rows in one non-increasing row:
+    ``low`` after ``high`` when none of its entries is larger, as the
+    marking conditions keep vector 1 below vector 2."""
+    if high and low and low[0] > high[-1]:
+        return tuple(sorted(high + low, reverse=True))
+    return high + low
 
 
 def merge_marks(s: KMarkedSymbol) -> DurfeeSymbol:
@@ -261,8 +282,18 @@ def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
 
     The i-th rank grows by twice the i-th balanced number for i < k.
     """
-    vecs = s.vectors
-    return KMarkedSymbol((*(_raise(v, False)[0] for v in vecs[:-1]), *vecs[-1:]), s.d, s.flavor)
+    d, upper, lows = lift_block(marked._block(s))
+    return KMarkedSymbol((*lows, *upper), d, s.flavor)
+
+
+def lift_block(block: Block) -> Block:
+    """The image block of ``block`` under :func:`symbol_to_strict_shifted`:
+    vectors 2..k-1 raised once, each vector 1 raised, vector k kept."""
+    d, upper, lows = block
+    if not upper:  # k = 1: vector 1 is vector k, which stays
+        return block
+    raised = [_raise(pair, False)[0] for pair in upper[:-1]]
+    return d, (*raised, upper[-1]), [_raise(pair, False)[0] for pair in lows]
 
 
 def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSymbol:
@@ -274,7 +305,39 @@ def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSym
         raise ValueError("balanced-number vector must have length k")
     if t[-1] != 0:
         raise ValueError("the k-th balanced number is 0 by definition")
-    return KMarkedSymbol(_drop(s.vectors, t), s.d, s.flavor)
+    return KMarkedSymbol(next(drop_block(marked._block(s), t[1:], t[:1])), s.d, s.flavor)
+
+
+def drop_block(
+    block: Block, upper_t: Sequence[int], low_t: Iterable[int]
+) -> Iterator[tuple[PartitionPair, ...]]:
+    """Yield, per member of ``block`` in order, the vectors of its image
+    under :func:`symbol_from_strict_shifted`: vectors 2..k lowered once by
+    ``upper_t`` (the k-th entry is 0), and vector 1 by the member's entry of
+    ``low_t``."""
+    _, upper, lows = block
+    upper_t = tuple(upper_t)
+    _require_ints(upper_t, "balanced numbers must be ints")
+    if len(upper_t) != len(upper):
+        raise ValueError("balanced-number vector must have length k")
+    if upper and upper_t[-1] != 0:
+        raise ValueError("the k-th balanced number is 0 by definition")
+    kept = None
+    for pair, r in zip(lows, low_t):
+        if type(r) is not int:
+            raise ValueError("balanced numbers must be ints")
+        if not upper:  # k = 1: vector 1 is vector k
+            if r != 0:
+                raise ValueError("the k-th balanced number is 0 by definition")
+            yield (pair,)
+            continue
+        try:
+            low = _lower(pair, r)
+        except ValueError as exc:
+            raise ValueError(f"vector 1: {exc}") from None
+        if kept is None:  # in the first member's turn, after its vector 1
+            kept = (*_drop(upper[:-1], upper_t, 2), upper[-1])
+        yield (low, *kept)
 
 
 def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
@@ -284,17 +347,94 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
     the top row's largest part as the new top, and the rest of the old top
     becomes the new bottom.  Applying the map twice restores the symbol.
     """
-    _require_ints((p,), "vector index must be an int")
-    vecs = list(s.vectors)
-    if not 1 <= p <= len(vecs):
-        raise ValueError(f"vector index {p} out of range 1..{len(vecs)}")
-    if p == len(vecs):
-        vecs[-1] = PartitionPair._make(vecs[-1][::-1])
-    elif not vecs[p - 1][0]:
+    d, upper, lows = flip_block(marked._block(s), p)
+    return KMarkedSymbol((*lows, *upper), d, s.flavor)
+
+
+def flip_block(block: Block, p: int) -> Block:
+    """The image block of ``block`` under :func:`flip_rank` at ``p``: for
+    p >= 2 vector p flips once, for p = 1 each vector 1 flips."""
+    d, upper, lows = block
+    if type(p) is not int:  # a memo key takes 1.0 and True for 1
+        raise ValueError("vector index must be an int")
+    k = len(upper) + 1
+    if not 1 <= p <= k:
+        raise ValueError(f"vector index {p} out of range 1..{k}")
+    if p == 1 and k == 1:
+        return d, upper, [PartitionPair._make(pair[::-1]) for pair in lows]
+    if p == 1:
+        if not all(map(itemgetter(0), lows)):
+            raise ValueError("vector 1 has no top part")
+        return d, upper, list(map(_flip_pair, lows))
+    pair = upper[p - 2]
+    if p == k:
+        pair = PartitionPair._make(pair[::-1])
+    elif not pair[0]:
         raise ValueError(f"vector {p} has no top part")
     else:
-        vecs[p - 1] = _flip_pair(vecs[p - 1])
-    return KMarkedSymbol(tuple(vecs), s.d, s.flavor)
+        pair = _flip_pair(pair)
+    return d, (*upper[:p - 2], pair, *upper[p - 1:]), lows
+
+
+def _picks(getters: Sequence[Callable], neg: tuple[bool, ...]) -> tuple[tuple[Callable, ...], ...]:
+    """Per perm getter, that getter beside the getter of an image's vectors
+    from a flat row of :func:`_images`: the flip at each position that a
+    negative rank moves to (a slice keeps the one vector of k = 1 in a tuple)."""
+    if len(neg) == 1:
+        return tuple((get, itemgetter(slice(neg[0], neg[0] + 1))) for get in getters)
+    return tuple((get, itemgetter(*[2 * i + f for i, f in enumerate(get(neg))])) for get in getters)
+
+
+def _vector_facts(pair: PartitionPair, top: bool) -> tuple:
+    """Sign and magnitude of the rank of a vector, its balanced number, its
+    rows once flipped to a nonnegative rank and raised, and whether those
+    are strict shifted.  Vector k (``top``) swaps its rows to flip and is not
+    raised; a vector below k has a top part."""
+    alpha, beta = pair
+    if top:
+        x = len(alpha) - len(beta)
+        return x < 0, abs(x), 0, *(pair[::-1] if x < 0 else pair), True
+    x = len(alpha) - len(beta) - 1
+    lifted, r = _raise(pair, x < 0)
+    return x < 0, abs(x), r, *lifted, marked.is_strict_shifted_pair(lifted)
+
+
+def _upper_facts(known: tuple[dict, dict], upper: tuple[PartitionPair, ...]) -> tuple:
+    """The :func:`_vector_facts` of vectors 2..k, read from or added to
+    ``known``, joined: the tuples of their signs, magnitudes and balanced
+    numbers, their merged rows, and whether they are all strict shifted.
+    Every flip guard comes before every raise."""
+    for i, (alpha, _) in enumerate(upper[:-1], 2):
+        if not alpha:
+            raise ValueError(f"vector {i} has no top part")
+    if not upper:  # k = 1: vector 1 is vector k
+        return (), (), (), (), (), True
+    last = len(upper) - 1
+    neg, mags, t, alphas, betas, oks = zip(*[
+        known[i == last].get(v) or known[i == last].setdefault(v, _vector_facts(v, i == last))
+        for i, v in enumerate(upper)
+    ])
+    gamma, delta = alphas[-1], betas[-1]
+    for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
+        gamma, delta = _join(gamma, alpha), _join(delta, beta)
+    return neg, mags, t, gamma, delta, all(oks)
+
+
+class _Permuter:
+    """The checked perms of :func:`rank_permuter`: per perm a getter of a
+    length-k sequence in perm order; per sign pattern of the ranks met, the
+    getters of :func:`_picks`; and the :func:`_vector_facts` of each vector
+    met, below k and as vector k.  Called on a symbol, it returns the
+    symbol's images: the one-block case of :func:`permute_block`."""
+
+    __slots__ = ("k", "getters", "picks", "facts")
+
+    def __init__(self, k: int, getters: list[Callable]) -> None:
+        self.k, self.getters, self.picks, self.facts = k, getters, {}, ({}, {})
+
+    def __call__(self, s: KMarkedSymbol) -> tuple[KMarkedSymbol, ...]:
+        d, flavor, images = next(permute_block(self, marked._block(s), s.flavor))
+        return tuple(KMarkedSymbol(vectors, d, flavor) for vectors in images)
 
 
 def rank_permuter(
@@ -309,7 +449,8 @@ def rank_permuter(
     merge the marks, all once per symbol; then per permutation split the
     marks again with the permuted magnitudes (the balanced-number budget
     stays attached to positions, so the k-th stays 0), drop back, and restore
-    the signs at their new positions.
+    the signs at their new positions.  :func:`permute_block` maps a whole
+    block with the returned permuter.
     """
     perms = tuple(map(tuple, perms))
     _require_ints(chain.from_iterable(perms), "perm must be a permutation of 1..k")
@@ -320,33 +461,45 @@ def rank_permuter(
     if k < 1:
         raise ValueError("need at least one rank target")
     # an itemgetter of one index returns a bare item; the one perm of 1..1 is the identity
-    getters = [itemgetter(*[p - 1 for p in perm]) if k > 1 else tuple for perm in perms]
+    return _Permuter(k, [itemgetter(*[p - 1 for p in perm]) if k > 1 else tuple for perm in perms])
 
-    def images(s: KMarkedSymbol) -> tuple[KMarkedSymbol, ...]:
-        vectors, d, flavor = s.vectors, s.d, s.flavor
-        if len(vectors) != k:
-            raise ValueError(f"symbol has {len(vectors)} vectors, not k = {k}")
-        *low, top = vectors
-        xs = [len(alpha) - len(beta) - 1 for alpha, beta in low]
-        xs.append(len(top[0]) - len(top[1]))
-        neg = [x < 0 for x in xs]
-        if not all(alpha for alpha, _ in low):  # every flip guard before every raise
-            i = next(i for i, (alpha, _) in enumerate(low, 1) if not alpha)
-            raise ValueError(f"vector {i} has no top part")
-        last = (PartitionPair._make(top[::-1]) if neg[-1] else top, 0)  # vector k: swap its rows
-        lifted, t = zip(*map(_raise, low, neg), last)
-        gamma, delta = _merge(lifted)
-        mags = tuple(map(abs, xs))
-        out = []
-        for get in getters:  # t stays at its positions; each sign picks from its vector's pair
-            image = object.__new__(KMarkedSymbol)  # set through its slots, without __init__
-            _set_vectors(image, tuple(map(getitem, _images(gamma, delta, get(mags), t), get(neg))))
-            _set_d(image, d)
-            _set_flavor(image, flavor)
-            out.append(image)
-        return tuple(out)
 
-    return images
+def permute_block(
+    permuter: _Permuter, block: Block, flavor: Flavor
+) -> Iterator[tuple[int, Flavor, list[tuple[PartitionPair, ...]]]]:
+    """Yield, per member of ``block`` in order, the subscript and flavor of
+    its images under ``permuter`` (of :func:`rank_permuter`) and the vectors
+    of each image, one per perm.
+
+    The signs, magnitudes, raises and merged rows of vectors 2..k are made
+    once per block, in the first member's turn after its own flip guard;
+    each member adds vector 1's and reads each image from one flat row of
+    :func:`_images`, keyed without signs, through the getter of its sign
+    pattern.
+    """
+    d, upper, lows = block
+    k, getters, picks, known = permuter.k, permuter.getters, permuter.picks, permuter.facts
+    if len(upper) + 1 != k:
+        raise ValueError(f"symbol has {len(upper) + 1} vectors, not k = {k}")
+    low_known = known[k == 1]
+    shared = None
+    for pair in lows:
+        facts = low_known.get(pair)  # a vector 1 met before has a top part
+        if facts is None and k > 1 and not pair[0]:
+            raise ValueError("vector 1 has no top part")
+        if shared is None:  # in the first member's turn, after its own flip guard
+            neg_up, mags_up, t_up, gamma_up, delta_up, shifted = shared = _upper_facts(known, upper)
+        if facts is None:
+            facts = low_known[pair] = _vector_facts(pair, k == 1)
+        neg, mag, r, alpha, beta, ok = facts
+        if not (ok and shifted):
+            raise ValueError("not strict shifted")
+        neg, mags, t = (neg,) + neg_up, (mag,) + mags_up, (r,) + t_up
+        gamma, delta = _join(gamma_up, alpha), _join(delta_up, beta)
+        pick = picks.get(neg)
+        if pick is None:
+            pick = picks[neg] = _picks(getters, neg)
+        yield d, flavor, [select(_images(gamma, delta, get(mags), t)) for get, select in pick]
 
 
 def permute_ranks(s: KMarkedSymbol, perm: Sequence[int]) -> KMarkedSymbol:

@@ -39,7 +39,7 @@ sums, and :func:`count_kmarked` reads one slot.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, abc
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import gt
@@ -61,6 +61,12 @@ from .symbols import (
 class PartitionPair(NamedTuple):
     alpha: Partition
     beta: Partition
+
+
+#: ``(d, upper, lows)`` as :func:`blocks` yields it: subscript d, vectors
+#: 2..k in index order, and every vector 1 that goes with them.  (The abc's
+#: alias is built at import an order of magnitude faster than typing's.)
+Block = tuple[int, tuple[PartitionPair, ...], abc.Sequence[PartitionPair]]
 
 
 class KMarkedSymbol(Record):
@@ -219,6 +225,14 @@ def blocks(
                     (i - 1, left, bound, (pair, *upper))
                     for pair, left, bound in reversed(choices(i, budget, ub))
                 ]
+
+
+def _block(s: KMarkedSymbol) -> Block:
+    """The one block of ``s``, as :func:`blocks` would yield it: vector 1 is
+    its only choice."""
+    if not s.vectors:
+        raise ValueError("symbol must have at least one vector")
+    return s.d, s.vectors[1:], s.vectors[:1]
 
 
 def _upper_ranks(upper: tuple[PartitionPair, ...], k: int) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ the counting oracles for every other module in the package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from operator import ge
@@ -61,9 +62,16 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def bounded_partitions(n: int, max_part: int, odd_only: bool = False) -> tuple[Partition, ...]:
-    """Partitions of ``n`` with all parts <= ``max_part``, decreasing lexicographic."""
+    """Partitions of ``n`` with all parts <= ``max_part``, decreasing lexicographic.
+
+    They are the suffix of those with parts <= ``n`` from the first whose
+    largest part is at most ``max_part``, so every bound shares one tuple per
+    partition."""
     _check_weight(n)
-    return tuple(_descending(n, max_part, odd_only))
+    if n == 0 or max_part == n:  # the one partition of 0 has no part to bound
+        return tuple(_descending(n, n, odd_only))
+    every = bounded_partitions(n, n, odd_only)
+    return every[bisect_left(every, -max_part, key=lambda p: -p[0]):]
 
 
 @lru_cache(maxsize=None)

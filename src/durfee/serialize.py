@@ -30,14 +30,12 @@ import sys
 from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
-from .marked import KMarkedSymbol, PartitionPair, balanced_numbers, balanced_parts, validate
+from .marked import (
+    Block, KMarkedSymbol, PartitionPair, _block, balanced_numbers, balanced_parts, validate
+)
 from .symbols import DurfeeSymbol, Flavor, frame_weight
 
 _SUBSCRIPT_DIGITS = "₀₁₂₃₄₅₆₇₈₉"
-
-#: ``(d, upper, lows)`` as :func:`durfee.marked.blocks` yields it: subscript
-#: d, vectors 2..k in index order, and every vector 1 that goes with them.
-Block = tuple[int, tuple[PartitionPair, ...], Iterable[PartitionPair]]
 
 
 def _subscript(n: int) -> str:
@@ -48,11 +46,6 @@ def _marked(s: KMarkedSymbol | DurfeeSymbol) -> KMarkedSymbol:
     if isinstance(s, DurfeeSymbol):
         return KMarkedSymbol((PartitionPair(s.alpha, s.beta),), s.d, s.flavor)
     return s
-
-
-def _block(s: KMarkedSymbol) -> list[Block]:
-    """The one block of ``s``: vector 1 is its only choice."""
-    return [(s.d, s.vectors[1:], (s.vectors[0],))]
 
 
 def symbol_to_document(s: KMarkedSymbol | DurfeeSymbol) -> dict[str, Any]:
@@ -225,4 +218,4 @@ def format_symbol(s: KMarkedSymbol | DurfeeSymbol) -> str:
         top = " ".join(str(x) for x in s.alpha)
         bottom = " ".join(str(x) for x in s.beta)
         return f"( {top} / {bottom} ){_subscript(s.d)}"
-    return next(display_lines(_block(s)))
+    return next(display_lines([_block(s)]))

@@ -13,14 +13,18 @@ are none, else FAIL with ``counterexample: `` and the first, or ``raised
 ValueError: `` and its message if a case raised one first.  A check that
 rejects its bounds raises when called instead: a usage error.  Checks look
 library routines up on their modules as they run, so a patched or traced
-routine is the one called.  The corpus checks read member ranks from the
-block walk of :mod:`durfee.marked`, and call each map they check once per member.
+routine is the one called.  The corpus checks read the block walk of
+:mod:`durfee.marked` with each member's ranks.  permute-corpus, flip-involution
+and lift-roundtrip give each block to the block maps of
+:mod:`durfee.bijections`, whose work for vectors 2..k is done once per block,
+and still meet the members, and each member's failures, in enumeration order;
+merge-split-roundtrips calls its maps once per member.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -153,53 +157,69 @@ def _rank_symmetry_tables(b: Bounds, k: int, n: int):
                 yield f"n={n} k={k} count {c} at {m} but {dist.get(image, 0)} at {image}"
 
 
-def _members(n: int, k: int, strict: bool = False) -> Iterator[tuple]:
-    """``(vectors, d, ranks)`` of each k-marked symbol of ``n``, k >= 2, from the block walk,
-    in enumeration order.  Given ``strict``, of each strict shifted one with nonnegative
-    ranks: the walk tests each pair of its tables once and prunes at every vector."""
+def _blocks(n: int, k: int, strict: bool = False) -> Iterator[tuple]:
+    """``(block, ranks, high)`` for each block ``(d, upper, lows)`` of the walk
+    of the k-marked symbols of ``n``, k >= 2, in enumeration order: ``ranks``
+    holds the rank of each vector 1 in ``lows``, and ``high`` the ranks of
+    vectors 2..k.  Given ``strict``, of the strict shifted symbols with
+    nonnegative ranks: the walk tests each pair of its tables once and prunes
+    at every vector."""
     shifted = marked.is_strict_shifted_pair
-    # vector 1 with its rank, once per pair of the walk's table
-    low = lambda ps: [(p, r) for p in ps if (r := len(p[0]) - len(p[1]) - 1) >= 0 and shifted(p)]
-    keep = lambda i, p: shifted(p) if i < k else len(p.alpha) >= len(p.beta)
-    if not strict:
-        low, keep = lambda ps: [(p, len(p[0]) - len(p[1]) - 1) for p in ps], None
-    for d, upper, lows in marked.blocks(n, k, Flavor.ORDINARY, low, keep):
-        high = marked._upper_ranks(upper, k)
-        yield from (((pair, *upper), d, (r, *high)) for pair, r in lows)
+
+    def ranked(pairs):  # vector 1 with its rank, once per pair of the walk's table
+        lows, ranks = [], []
+        for p in pairs:
+            r = len(p[0]) - len(p[1]) - 1
+            if not strict or r >= 0 and shifted(p):
+                lows.append(p)
+                ranks.append(r)
+        return lows, ranks
+
+    keep = (lambda i, p: shifted(p) if i < k else len(p.alpha) >= len(p.beta)) if strict else None
+    for d, upper, (lows, ranks) in marked.blocks(n, k, Flavor.ORDINARY, ranked, keep):
+        yield (d, upper, lows), ranks, marked._upper_ranks(upper, k)
 
 
 @_check("permute-corpus", lambda b: f"{_k_and_n(b)}, transpositions", _grid())
 def _permute_corpus(b: Bounds, k: int, n: int):
     """The composite rank-permuting map is a bijection of each corpus onto
-    itself, realizing every transposition.  A corpus, read from the block walk,
-    is its vector tuples (which fix the subscript at one weight) mapped to their
-    positions, with a subscript byte and a rank vector each.  One byte per
-    member and transposition records the images met so far."""
+    itself, realizing every transposition.  The map keeps the subscript, so
+    the corpus is read from the block walk a subscript at a time: its vector
+    tuples mapped to their positions, with a rank vector each.  One byte per
+    member and transposition records the images met so far; the map takes a
+    block at a time."""
     transpositions = tuple(
         tuple({i: j, j: i}.get(p, p) for p in range(1, k + 1))
         for i, j in combinations(range(1, k + 1), 2)
     )
     permuted = [itemgetter(*(p - 1 for p in perm)) for perm in transpositions]
-    index: dict[tuple[PartitionPair, ...], int] = {}
-    subscripts = bytearray()
-    rank_of, shared = [], {}  # equal rank vectors are one tuple
-    for vectors, d, ranks in _members(n, k):
-        index[vectors] = len(subscripts)
-        subscripts.append(d)
-        rank_of.append(shared.setdefault(ranks, ranks))
-    checks = tuple(zip(transpositions, permuted, [bytearray(len(index)) for _ in transpositions]))
-    images = bijections.rank_permuter(transpositions, k)
-    for vectors, d, ranks in zip(index, subscripts, rank_of):
-        s = KMarkedSymbol(vectors, d)
-        for (perm, want, hit), im in zip(checks, images(s)):
-            j = index.get(im.vectors)
-            got = im.ranks if j is None else rank_of[j]  # a member's ranks are known
-            if got != want(ranks):
-                yield f"n={n} k={k} perm={perm} ranks {ranks} -> {got}"
-            if j is None or subscripts[j] != im.d or im.flavor is not s.flavor or hit[j]:
-                yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
-            else:
-                hit[j] = 1
+    permuter = bijections.rank_permuter(transpositions, k)
+    ordinary = Flavor.ORDINARY
+    for d, walk in groupby(_blocks(n, k), lambda found: found[0][0]):
+        walk = list(walk)
+        index: dict[tuple[PartitionPair, ...], int] = {}
+        rank_of, shared = [], {}  # equal rank vectors are one tuple
+        for (_, upper, lows), ranks, high in walk:
+            for pair, r in zip(lows, ranks):
+                index[(pair, *upper)] = len(rank_of)
+                ranks = (r, *high)
+                rank_of.append(shared.setdefault(ranks, ranks))
+        checks = tuple(zip(transpositions, permuted, [bytearray(len(index)) for _ in permuted]))
+        member = iter(rank_of)
+        for block, _, _ in walk:
+            _, upper, lows = block
+            images = bijections.permute_block(permuter, block, ordinary)
+            for pair, ranks, (image_d, flavor, vectors) in zip(lows, member, images):
+                for (perm, want, hit), im in zip(checks, vectors):
+                    j = index.get(im)
+                    got = KMarkedSymbol(im, image_d).ranks if j is None else rank_of[j]
+                    if got != want(ranks):
+                        yield f"n={n} k={k} perm={perm} ranks {ranks} -> {got}"
+                    if j is None or image_d != d or flavor is not ordinary or hit[j]:
+                        s = KMarkedSymbol((pair, *upper), d)
+                        yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
+                    else:
+                        hit[j] = 1
 
 
 @_check("moment-identity-odd", lambda b: f"k = 1, n <= {b.max_n}", _grid((1,)), flavor=Flavor.ODD)
@@ -328,39 +348,68 @@ def _deficiencies(b: Bounds):
 
 @_check("lift-roundtrip", lambda b: f"k = 2, n <= {b.max_n}", _grid((2,)))
 def _lift_roundtrip(b: Bounds, k: int, n: int):
-    for vectors, d, (r1, r2) in _members(n, k):
-        s = KMarkedSymbol(vectors, d)
-        lifted = bijections.symbol_to_strict_shifted(s)
-        nb = marked.balanced_numbers(s)
-        if not marked.is_strict_shifted_symbol(lifted):
-            yield f"lift of {s} not strict shifted"
-        if lifted.ranks != (r1 + 2 * nb[0], r2):
-            yield f"rank shift wrong for {s}"
-        if bijections.symbol_from_strict_shifted(lifted, nb) != s:
-            yield f"{s} fails the round trip"
+    """The lift is strict shifted, shifts each rank below k by twice its
+    balanced number, and drops back; a block at a time, each member's drop
+    after its own lift's details.  Each vector of a case is counted once."""
+    shifted, balanced = marked.is_strict_shifted_pair, marked.balanced_parts
+    counts: dict[PartitionPair, int] = {}
+
+    def count(v: PartitionPair) -> int:
+        if v not in counts:
+            counts[v] = len(balanced(v))
+        return counts[v]
+
+    for (d, upper, lows), ranks, high in _blocks(n, k):
+        _, lifted_upper, lifted = bijections.lift_block((d, upper, lows))
+        upper_t = (*map(count, upper[:-1]), 0)
+        upper_ok = all(map(shifted, lifted_upper[:-1]))
+        shifts = tuple(x + 2 * t for x, t in zip(high, upper_t))
+        high_ok = marked._upper_ranks(lifted_upper, k) == shifts
+        low_t = list(map(count, lows))
+        backs = bijections.drop_block((d, lifted_upper, lifted), upper_t, low_t)
+        for pair, r, v, t in zip(lows, ranks, lifted, low_t):
+            if not (upper_ok and shifted(v)):
+                yield f"lift of {KMarkedSymbol((pair, *upper), d)} not strict shifted"
+            if not high_ok or len(v[0]) - len(v[1]) - 1 != r + 2 * t:
+                yield f"rank shift wrong for {KMarkedSymbol((pair, *upper), d)}"
+            if next(backs) != (pair, *upper):
+                yield f"{KMarkedSymbol((pair, *upper), d)} fails the round trip"
 
 
 @_check("flip-involution", lambda b: f"k = 2, n <= {b.max_n}, both positions", _grid((2,)))
 def _flip_involution(b: Bounds, k: int, n: int):
-    for vectors, d, (r1, r2) in _members(n, k):
-        s = KMarkedSymbol(vectors, d)
-        for p, flipped in ((1, (-r1, r2)), (2, (r1, -r2))):
-            t = bijections.flip_rank(s, p)
-            if t.ranks != flipped:
-                yield f"{s} position {p} flips to {t.ranks}"
-            if bijections.flip_rank(t, p) != s:
-                yield f"{s} position {p} not an involution"
+    """The flip at each position negates that rank and undoes itself; a
+    block maps to a block, whose vectors 2..k are checked once."""
+    for block, ranks, high in _blocks(n, k):
+        d, upper, lows = block
+        flips = []
+        for p in range(1, k + 1):
+            _, image_upper, image_lows = image = bijections.flip_block(block, p)
+            back_d, back_upper, back_lows = bijections.flip_block(image, p)
+            flipped = tuple(-x if i == p else x for i, x in enumerate(high, 2))
+            high_ok = marked._upper_ranks(image_upper, k) == flipped
+            back_ok = (back_d, back_upper) == (d, upper)
+            flips.append((p, image_upper, image_lows, high_ok, back_lows, back_ok))
+        for j, (pair, r) in enumerate(zip(lows, ranks)):
+            for p, image_upper, image_lows, high_ok, back_lows, back_ok in flips:
+                v = image_lows[j]
+                if not high_ok or len(v[0]) - len(v[1]) - 1 != (-r if p == 1 else r):
+                    got = KMarkedSymbol((v, *image_upper), d).ranks
+                    yield f"{KMarkedSymbol((pair, *upper), d)} position {p} flips to {got}"
+                if not back_ok or back_lows[j] != pair:
+                    yield f"{KMarkedSymbol((pair, *upper), d)} position {p} not an involution"
 
 
 @_check("merge-split-roundtrips", _k_and_n, _grid())
 def _merge_split_roundtrips(b: Bounds, k: int, n: int):
-    for vectors, d, ranks in _members(n, k, strict=True):
-        s = KMarkedSymbol(vectors, d)
-        ds = bijections.merge_marks(s)
-        if ds.rank != sum(ranks) + k - 1:
-            yield f"merged rank wrong for {s}"
-        if bijections.split_marks(ds, ranks) != s:
-            yield f"{s} fails merge-then-split"
+    for (d, upper, lows), ranks, high in _blocks(n, k, strict=True):
+        for pair, r in zip(lows, ranks):
+            s, targets = KMarkedSymbol((pair, *upper), d), (r, *high)
+            ds = bijections.merge_marks(s)
+            if ds.rank != sum(targets) + k - 1:
+                yield f"merged rank wrong for {s}"
+            if bijections.split_marks(ds, targets) != s:
+                yield f"{s} fails merge-then-split"
     for ds in symbols.enumerate_durfee(n):
         r = ds.rank - (k - 1)
         if r < 0:
@@ -381,8 +430,10 @@ def _ss_count_identity(b: Bounds, k: int, n: int):
     """Strict shifted symbols with prescribed nonnegative ranks are counted
     by a single plain rank count."""
     tally: dict[tuple[int, ...], int] = {}
-    for _, _, ranks in _members(n, k, strict=True):
-        tally[ranks] = tally.get(ranks, 0) + 1
+    for _, ranks, high in _blocks(n, k, strict=True):
+        for r in ranks:
+            key = (r, *high)
+            tally[key] = tally.get(key, 0) + 1
     for m in _rank_vectors(n, k, tally, signed=False):
         expect = partitions.count_rank(sum(m) + k - 1, n)
         if tally.get(m, 0) != expect:

@@ -5,9 +5,13 @@ import pytest
 
 from durfee import bijections
 from durfee.bijections import (
+    drop_block,
+    flip_block,
     flip_rank,
     from_strict_shifted,
+    lift_block,
     merge_marks,
+    permute_block,
     permute_ranks,
     rank_permuter,
     split_marks,
@@ -22,6 +26,7 @@ from durfee.marked import (
     PartitionPair,
     balanced_numbers,
     balanced_parts,
+    blocks,
     enumerate_kmarked,
     is_strict_shifted_pair,
     is_strict_shifted_symbol,
@@ -344,6 +349,99 @@ def test_public_maps_keep_their_errors(call, match):
             call()
 
 
+def _one_block(s):
+    """The block of ``s`` alone, as the symbol maps make it."""
+    return s.d, s.vectors[1:], s.vectors[:1]
+
+
+ORDINARY = Flavor.ORDINARY
+
+
+# the block form of each error case above that a block map meets
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: flip_block(_one_block(TWO_ONES), 0), r"vector index 0 out of range 1\.\.2"),
+        (lambda: flip_block(_one_block(TWO_ONES), 3), r"vector index 3 out of range 1\.\.2"),
+        (lambda: flip_block((1, TWO_ONES.vectors[1:], (PartitionPair((), (1,)),)), 1),
+         "vector 1 has no top part"),
+        (lambda: lift_block((1, (PartitionPair((3,), ()),), (PartitionPair((2,), (3,)),))),
+         "largest bottom part exceeds"),
+        (lambda: list(permute_block(rank_permuter([(2, 1, 3)], 3), _one_block(
+            KMarkedSymbol((PartitionPair((1,), ()), NO_TOP, PartitionPair((3,), ())), 3)), ORDINARY)),
+         "^vector 2 has no top part$"),
+        (lambda: list(permute_block(rank_permuter([(2, 1)], 2), _one_block(
+            KMarkedSymbol((NO_TOP, PartitionPair((1,), ())), 1)), ORDINARY)),
+         "^vector 1 has no top part$"),
+        (lambda: list(permute_block(rank_permuter([(1, 2, 3)], 3), _one_block(
+            KMarkedSymbol((TOO_LOW, NO_TOP, PartitionPair((3,), ())), 3)), ORDINARY)),
+         "^vector 2 has no top part$"),
+        (lambda: list(permute_block(rank_permuter([(2, 1)], 2), _one_block(
+            KMarkedSymbol((TOO_LOW, PartitionPair((2,), ())), 2)), ORDINARY)),
+         "^largest bottom part exceeds largest top part$"),
+        (lambda: [list(drop_block(_one_block(TWO_ONES), (0,), (0,))),
+                  list(drop_block(_one_block(TWO_ONES), (0,), (0.0,)))],
+         "^balanced numbers must be ints$"),
+        (lambda: [list(drop_block(_one_block(TWO_ONES), (0,), (0,))),
+                  list(drop_block(_one_block(TWO_ONES), (False,), (0,)))],
+         "^balanced numbers must be ints$"),
+        (lambda: list(drop_block((1, TWO_ONES.vectors[1:], (NOT_SHIFTED,)), (0,), (1,))),
+         "not strict shifted"),
+        (lambda: list(drop_block(_one_block(TWO_ONES), (0,), (-1,))), "r must be nonnegative"),
+        (lambda: [flip_block(_one_block(TWO_ONES), 1), flip_block(_one_block(TWO_ONES), 1.0)],
+         "^vector index must be an int$"),
+        (lambda: [flip_block(_one_block(TWO_ONES), 1), flip_block(_one_block(TWO_ONES), True)],
+         "^vector index must be an int$"),
+        (lambda: list(permute_block(rank_permuter(((1, 2),), 2), _one_block(ETA), ORDINARY)),
+         "^symbol has 3 vectors, not k = 2$"),
+    ],
+    ids=[
+        "flip-p-low", "flip-p-high", "flip-no-top-part", "to-oversized-bottom",
+        "permute-no-top-part", "permute-no-top-part-first", "permute-flip-before-lift",
+        "permute-oversized-bottom", "symbol-from-float-t", "symbol-from-bool-t",
+        "from-not-shifted", "from-negative-r", "flip-float-p", "flip-bool-p", "permuter-other-k",
+    ],
+)
+def test_block_maps_keep_the_symbol_maps_errors(call, match):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_block_maps_are_their_members_one_block_cases(flavor):
+    # On every block of two or more members, each block map gives what its
+    # symbol map gives each member alone, with a permuter of its own: no
+    # state of one member reaches the next.
+    def symbols_of(block):
+        d, upper, lows = block
+        return [KMarkedSymbol((pair, *upper), d, flavor) for pair in lows]
+
+    for k in (1, 2, 3, 4):
+        perms = list(permutations(range(1, k + 1)))[: 6 if k == 4 else None]
+        permuter = rank_permuter(perms, k)
+        for n in range(13):
+            for block in blocks(n, k, flavor):
+                members = symbols_of(block)
+                if len(members) < 2:
+                    continue
+                for p in range(1, k + 1):
+                    assert symbols_of(flip_block(block, p)) == [flip_rank(s, p) for s in members]
+                lifted = lift_block(block)
+                assert symbols_of(lifted) == list(map(symbol_to_strict_shifted, members))
+                t = list(map(balanced_numbers, members))
+                backs = drop_block(lifted, t[0][1:], [ts[0] for ts in t])
+                assert [KMarkedSymbol(v, block[0], flavor) for v in backs] == [
+                    symbol_from_strict_shifted(symbol_to_strict_shifted(s), ts)
+                    for s, ts in zip(members, t)
+                ] == members
+                images = [
+                    tuple(KMarkedSymbol(v, d, image_flavor) for v in vectors)
+                    for d, image_flavor, vectors in permute_block(permuter, block, flavor)
+                ]
+                assert images == [rank_permuter(perms, k)(s) for s in members]
+
+
 def test_rank_permuter_reads_any_sequence_of_perms():
     corpus = list(enumerate_kmarked(9, 3))
     perms = list(permutations(range(1, 4)))
@@ -407,6 +505,7 @@ def _stage_results():
                         [flip_rank(s, p) for p in range(1, k + 1)],
                         lifted,
                         symbol_from_strict_shifted(lifted, balanced_numbers(s)),
+                        merge_marks(lifted),
                     ))
     return out
 
@@ -444,6 +543,6 @@ def test_stage_caches_hold_tuples():
                 cut = bijections._cut(gamma, delta, s.ranks)
                 assert type(cut) is tuple and all(type(v) is PartitionPair for v in cut)
                 assert _immutable(cut)
-                row = bijections._images(gamma, delta, s.ranks, (0, 0, 0))
-                assert type(row) is tuple and len(row) == 3 and _immutable(row)
-                assert all(type(v) is PartitionPair for pair in row for v in pair)
+                row = bijections._images(gamma, delta, s.ranks, (0, 0, 0))  # flat: image, flip
+                assert type(row) is tuple and len(row) == 6 and _immutable(row)
+                assert all(type(v) is PartitionPair for v in row)

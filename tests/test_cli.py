@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -516,8 +517,8 @@ def test_verify_reports_counterexample_when_core_is_corrupted(capsys, monkeypatc
     assert "FAIL" in out and "counterexample" in out and "m=(0, 0)" in out
 
 
-def _phi_rows_with_rank_permuter(capsys, monkeypatch, patched):
-    monkeypatch.setattr(verify_mod.bijections, "rank_permuter", patched)
+def _phi_rows_with_permute_block(capsys, monkeypatch, patched):
+    monkeypatch.setattr(verify_mod.bijections, "permute_block", patched)
     code, out, _ = run_cli(capsys, "verify", "--suite", "phi", "--max-n", "6")
     assert code == 1
     return {line.split("\t")[0]: line for line in out.splitlines()[1:-1]}
@@ -535,14 +536,16 @@ GOLDEN_PHI_PASS = {
 def test_permute_corpus_fails_on_a_repeated_image(capsys, monkeypatch):
     # Two symbols of one weight and rank vector get the same images: every
     # image still has the right ranks, but one is no longer fresh.
-    original = bijections.rank_permuter
+    original = bijections.permute_block
     first: dict = {}
 
-    def repeating(perms, k):
-        images = original(perms, k)
-        return lambda s: first.setdefault((s.k, s.weight, s.ranks), images(s))
+    def repeating(permuter, block, flavor):
+        d, upper, lows = block
+        for pair, images in zip(lows, original(permuter, block, flavor)):
+            s = KMarkedSymbol((pair, *upper), d, flavor)
+            yield first.setdefault((s.k, s.weight, s.ranks), images)
 
-    rows = _phi_rows_with_rank_permuter(capsys, monkeypatch, repeating)
+    rows = _phi_rows_with_permute_block(capsys, monkeypatch, repeating)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2] == "FAIL" and "image not fresh member" in fail[3]
     assert rows == GOLDEN_PHI_PASS
@@ -551,13 +554,13 @@ def test_permute_corpus_fails_on_a_repeated_image(capsys, monkeypatch):
 def test_permute_corpus_fails_on_a_wrong_subscript(capsys, monkeypatch):
     # The right vectors under the next subscript: the vectors alone are found
     # in the corpus index, so the subscript must be compared as well.
-    original = bijections.rank_permuter
+    original = bijections.permute_block
 
-    def shifted(perms, k):
-        images = original(perms, k)
-        return lambda s: [KMarkedSymbol(im.vectors, im.d + 1) for im in images(s)]
+    def shifted(permuter, block, flavor):
+        for d, image_flavor, images in original(permuter, block, flavor):
+            yield d + 1, image_flavor, images
 
-    rows = _phi_rows_with_rank_permuter(capsys, monkeypatch, shifted)
+    rows = _phi_rows_with_permute_block(capsys, monkeypatch, shifted)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2] == "FAIL" and "image not fresh member" in fail[3]
     assert rows == GOLDEN_PHI_PASS
@@ -566,12 +569,10 @@ def test_permute_corpus_fails_on_a_wrong_subscript(capsys, monkeypatch):
 def test_a_raising_check_is_its_own_fail_row(capsys, monkeypatch):
     # A library ValueError inside one check is that check's FAIL row, the
     # other checks still report, and the run exits 1, not 2.
-    def raising(perms, k):
-        def images(s):
-            raise ValueError("vector 1: not strict shifted")
-        return images
+    def raising(permuter, block, flavor):
+        raise ValueError("vector 1: not strict shifted")
 
-    rows = _phi_rows_with_rank_permuter(capsys, monkeypatch, raising)
+    rows = _phi_rows_with_permute_block(capsys, monkeypatch, raising)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2:] == ["FAIL", "counterexample: raised ValueError: vector 1: not strict shifted"]
     assert rows == GOLDEN_PHI_PASS
@@ -600,14 +601,24 @@ def test_a_value_error_in_a_later_case_is_the_rows_detail(monkeypatch):
 
 
 def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
-    def unpermuted(perms, k):
-        return lambda s: [s for _ in perms]
+    def unpermuted(permuter, block, flavor):
+        d, upper, lows = block
+        return ((d, flavor, repeat((pair, *upper))) for pair in lows)  # each member, per perm
 
-    rows = _phi_rows_with_rank_permuter(capsys, monkeypatch, unpermuted)
+    rows = _phi_rows_with_permute_block(capsys, monkeypatch, unpermuted)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2] == "FAIL" and fail[3].startswith("counterexample: ")
     assert " ranks " in fail[3] and "not fresh" not in fail[3]
     assert rows == GOLDEN_PHI_PASS
+
+
+def _members(n, k, strict=False):
+    """``(vectors, d, ranks)`` of each member of the blocks that the checks read."""
+    return [
+        ((pair, *upper), d, (r, *high))
+        for (d, upper, lows), ranks, high in verify_mod._blocks(n, k, strict)
+        for pair, r in zip(lows, ranks)
+    ]
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -619,7 +630,7 @@ def test_strict_shifted_members_follow_the_enumeration(k):
             (s.vectors, s.d, s.ranks) for s in enumerate_kmarked(n, k)
             if is_strict_shifted_symbol(s) and min(s.ranks) >= 0
         ]
-        assert list(verify_mod._members(n, k, strict=True)) == want, n
+        assert _members(n, k, strict=True) == want, n
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -628,15 +639,16 @@ def test_strict_shifted_members_are_the_filtered_walk(k):
     # with nonnegative ranks and strict shifted vectors below k, in its order
     for n in range(13):
         want = [
-            (vectors, d, ranks) for vectors, d, ranks in verify_mod._members(n, k)
+            (vectors, d, ranks) for vectors, d, ranks in _members(n, k)
             if min(ranks) >= 0 and all(map(marked.is_strict_shifted_pair, vectors[:-1]))
         ]
-        assert list(verify_mod._members(n, k, strict=True)) == want, n
+        assert _members(n, k, strict=True) == want, n
 
 
 def test_phi_fails_when_any_longer_top_row_counts_as_strict_shifted(capsys, monkeypatch):
     # ((1, 1), (1,)) then passes for strict shifted: it is counted at n = 4,
-    # and merging a symbol that holds it raises
+    # and the merge, which reads the same routine, takes a symbol that holds
+    # it but cannot split it back
     monkeypatch.setattr(
         verify_mod.marked, "is_strict_shifted_pair", lambda p: len(p.alpha) > len(p.beta)
     )
@@ -646,8 +658,9 @@ def test_phi_fails_when_any_longer_top_row_counts_as_strict_shifted(capsys, monk
     assert rows.pop("strict-shifted-counts") == [
         "FAIL", "counterexample: n=4 k=2 m=(0, 0) counted=2 expected=1"
     ]
+    held = KMarkedSymbol((PartitionPair((1, 1), (1,)), PartitionPair((), ())), 1)
     assert rows.pop("merge-split-roundtrips") == [
-        "FAIL", "counterexample: raised ValueError: not strict shifted"
+        "FAIL", f"counterexample: {held!r} fails merge-then-split"
     ]
     assert all(row[0] == "PASS" for row in rows.values())
 
@@ -909,7 +922,7 @@ _SERIES_ROWS = {"product-form-ordinary", "product-form-odd",
     (bijections, "_split_point", _split_one_further, {"merge-split-roundtrips", "permute-corpus"}),
     (bijections, "_label_min_indices", _reversed, {"pair-roundtrips", "subscript-labels"}),
     (marked, "balanced_parts", _without_smallest,
-     {"deficiency-nonnegative", "lift-roundtrip", "pair-roundtrips"}),
+     {"deficiency-nonnegative", "lift-roundtrip", "pair-roundtrips", "permute-corpus"}),
     (bijections, "_flip_pair", _two_top_parts_unflipped, {"flip-involution", "permute-corpus"}),
     (bijections, "_lower", _one_part_fewer, {"lift-roundtrip", "pair-roundtrips", "permute-corpus"}),
 ], ids=[
@@ -927,6 +940,58 @@ def test_one_patch_reaches_every_route(monkeypatch, module, name, corrupt, faile
     finally:
         _clear_memos()
     assert {r.name for r in results if not r.ok} == failed
+
+
+def _symbol_text(*pairs):
+    return repr(KMarkedSymbol(tuple(PartitionPair(*p) for p in pairs), 1))
+
+
+# The detail of each map check at --max-n 8 under a corrupted routine, recorded
+# while every check called its maps once per member.  A check that maps a whole
+# block at a time must still meet the members, and each member's failures, in
+# enumeration order.  The balanced-parts row was recorded with the routine
+# patched where ``bijections`` read it as well as in ``marked``.
+_MAP_CHECKS = ("permute-corpus", "flip-involution", "lift-roundtrip", "merge-split-roundtrips")
+_FIRST_DETAILS = {
+    "flip-pair": (
+        "counterexample: n=3 k=2 perm=(2, 1) ranks (0, -1) -> (1, 0)",
+        f"counterexample: {_symbol_text(((1, 1), ()), ((), ()))} position 1 flips to (1, 0)",
+        "", "",
+    ),
+    "lower": (
+        "counterexample: n=6 k=2 perm=(2, 1) ranks (0, 0) -> (2, 0)",
+        "",
+        f"counterexample: {_symbol_text(((1,), (1, 1)), ((), ()))} fails the round trip",
+        "",
+    ),
+    "split-point": (
+        "counterexample: raised ValueError: vector 1: not strict shifted",
+        "", "",
+        f"counterexample: {_symbol_text(((1,), ()), ((1,), (1,)))} fails merge-then-split",
+    ),
+    "balanced-parts": (
+        "counterexample: raised ValueError: not strict shifted",
+        "",
+        f"counterexample: lift of {_symbol_text(((1,), (1,)), ((), ()))} not strict shifted",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("module, name, corrupt, key", [
+    (bijections, "_flip_pair", _two_top_parts_unflipped, "flip-pair"),
+    (bijections, "_lower", _one_part_fewer, "lower"),
+    (bijections, "_split_point", _split_one_further, "split-point"),
+    (marked, "balanced_parts", _without_smallest, "balanced-parts"),
+], ids=["flip-pair", "lower", "split-point", "balanced-parts"])
+def test_map_checks_keep_their_first_counterexample(monkeypatch, module, name, corrupt, key):
+    _clear_memos()
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    try:
+        results = run_checks(_MAP_CHECKS, Bounds(max_n=8))
+    finally:
+        _clear_memos()
+    assert tuple(r.detail for r in results) == _FIRST_DETAILS[key]
 
 
 def test_series_partition(capsys):
