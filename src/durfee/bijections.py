@@ -17,9 +17,9 @@ one-pass top-part labels).  The vector-wise maps and the composite that
 permutes the rank vector each take one block ``(d, upper, lows)`` of
 :func:`durfee.marked.blocks`, in which only vector 1 varies, and do the work
 for vectors 2..k once per block and vector 1's per member:
-:func:`flip_block` and :func:`lift_block` return the image block,
-:func:`drop_block` and :func:`permute_block` yield per member.  Each public
-symbol map is its block map's one-block case, as
+:func:`flip_block` and :func:`lift_block` return the image block, and
+:func:`permute_block` yields per member.  Each vector-wise symbol map but
+:func:`symbol_from_strict_shifted` is its block map's one-block case, as
 :func:`durfee.serialize.format_symbol` is for the corpus writers, and checks
 its arguments; a block map that yields raises in the turn of the first
 member whose map raises, with that member's message.
@@ -34,7 +34,8 @@ validity: rank flips and balanced transfers rearrange entries within one
 vector, so the whole-vector interlacing bounds never move.
 
 The stages are pure functions of immutable tuples, and a corpus holds few
-distinct keys, so each is memoized in a small least-recently-used cache.
+distinct keys, so five (flip, raise, lower, a vector's facts, an image row)
+are memoized, each in a least-recently-used cache of ``_MEMO_SIZE`` entries.
 Every guard raises on every call, since an exception is not cached, and
 every cached value is a tuple, so no caller can change what a later call
 returns.
@@ -84,16 +85,6 @@ def _raise(pair: PartitionPair, negated: bool) -> tuple[PartitionPair, int]:
     return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept), len(bal)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _merge(vecs: tuple[PartitionPair, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """All top rows and all bottom rows of a strict shifted vector tuple."""
-    if not all(map(marked.is_strict_shifted_pair, vecs[:-1])):
-        raise ValueError("not strict shifted")
-    gamma = tuple(sorted((x for v in vecs for x in v.alpha), reverse=True))
-    delta = tuple(sorted((x for v in vecs for x in v.beta), reverse=True))
-    return gamma, delta
-
-
 def _split_point(gamma: tuple, delta: tuple, m: int, extra: int) -> int:
     """Largest j with delta_j >= gamma_{m + j + 1 + extra} (1-based, gamma
     zero-padded); j = 0 is always admissible."""
@@ -105,20 +96,19 @@ def _split_point(gamma: tuple, delta: tuple, m: int, extra: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=_MEMO_SIZE // 2)  # behind the images memo, half the entries keep most hits
 def _cut(gamma: tuple, delta: tuple, m: tuple[int, ...]) -> tuple[PartitionPair, ...]:
     """Cut vectors k, k-1, ..., 2 off the front of the merged rows for the
     checked rank targets ``m``; what is left is vector 1."""
     k = len(m)
-    vecs = [PartitionPair((), ())] * k
+    vecs = []  # vectors k, k-1, ..., 1
     for i in range(k, 1, -1):
         extra = 0 if i == k else 1
         j = _split_point(gamma, delta, m[i - 1], extra)
         take = m[i - 1] + j + extra
-        vecs[i - 1] = PartitionPair(gamma[:take], delta[:j])
+        vecs.append(PartitionPair(gamma[:take], delta[:j]))
         gamma, delta = gamma[take:], delta[j:]
-    vecs[0] = PartitionPair(gamma, delta)
-    return tuple(vecs)
+    vecs.append(PartitionPair(gamma, delta))
+    return tuple(reversed(vecs))
 
 
 def _labels(alpha: tuple, beta: tuple) -> list[int]:
@@ -172,15 +162,15 @@ def _lower(pair: PartitionPair, r: int) -> PartitionPair:
     return pair
 
 
-def _drop(pairs: Sequence[PartitionPair], t: Iterable[int], first: int = 1) -> list[PartitionPair]:
-    """Lower each of ``pairs``, vectors ``first``, ``first`` + 1, ..., by
-    its balanced number in ``t``; a guard's error names the vector."""
+def _drop(pairs: Sequence[PartitionPair], t: Iterable[int]) -> list[PartitionPair]:
+    """Lower each of ``pairs``, vectors 1, 2, ..., by its balanced number in
+    ``t``; a guard's error names the vector."""
     out: list[PartitionPair] = []
     try:
         for pair, r in zip(pairs, t):
             out.append(_lower(pair, r))
     except ValueError as exc:
-        raise ValueError(f"vector {first + len(out)}: {exc}") from None
+        raise ValueError(f"vector {len(out) + 1}: {exc}") from None
     return out
 
 
@@ -210,7 +200,11 @@ def merge_marks(s: KMarkedSymbol) -> DurfeeSymbol:
     The result has the same weight, subscript, and flavor, and its rank is
     the sum of the input ranks plus k - 1.
     """
-    gamma, delta = _merge(s.vectors)
+    vecs = s.vectors
+    if not all(map(marked.is_strict_shifted_pair, vecs[:-1])):
+        raise ValueError("not strict shifted")
+    gamma = tuple(sorted([x for v in vecs for x in v.alpha], reverse=True))
+    delta = tuple(sorted([x for v in vecs for x in v.beta], reverse=True))
     return DurfeeSymbol(gamma, delta, s.d, s.flavor)
 
 
@@ -298,46 +292,16 @@ def lift_block(block: Block) -> Block:
 
 def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSymbol:
     """Vector-wise inverse of :func:`symbol_to_strict_shifted` for the given
-    balanced-number targets ``t`` (t_k must be 0)."""
-    t = tuple(t)
+    balanced-number targets ``t`` (t_k must be 0): vectors 1 .. k-1 lowered."""
+    t, vecs = tuple(t), s.vectors
     _require_ints(t, "balanced numbers must be ints")
-    if len(t) != s.k:
+    if not vecs:
+        raise ValueError("symbol must have at least one vector")
+    if len(t) != len(vecs):
         raise ValueError("balanced-number vector must have length k")
     if t[-1] != 0:
         raise ValueError("the k-th balanced number is 0 by definition")
-    return KMarkedSymbol(next(drop_block(marked._block(s), t[1:], t[:1])), s.d, s.flavor)
-
-
-def drop_block(
-    block: Block, upper_t: Sequence[int], low_t: Iterable[int]
-) -> Iterator[tuple[PartitionPair, ...]]:
-    """Yield, per member of ``block`` in order, the vectors of its image
-    under :func:`symbol_from_strict_shifted`: vectors 2..k lowered once by
-    ``upper_t`` (the k-th entry is 0), and vector 1 by the member's entry of
-    ``low_t``."""
-    _, upper, lows = block
-    upper_t = tuple(upper_t)
-    _require_ints(upper_t, "balanced numbers must be ints")
-    if len(upper_t) != len(upper):
-        raise ValueError("balanced-number vector must have length k")
-    if upper and upper_t[-1] != 0:
-        raise ValueError("the k-th balanced number is 0 by definition")
-    kept = None
-    for pair, r in zip(lows, low_t):
-        if type(r) is not int:
-            raise ValueError("balanced numbers must be ints")
-        if not upper:  # k = 1: vector 1 is vector k
-            if r != 0:
-                raise ValueError("the k-th balanced number is 0 by definition")
-            yield (pair,)
-            continue
-        try:
-            low = _lower(pair, r)
-        except ValueError as exc:
-            raise ValueError(f"vector 1: {exc}") from None
-        if kept is None:  # in the first member's turn, after its vector 1
-            kept = (*_drop(upper[:-1], upper_t, 2), upper[-1])
-        yield (low, *kept)
+    return KMarkedSymbol((*_drop(vecs[:-1], t), vecs[-1]), s.d, s.flavor)
 
 
 def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
@@ -385,6 +349,7 @@ def _picks(getters: Sequence[Callable], neg: tuple[bool, ...]) -> tuple[tuple[Ca
     return tuple((get, itemgetter(*[2 * i + f for i, f in enumerate(get(neg))])) for get in getters)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _vector_facts(pair: PartitionPair, top: bool) -> tuple:
     """Sign and magnitude of the rank of a vector, its balanced number, its
     rows once flipped to a nonnegative rank and raised, and whether those
@@ -399,21 +364,18 @@ def _vector_facts(pair: PartitionPair, top: bool) -> tuple:
     return x < 0, abs(x), r, *lifted, marked.is_strict_shifted_pair(lifted)
 
 
-def _upper_facts(known: tuple[dict, dict], upper: tuple[PartitionPair, ...]) -> tuple:
-    """The :func:`_vector_facts` of vectors 2..k, read from or added to
-    ``known``, joined: the tuples of their signs, magnitudes and balanced
-    numbers, their merged rows, and whether they are all strict shifted.
-    Every flip guard comes before every raise."""
+def _upper_facts(upper: tuple[PartitionPair, ...]) -> tuple:
+    """The :func:`_vector_facts` of vectors 2..k joined: the tuples of their
+    signs, magnitudes and balanced numbers, their merged rows, and whether
+    they are all strict shifted.  Every flip guard comes before every raise."""
     for i, (alpha, _) in enumerate(upper[:-1], 2):
         if not alpha:
             raise ValueError(f"vector {i} has no top part")
     if not upper:  # k = 1: vector 1 is vector k
         return (), (), (), (), (), True
     last = len(upper) - 1
-    neg, mags, t, alphas, betas, oks = zip(*[
-        known[i == last].get(v) or known[i == last].setdefault(v, _vector_facts(v, i == last))
-        for i, v in enumerate(upper)
-    ])
+    facts = [_vector_facts(v, i == last) for i, v in enumerate(upper)]
+    neg, mags, t, alphas, betas, oks = zip(*facts)
     gamma, delta = alphas[-1], betas[-1]
     for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
         gamma, delta = _join(gamma, alpha), _join(delta, beta)
@@ -422,15 +384,14 @@ def _upper_facts(known: tuple[dict, dict], upper: tuple[PartitionPair, ...]) -> 
 
 class _Permuter:
     """The checked perms of :func:`rank_permuter`: per perm a getter of a
-    length-k sequence in perm order; per sign pattern of the ranks met, the
-    getters of :func:`_picks`; and the :func:`_vector_facts` of each vector
-    met, below k and as vector k.  Called on a symbol, it returns the
+    length-k sequence in perm order, and per sign pattern of the ranks met,
+    the getters of :func:`_picks`.  Called on a symbol, it returns the
     symbol's images: the one-block case of :func:`permute_block`."""
 
-    __slots__ = ("k", "getters", "picks", "facts")
+    __slots__ = ("k", "getters", "picks")
 
     def __init__(self, k: int, getters: list[Callable]) -> None:
-        self.k, self.getters, self.picks, self.facts = k, getters, {}, ({}, {})
+        self.k, self.getters, self.picks = k, getters, {}
 
     def __call__(self, s: KMarkedSymbol) -> tuple[KMarkedSymbol, ...]:
         d, flavor, images = next(permute_block(self, marked._block(s), s.flavor))
@@ -478,20 +439,16 @@ def permute_block(
     pattern.
     """
     d, upper, lows = block
-    k, getters, picks, known = permuter.k, permuter.getters, permuter.picks, permuter.facts
+    k, getters, picks = permuter.k, permuter.getters, permuter.picks
     if len(upper) + 1 != k:
         raise ValueError(f"symbol has {len(upper) + 1} vectors, not k = {k}")
-    low_known = known[k == 1]
     shared = None
     for pair in lows:
-        facts = low_known.get(pair)  # a vector 1 met before has a top part
-        if facts is None and k > 1 and not pair[0]:
+        if k > 1 and not pair[0]:
             raise ValueError("vector 1 has no top part")
         if shared is None:  # in the first member's turn, after its own flip guard
-            neg_up, mags_up, t_up, gamma_up, delta_up, shifted = shared = _upper_facts(known, upper)
-        if facts is None:
-            facts = low_known[pair] = _vector_facts(pair, k == 1)
-        neg, mag, r, alpha, beta, ok = facts
+            neg_up, mags_up, t_up, gamma_up, delta_up, shifted = shared = _upper_facts(upper)
+        neg, mag, r, alpha, beta, ok = _vector_facts(pair, k == 1)
         if not (ok and shifted):
             raise ValueError("not strict shifted")
         neg, mags, t = (neg,) + neg_up, (mag,) + mags_up, (r,) + t_up

@@ -459,6 +459,8 @@ def count_kmarked(m: Sequence[int], n: int, flavor: Flavor = Flavor.ORDINARY) ->
     m = tuple(m)
     if len(m) < 1:
         raise ValueError("rank vector must have length k >= 1")
+    if any(type(x) is not int for x in m):  # a dict key takes 1.0 and True for 1
+        raise ValueError("rank vector entries must be ints")
     packed, width = _packed_counts(n, len(m), flavor)
     slot = m[-1] + n
     return packed.get(m[:-1], 0) >> width * slot & (1 << width) - 1 if slot >= 0 else 0

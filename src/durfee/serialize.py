@@ -30,9 +30,8 @@ import sys
 from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
-from .marked import (
-    Block, KMarkedSymbol, PartitionPair, _block, balanced_numbers, balanced_parts, validate
-)
+from . import marked
+from .marked import Block, KMarkedSymbol, PartitionPair, _block
 from .symbols import DurfeeSymbol, Flavor, frame_weight
 
 _SUBSCRIPT_DIGITS = "₀₁₂₃₄₅₆₇₈₉"
@@ -62,7 +61,7 @@ def _derived(s: KMarkedSymbol) -> dict[str, Any]:
     return {
         "weight": s.weight,
         "ranks": list(s.ranks),
-        "balanced_numbers": list(balanced_numbers(s)),
+        "balanced_numbers": list(marked.balanced_numbers(s)),
     }
 
 
@@ -117,7 +116,7 @@ def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
     vectors = _of_kind(_key(doc, "vectors"), list, "vectors")
     vectors = tuple(_pair(v, f"vectors[{i}]") for i, v in enumerate(vectors))
     s = KMarkedSymbol(vectors, d, Flavor(name))
-    verdict = validate(s)
+    verdict = marked.validate(s)
     if not verdict:
         raise ValueError(f"invalid symbol document: {verdict.reason}")
     derived = doc.get("derived")
@@ -148,7 +147,7 @@ def _document_facts(v: PartitionPair, top: bool) -> tuple[str, int, str, str]:
     if top:
         return fragment, weight, str(len(alpha) - len(beta)), "0"
     # Interned: a few dozen distinct numbers recur across all kept vectors.
-    rank, balanced = len(alpha) - len(beta) - 1, len(balanced_parts(v))
+    rank, balanced = len(alpha) - len(beta) - 1, len(marked.balanced_parts(v))
     return f"{fragment}, ", weight, sys.intern(f"{rank}, "), sys.intern(f"{balanced}, ")
 
 

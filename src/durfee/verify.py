@@ -18,6 +18,7 @@ routine is the one called.  The corpus checks read the block walk of
 and lift-roundtrip give each block to the block maps of
 :mod:`durfee.bijections`, whose work for vectors 2..k is done once per block,
 and still meet the members, and each member's failures, in enumeration order;
+lift-roundtrip drops each member back through its symbol map, and
 merge-split-roundtrips calls its maps once per member.
 """
 
@@ -350,7 +351,8 @@ def _deficiencies(b: Bounds):
 def _lift_roundtrip(b: Bounds, k: int, n: int):
     """The lift is strict shifted, shifts each rank below k by twice its
     balanced number, and drops back; a block at a time, each member's drop
-    after its own lift's details.  Each vector of a case is counted once."""
+    through the symbol map after its own lift's details.  Each vector of a
+    case is counted once."""
     shifted, balanced = marked.is_strict_shifted_pair, marked.balanced_parts
     counts: dict[PartitionPair, int] = {}
 
@@ -365,14 +367,14 @@ def _lift_roundtrip(b: Bounds, k: int, n: int):
         upper_ok = all(map(shifted, lifted_upper[:-1]))
         shifts = tuple(x + 2 * t for x, t in zip(high, upper_t))
         high_ok = marked._upper_ranks(lifted_upper, k) == shifts
-        low_t = list(map(count, lows))
-        backs = bijections.drop_block((d, lifted_upper, lifted), upper_t, low_t)
-        for pair, r, v, t in zip(lows, ranks, lifted, low_t):
+        for pair, r, v in zip(lows, ranks, lifted):
+            t = count(pair)
             if not (upper_ok and shifted(v)):
                 yield f"lift of {KMarkedSymbol((pair, *upper), d)} not strict shifted"
             if not high_ok or len(v[0]) - len(v[1]) - 1 != r + 2 * t:
                 yield f"rank shift wrong for {KMarkedSymbol((pair, *upper), d)}"
-            if next(backs) != (pair, *upper):
+            lift = KMarkedSymbol((v, *lifted_upper), d)
+            if bijections.symbol_from_strict_shifted(lift, (t, *upper_t)).vectors != (pair, *upper):
                 yield f"{KMarkedSymbol((pair, *upper), d)} fails the round trip"
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from durfee import bijections
 from durfee.bijections import (
-    drop_block,
     flip_block,
     flip_rank,
     from_strict_shifted,
@@ -324,6 +323,8 @@ SIX_DS = DurfeeSymbol((3, 2, 1), (1,), 3)  # rank 2: targets (1, 0) split it
         (lambda: [symbol_from_strict_shifted(TWO_ONES, (0, 0)),
                   symbol_from_strict_shifted(TWO_ONES, (False, 0))],
          "^balanced numbers must be ints$"),
+        (lambda: symbol_from_strict_shifted(KMarkedSymbol((), 1), ()),
+         "^symbol must have at least one vector$"),
         (lambda: [split_marks(SIX_DS, (1, 0)), split_marks(SIX_DS, (1.0, 0))],
          "^rank targets must be ints$"),
         (lambda: [split_marks(SIX_DS, (1, 0)), split_marks(SIX_DS, (True, 0))],
@@ -338,7 +339,7 @@ SIX_DS = DurfeeSymbol((3, 2, 1), (1,), 3)  # rank 2: targets (1, 0) split it
         "permute-no-top-part", "permute-no-top-part-first", "permute-flip-before-lift",
         "permute-oversized-bottom", "permute-no-vectors", "permute-float-entry",
         "permute-bool-entry", "from-float-r", "from-bool-r", "symbol-from-float-t",
-        "symbol-from-bool-t", "split-float-target", "split-bool-target", "flip-float-p",
+        "symbol-from-bool-t", "symbol-from-no-vectors", "split-float-target", "split-bool-target", "flip-float-p",
         "flip-bool-p", "permuter-other-k",
     ],
 )
@@ -357,7 +358,8 @@ def _one_block(s):
 ORDINARY = Flavor.ORDINARY
 
 
-# the block form of each error case above that a block map meets
+# the block form of each error case above that a block map meets, and the
+# drop's own cases: it lowers one symbol and names the vector at fault
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -379,15 +381,16 @@ ORDINARY = Flavor.ORDINARY
         (lambda: list(permute_block(rank_permuter([(2, 1)], 2), _one_block(
             KMarkedSymbol((TOO_LOW, PartitionPair((2,), ())), 2)), ORDINARY)),
          "^largest bottom part exceeds largest top part$"),
-        (lambda: [list(drop_block(_one_block(TWO_ONES), (0,), (0,))),
-                  list(drop_block(_one_block(TWO_ONES), (0,), (0.0,)))],
+        (lambda: [symbol_from_strict_shifted(TWO_ONES, (0, 0)),
+                  symbol_from_strict_shifted(TWO_ONES, (0, 0.0))],
          "^balanced numbers must be ints$"),
-        (lambda: [list(drop_block(_one_block(TWO_ONES), (0,), (0,))),
-                  list(drop_block(_one_block(TWO_ONES), (False,), (0,)))],
+        (lambda: [symbol_from_strict_shifted(TWO_ONES, (0, 0)),
+                  symbol_from_strict_shifted(TWO_ONES, (0, False))],
          "^balanced numbers must be ints$"),
-        (lambda: list(drop_block((1, TWO_ONES.vectors[1:], (NOT_SHIFTED,)), (0,), (1,))),
-         "not strict shifted"),
-        (lambda: list(drop_block(_one_block(TWO_ONES), (0,), (-1,))), "r must be nonnegative"),
+        (lambda: symbol_from_strict_shifted(
+            KMarkedSymbol((NOT_SHIFTED, TWO_ONES.vectors[1]), 1), (1, 0)),
+         "^vector 1: not strict shifted$"),
+        (lambda: symbol_from_strict_shifted(TWO_ONES, (-1, 0)), "^vector 1: r must be nonnegative$"),
         (lambda: [flip_block(_one_block(TWO_ONES), 1), flip_block(_one_block(TWO_ONES), 1.0)],
          "^vector index must be an int$"),
         (lambda: [flip_block(_one_block(TWO_ONES), 1), flip_block(_one_block(TWO_ONES), True)],
@@ -429,11 +432,9 @@ def test_block_maps_are_their_members_one_block_cases(flavor):
                     assert symbols_of(flip_block(block, p)) == [flip_rank(s, p) for s in members]
                 lifted = lift_block(block)
                 assert symbols_of(lifted) == list(map(symbol_to_strict_shifted, members))
-                t = list(map(balanced_numbers, members))
-                backs = drop_block(lifted, t[0][1:], [ts[0] for ts in t])
-                assert [KMarkedSymbol(v, block[0], flavor) for v in backs] == [
-                    symbol_from_strict_shifted(symbol_to_strict_shifted(s), ts)
-                    for s, ts in zip(members, t)
+                assert [
+                    symbol_from_strict_shifted(image, balanced_numbers(s))
+                    for image, s in zip(symbols_of(lifted), members)
                 ] == members
                 images = [
                     tuple(KMarkedSymbol(v, d, image_flavor) for v in vectors)
@@ -478,11 +479,11 @@ def test_permute_ranks_images_are_pinned():
     assert got == PINNED_IMAGES
 
 
-# the memoized stage cores: raise, lower and the flip per vector, merge and cut
-# per symbol, and per image the composite's rows
+# the memoized stage cores: raise, lower, the flip and the composite's facts
+# per vector, and per image the composite's rows
 STAGE_CACHES = (
     bijections._raise, bijections._lower, bijections._flip_pair,
-    bijections._merge, bijections._cut, bijections._images,
+    bijections._vector_facts, bijections._images,
 )
 
 
@@ -537,12 +538,10 @@ def test_stage_caches_hold_tuples():
             for pair in s.vectors[:-1]:
                 flipped = bijections._flip_pair(pair)
                 assert type(flipped) is PartitionPair and _immutable(flipped)
+            for i, pair in enumerate(s.vectors, 1):
+                assert _immutable(bijections._vector_facts(pair, i == 3))
             if is_strict_shifted_symbol(s) and min(s.ranks) >= 0:
-                gamma, delta = bijections._merge(s.vectors)
-                assert _immutable(gamma) and _immutable(delta)
-                cut = bijections._cut(gamma, delta, s.ranks)
-                assert type(cut) is tuple and all(type(v) is PartitionPair for v in cut)
-                assert _immutable(cut)
-                row = bijections._images(gamma, delta, s.ranks, (0, 0, 0))  # flat: image, flip
+                ds = merge_marks(s)
+                row = bijections._images(ds.alpha, ds.beta, s.ranks, (0, 0, 0))  # flat: image, flip
                 assert type(row) is tuple and len(row) == 6 and _immutable(row)
                 assert all(type(v) is PartitionPair for v in row)

@@ -170,6 +170,15 @@ def test_count_examples():
     assert total_kmarked(4, 2) == 10
 
 
+@pytest.mark.parametrize("m", [(1, 0.0), (1.0, 0), (True, 0)], ids=["float-last", "float", "bool"])
+def test_count_kmarked_rejects_entries_that_are_not_ints(m):
+    # after the equal int vector, whose table is cached: a table key takes 1.0 and True for 1
+    assert count_kmarked((1, 0), 6) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^rank vector entries must be ints$"):
+            count_kmarked(m, 6)
+
+
 def test_rank_count_formula_sweep():
     for k in (2, 3):
         for n in range(0, 11):

@@ -201,6 +201,21 @@ def test_document_lines_match_json_dumps(k, flavor):
         assert parse(line) == s  # also cross-checks the derived block
 
 
+def test_document_routes_read_balanced_parts_through_marked(monkeypatch):
+    # Both document routes look balanced_parts up on ``marked`` as they run,
+    # so a routine patched there reaches the corpus writer too.
+    corpora = [(flavor, _corpus_blocks(k, flavor, 8)) for flavor in Flavor for k in (1, 2, 3)]
+    before = [list(document_lines(blocks, flavor)) for flavor, blocks in corpora]
+    original = marked.balanced_parts
+    monkeypatch.setattr(
+        marked, "balanced_parts", lambda pair: (parts := original(pair)) and parts - {min(parts)}
+    )
+    after = [list(document_lines(blocks, flavor)) for flavor, blocks in corpora]
+    assert after != before  # the patch changes some balanced number
+    for (flavor, blocks), lines in zip(corpora, after):
+        assert lines == [json.dumps(symbol_to_document(s)) for s in _symbols(blocks, flavor)]
+
+
 # sha256 of the display lines (one per line, newline-terminated) of every
 # symbol of weight <= 10, recorded from format_symbol before the line writers
 # existed: (flavor, k) -> (symbols, digest)
