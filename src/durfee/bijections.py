@@ -27,18 +27,22 @@ member whose map raises, with that member's message.
 :func:`rank_permuter` checks its perms once and returns the map from a
 symbol to its images, which :func:`permute_block` reads: it lifts each
 member once (flip each negative rank, raise, merge) and reads each image
-from one memoised flat row of cut and lowered vectors, each beside its flip,
-through the permuter's getter for the member's sign pattern;
+from one flat row of cut and lowered vectors, each beside its flip, through
+the permuter's getter for the member's sign pattern;
 :func:`permute_ranks` is its one-permutation case.  Every stage preserves
 validity: rank flips and balanced transfers rearrange entries within one
 vector, so the whole-vector interlacing bounds never move.
 
 The stages are pure functions of immutable tuples, and a corpus holds few
-distinct keys, so five (flip, raise, lower, a vector's facts, an image row)
-are memoized, each in a least-recently-used cache of ``_MEMO_SIZE`` entries.
-Every guard raises on every call, since an exception is not cached, and
-every cached value is a tuple, so no caller can change what a later call
-returns.
+distinct vectors, so the four per-vector stages (flip, raise, lower, a
+vector's facts) are memoized, each in a least-recently-used cache of
+``_MEMO_SIZE`` entries.  The image rows, keyed by merged rows, are too many
+for such a cache: they go in a table that lives as long as its caller needs
+it, one per call of :func:`permute_block` unless the caller passes its own
+(verify's permute-corpus keeps one per subscript, so each row is made once
+there).  Every guard raises on every call, since an exception is neither
+cached nor stored, and every kept value is a tuple, so no caller can change
+what a later call returns.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import marked
-from .marked import Block, KMarkedSymbol, PartitionPair
+from .marked import Block, KMarkedSymbol, PartitionPair, _new
 from .symbols import DurfeeSymbol, Flavor
 
 #: Entries of each stage memo: above the keys the verify corpora reuse, and bounded.
@@ -68,7 +72,7 @@ def _flip_pair(pair: PartitionPair) -> PartitionPair:
     """Flip of a vector below k with a top part: the bottom row joins the
     largest top part as the new top, the rest of the old top is the bottom."""
     alpha, beta = pair
-    return PartitionPair(tuple(sorted(beta + alpha[:1], reverse=True)), alpha[1:])
+    return _new(PartitionPair, (tuple(sorted(beta + alpha[:1], reverse=True)), alpha[1:]))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -82,7 +86,7 @@ def _raise(pair: PartitionPair, negated: bool) -> tuple[PartitionPair, int]:
     bal = marked.balanced_parts(pair)
     moved = tuple(beta[j - 1] for j in bal)
     kept = tuple(b for j, b in enumerate(beta, 1) if j not in bal)
-    return PartitionPair(tuple(sorted(alpha + moved, reverse=True)), kept), len(bal)
+    return _new(PartitionPair, (tuple(sorted(alpha + moved, reverse=True)), kept)), len(bal)
 
 
 def _split_point(gamma: tuple, delta: tuple, m: int, extra: int) -> int:
@@ -105,9 +109,9 @@ def _cut(gamma: tuple, delta: tuple, m: tuple[int, ...]) -> tuple[PartitionPair,
         extra = 0 if i == k else 1
         j = _split_point(gamma, delta, m[i - 1], extra)
         take = m[i - 1] + j + extra
-        vecs.append(PartitionPair(gamma[:take], delta[:j]))
+        vecs.append(_new(PartitionPair, (gamma[:take], delta[:j])))
         gamma, delta = gamma[take:], delta[j:]
-    vecs.append(PartitionPair(gamma, delta))
+    vecs.append(_new(PartitionPair, (gamma, delta)))
     return tuple(reversed(vecs))
 
 
@@ -158,7 +162,7 @@ def _lower(pair: PartitionPair, r: int) -> PartitionPair:
         moved_idx = set(_label_min_indices(pair)[:r])
         new_alpha = tuple(a for i, a in enumerate(alpha) if i not in moved_idx)
         new_beta = tuple(sorted(beta + tuple(alpha[i] for i in moved_idx), reverse=True))
-        return PartitionPair(new_alpha, new_beta)
+        return _new(PartitionPair, (new_alpha, new_beta))
     return pair
 
 
@@ -174,7 +178,6 @@ def _drop(pairs: Sequence[PartitionPair], t: Iterable[int]) -> list[PartitionPai
     return out
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _images(gamma: tuple, delta: tuple, mags: tuple, t: tuple) -> tuple[PartitionPair, ...]:
     """Cut the merged rows for the magnitudes ``mags`` plus twice the balanced
     numbers ``t`` (t_k = 0), lower vectors below k by ``t`` (a guard raises as
@@ -182,7 +185,7 @@ def _images(gamma: tuple, delta: tuple, mags: tuple, t: tuple) -> tuple[Partitio
     then its flip."""
     *low, top = _cut(gamma, delta, tuple(map(add, mags, map(add, t, t))))
     low = _drop(low, t)
-    return (*chain(*zip(low, map(_flip_pair, low))), top, PartitionPair._make(top[::-1]))
+    return (*chain(*zip(low, map(_flip_pair, low))), top, _new(PartitionPair, top[::-1]))
 
 
 def _join(high: tuple, low: tuple) -> tuple:
@@ -325,14 +328,14 @@ def flip_block(block: Block, p: int) -> Block:
     if not 1 <= p <= k:
         raise ValueError(f"vector index {p} out of range 1..{k}")
     if p == 1 and k == 1:
-        return d, upper, [PartitionPair._make(pair[::-1]) for pair in lows]
+        return d, upper, [_new(PartitionPair, pair[::-1]) for pair in lows]
     if p == 1:
         if not all(map(itemgetter(0), lows)):
             raise ValueError("vector 1 has no top part")
         return d, upper, list(map(_flip_pair, lows))
     pair = upper[p - 2]
     if p == k:
-        pair = PartitionPair._make(pair[::-1])
+        pair = _new(PartitionPair, pair[::-1])
     elif not pair[0]:
         raise ValueError(f"vector {p} has no top part")
     else:
@@ -426,7 +429,7 @@ def rank_permuter(
 
 
 def permute_block(
-    permuter: _Permuter, block: Block, flavor: Flavor
+    permuter: _Permuter, block: Block, flavor: Flavor, rows: dict | None = None
 ) -> Iterator[tuple[int, Flavor, list[tuple[PartitionPair, ...]]]]:
     """Yield, per member of ``block`` in order, the subscript and flavor of
     its images under ``permuter`` (of :func:`rank_permuter`) and the vectors
@@ -436,8 +439,13 @@ def permute_block(
     once per block, in the first member's turn after its own flip guard;
     each member adds vector 1's and reads each image from one flat row of
     :func:`_images`, keyed without signs, through the getter of its sign
-    pattern.
+    pattern.  ``rows`` is the table of flat rows by key, read and filled in
+    the member's turn, a fresh one per call by default: a row depends on
+    neither the subscript nor the signs, so a caller that maps many blocks
+    may pass one table to them all and drop it when it is done.
     """
+    if rows is None:
+        rows = {}
     d, upper, lows = block
     k, getters, picks = permuter.k, permuter.getters, permuter.picks
     if len(upper) + 1 != k:
@@ -456,7 +464,11 @@ def permute_block(
         pick = picks.get(neg)
         if pick is None:
             pick = picks[neg] = _picks(getters, neg)
-        yield d, flavor, [select(_images(gamma, delta, get(mags), t)) for get, select in pick]
+        yield d, flavor, [  # a row is a nonempty tuple, made only when the table lacks it
+            select(rows.get(key := (gamma, delta, get(mags), t))
+                   or rows.setdefault(key, _images(*key)))
+            for get, select in pick
+        ]
 
 
 def permute_ranks(s: KMarkedSymbol, perm: Sequence[int]) -> KMarkedSymbol:

@@ -63,6 +63,12 @@ class PartitionPair(NamedTuple):
     beta: Partition
 
 
+#: ``_new(PartitionPair, (alpha, beta))`` builds a pair from rows already
+#: checked, without the namedtuple's Python-level ``__new__``, which costs
+#: about 1.7 times as much: the walks and the maps build pairs by the ten thousand.
+_new = tuple.__new__
+
+
 #: ``(d, upper, lows)`` as :func:`blocks` yields it: subscript d, vectors
 #: 2..k in index order, and every vector 1 that goes with them.  (The abc's
 #: alias is built at import an order of magnitude faster than typing's.)
@@ -197,7 +203,7 @@ def blocks(
         avail = budget - (i - 1)
         rows = bounded_partitions if i == 1 else bounded_partitions_upto
         pairs = [
-            PartitionPair(alpha, beta)
+            _new(PartitionPair, (alpha, beta))
             for alpha in bounded_partitions_upto(avail, ub, odd)
             if alpha or i == k  # only vector k may have an empty top row
             for beta in rows(avail - sum(alpha), ub if i == k else alpha[0], odd)
@@ -237,7 +243,7 @@ def _block(s: KMarkedSymbol) -> Block:
 
 def _upper_ranks(upper: tuple[PartitionPair, ...], k: int) -> tuple[int, ...]:
     """Ranks of the vectors 2..k of a block of :func:`blocks`."""
-    return tuple(len(alpha) - len(beta) - (i < k) for i, (alpha, beta) in enumerate(upper, 2))
+    return tuple([len(alpha) - len(beta) - (i < k) for i, (alpha, beta) in enumerate(upper, 2)])
 
 
 def enumerate_kmarked(

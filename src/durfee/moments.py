@@ -128,10 +128,12 @@ def solution_count(n: int, k: int) -> int:
 
 
 def solution_count_brute(n: int, k: int) -> int:
-    """Direct enumeration companion to :func:`solution_count`."""
+    """Direct enumeration companion to :func:`solution_count`: it counts
+    slot by slot, each sub-count memoized for the length of the call."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
 
+    @lru_cache(maxsize=None)
     def signed(slots: int, left: int) -> int:
         # integer vectors of given length by absolute-value budget
         if slots == 0:
@@ -141,6 +143,7 @@ def solution_count_brute(n: int, k: int) -> int:
             total += (1 if v == 0 else 2) * signed(slots - 1, left - v)
         return total
 
+    @lru_cache(maxsize=None)
     def doubled(slots: int, left: int) -> int:
         # nonnegative vectors contributing twice their sum
         if slots == 0:

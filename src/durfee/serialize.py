@@ -9,7 +9,8 @@ A symbol document lists vectors from index 1 upward::
 The ``derived`` block is recomputed on output and ignored (but each field
 present cross-checked, as JSON integers) on input, so documents round-trip
 losslessly.  Input must satisfy the marking conditions of
-:func:`durfee.marked.validate`.  Plain two-row symbols are carried as
+:func:`durfee.marked.validate`, and an object at any level that holds a key
+not shown above is rejected.  Plain two-row symbols are carried as
 one-vector documents.
 
 A corpus is written from the blocks ``(d, upper, lows)`` of
@@ -69,28 +70,44 @@ def _derived(s: KMarkedSymbol) -> dict[str, Any]:
 _KINDS = {dict: "an object", list: "an array", int: "an integer"}
 
 
+def _malformed(path: str, fault: str) -> ValueError:
+    """The error of a document malformed at the field ``path``, which is
+    empty for the whole document."""
+    return ValueError(f"malformed symbol document: {path}{': ' if path else ''}{fault}")
+
+
 def _of_kind(x: Any, kind: type, path: str) -> Any:
     """``x`` itself when its type is ``kind`` (a bool, float or string is no
-    integer); else the error of a document malformed at the field ``path``,
-    which is empty for the whole document."""
+    integer); else the error of a document malformed at ``path``."""
     if type(x) is not kind:
         got = _KINDS[type(x)] if type(x) in (dict, list) else json.dumps(x)
-        where = f"{path}: " if path else ""
-        raise ValueError(f"malformed symbol document: {where}expected {_KINDS[kind]}, got {got}")
+        raise _malformed(path, f"expected {_KINDS[kind]}, got {got}")
     return x
 
 
 def _key(obj: dict, key: str, path: str = "") -> Any:
     """``obj[key]``, where ``path`` names ``obj`` as :func:`_of_kind` reads it."""
     if key not in obj:
-        where = f"{path}: " if path else ""
-        raise ValueError(f"malformed symbol document: {where}missing key {key!r}")
+        raise _malformed(path, f"missing key {key!r}")
     return obj[key]
+
+
+#: The keys that the document, a vector and the derived block may hold.
+_DOCUMENT_KEYS = frozenset(("flavor", "d", "vectors", "derived"))
+_VECTOR_KEYS = frozenset(("alpha", "beta"))
+_DERIVED_KEYS = frozenset(("weight", "ranks", "balanced_numbers"))
+
+
+def _known(obj: dict, keys: frozenset, path: str = "") -> None:
+    """Reject ``obj``, which ``path`` names, for its first key outside
+    ``keys``: a misspelt field is an error, not ignored."""
+    if not obj.keys() <= keys:
+        raise _malformed(path, f"unknown key {next(key for key in obj if key not in keys)!r}")
 
 
 def _pair(v: Any, path: str) -> PartitionPair:
     """The vector document ``v``, which ``path`` names."""
-    _of_kind(v, dict, path)
+    _known(_of_kind(v, dict, path), _VECTOR_KEYS, path)
     rows = []
     for key in ("alpha", "beta"):
         row = _of_kind(_key(v, key, path), list, f"{path}.{key}")
@@ -108,10 +125,12 @@ def _typed(x: Any) -> Any:
 
 def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
     """The symbol of a document; a malformed one raises an error that names
-    the field at fault, as in ``vectors[0]: missing key 'beta'``."""
-    name = _key(_of_kind(doc, dict, ""), "flavor")
+    the field at fault, as in ``vectors[0]: missing key 'beta'`` or
+    ``vectors[0]: unknown key 'gamma'``."""
+    _known(_of_kind(doc, dict, ""), _DOCUMENT_KEYS)
+    name = _key(doc, "flavor")
     if name not in [f.value for f in Flavor]:
-        raise ValueError(f"malformed symbol document: flavor: unknown flavor {json.dumps(name)}")
+        raise _malformed("flavor", f"unknown flavor {json.dumps(name)}")
     d = _of_kind(_key(doc, "d"), int, "d")
     vectors = _of_kind(_key(doc, "vectors"), list, "vectors")
     vectors = tuple(_pair(v, f"vectors[{i}]") for i, v in enumerate(vectors))
@@ -122,7 +141,7 @@ def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
     derived = doc.get("derived")
     if derived is None:
         return s
-    _of_kind(derived, dict, "derived")
+    _known(_of_kind(derived, dict, "derived"), _DERIVED_KEYS, "derived")
     for key, value in _derived(s).items():
         if key in derived and _typed(derived[key]) != _typed(value):
             raise ValueError(f"document {key} {derived[key]} disagrees with rows ({value})")

@@ -12,14 +12,20 @@ per case and makes the report row from the chained details: PASS when there
 are none, else FAIL with ``counterexample: `` and the first, or ``raised
 ValueError: `` and its message if a case raised one first.  A check that
 rejects its bounds raises when called instead: a usage error.  Checks look
-library routines up on their modules as they run, so a patched or traced
-routine is the one called.  The corpus checks read the block walk of
-:mod:`durfee.marked` with each member's ranks.  permute-corpus, flip-involution
-and lift-roundtrip give each block to the block maps of
-:mod:`durfee.bijections`, whose work for vectors 2..k is done once per block,
-and still meet the members, and each member's failures, in enumeration order;
-lift-roundtrip drops each member back through its symbol map, and
-merge-split-roundtrips calls its maps once per member.
+library routines up on their modules as they run, and so do the library
+routines that they call, so a routine patched or traced on its module is
+the one that every verify route calls.  This holds on the verify routes
+only: :mod:`durfee.serialize` binds ``_block`` by name and :mod:`durfee.cli`
+binds ``blocks``, ``count_kmarked`` and ``rank_rows``, so a patch of those
+on :mod:`durfee.marked` misses the corpus writers and the CLI.  The corpus checks
+read the block walk of :mod:`durfee.marked` with each member's ranks.
+permute-corpus, flip-involution and lift-roundtrip give each block to the
+block maps of :mod:`durfee.bijections`, whose work for vectors 2..k is done
+once per block, and still meet the members, and each member's failures, in
+enumeration order; permute-corpus passes one table of image rows to all the
+blocks of a subscript, so each row is made once there, in the turn of the
+first member that reads it.  lift-roundtrip drops each member back through
+its symbol map, and merge-split-roundtrips calls its maps once per member.
 """
 
 from __future__ import annotations
@@ -131,12 +137,14 @@ def _theorem_main(b: Bounds, k: int, n: int, flavor: Flavor):
 
 
 def _rank_orbit(m: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """All images of ``m`` under coordinate permutations and sign flips."""
-    orbit: set[tuple[int, ...]] = set()
-    for perm in permutations(m):
-        for signs in product((1, -1), repeat=len(m)):
-            orbit.add(tuple(s * x for s, x in zip(signs, perm)))
-    return orbit
+    """All images of ``m`` under coordinate permutations and sign flips: each
+    distinct arrangement of the magnitudes, with each sign of each nonzero
+    entry, so that no image is built twice."""
+    return {
+        image
+        for perm in set(permutations(map(abs, m)))
+        for image in product(*[(x, -x) if x else (0,) for x in perm])
+    }
 
 
 @_check("rank-symmetry-tables", _k_and_n, _grid())
@@ -207,9 +215,10 @@ def _permute_corpus(b: Bounds, k: int, n: int):
                 rank_of.append(shared.setdefault(ranks, ranks))
         checks = tuple(zip(transpositions, permuted, [bytearray(len(index)) for _ in permuted]))
         member = iter(rank_of)
+        rows: dict = {}  # the image rows of this subscript, each made once
         for block, _, _ in walk:
             _, upper, lows = block
-            images = bijections.permute_block(permuter, block, ordinary)
+            images = bijections.permute_block(permuter, block, ordinary, rows)
             for pair, ranks, (image_d, flavor, vectors) in zip(lows, member, images):
                 for (perm, want, hit), im in zip(checks, vectors):
                     j = index.get(im)

@@ -479,11 +479,10 @@ def test_permute_ranks_images_are_pinned():
     assert got == PINNED_IMAGES
 
 
-# the memoized stage cores: raise, lower, the flip and the composite's facts
-# per vector, and per image the composite's rows
+# the memoized stage cores, each per vector: raise, lower, the flip and the
+# composite's facts (the composite's image rows live in a caller's table)
 STAGE_CACHES = (
-    bijections._raise, bijections._lower, bijections._flip_pair,
-    bijections._vector_facts, bijections._images,
+    bijections._raise, bijections._lower, bijections._flip_pair, bijections._vector_facts,
 )
 
 

@@ -1,10 +1,11 @@
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
-from itertools import repeat
+from itertools import permutations, product, repeat
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,23 @@ def test_map_non_integer_document_is_usage_error(capsys, monkeypatch, field, val
     assert err.startswith(f"error: malformed symbol document: {where}: expected an integer, got ")
 
 
+# An enumerate line with one key no field defines: the map must not read past it.
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(extra=1), "unknown key 'extra'"),
+    (lambda doc: doc["vectors"][0].update(gamma=[1]), "vectors[0]: unknown key 'gamma'"),
+    (lambda doc: doc["derived"].update(junk=5), "derived: unknown key 'junk'"),
+], ids=["top-level", "vector", "derived"])
+def test_map_rejects_unknown_keys(capsys, monkeypatch, edit, message):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--k", "2")
+    assert code == 0
+    doc = json.loads(out.splitlines()[0])
+    edit(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "map", "--map", "theta", "--p", "1")
+    assert_usage_error(code, out, err)
+    assert err == f"error: malformed symbol document: {message}\n"
+
+
 # Each equals the value of the rows under ==: weight 1, rank 0, no balanced part.
 @pytest.mark.parametrize(
     "key, value",
@@ -539,9 +557,9 @@ def test_permute_corpus_fails_on_a_repeated_image(capsys, monkeypatch):
     original = bijections.permute_block
     first: dict = {}
 
-    def repeating(permuter, block, flavor):
+    def repeating(permuter, block, flavor, rows):
         d, upper, lows = block
-        for pair, images in zip(lows, original(permuter, block, flavor)):
+        for pair, images in zip(lows, original(permuter, block, flavor, rows)):
             s = KMarkedSymbol((pair, *upper), d, flavor)
             yield first.setdefault((s.k, s.weight, s.ranks), images)
 
@@ -556,8 +574,8 @@ def test_permute_corpus_fails_on_a_wrong_subscript(capsys, monkeypatch):
     # in the corpus index, so the subscript must be compared as well.
     original = bijections.permute_block
 
-    def shifted(permuter, block, flavor):
-        for d, image_flavor, images in original(permuter, block, flavor):
+    def shifted(permuter, block, flavor, rows):
+        for d, image_flavor, images in original(permuter, block, flavor, rows):
             yield d + 1, image_flavor, images
 
     rows = _phi_rows_with_permute_block(capsys, monkeypatch, shifted)
@@ -566,10 +584,50 @@ def test_permute_corpus_fails_on_a_wrong_subscript(capsys, monkeypatch):
     assert rows == GOLDEN_PHI_PASS
 
 
+def test_permute_corpus_makes_each_image_row_once_per_subscript(monkeypatch):
+    # permute-corpus passes one row table per (k, n, d) to every block of that
+    # subscript: each row it reads is made once there, the table holds just
+    # the rows made, and no table outlives the check.
+    made, tables, group = [], {}, [None]
+    make_row, original = bijections._images, bijections.permute_block
+
+    def tracking(permuter, block, flavor, rows):
+        d, upper, lows = block
+        group[0] = permuter.k, KMarkedSymbol((lows[0], *upper), d).weight, d
+        assert tables.setdefault(group[0], rows) is rows
+        yield from original(permuter, block, flavor, rows)
+
+    def counting(*key):
+        made.append((group[0], key))
+        return make_row(*key)
+
+    monkeypatch.setattr(bijections, "permute_block", tracking)
+    monkeypatch.setattr(bijections, "_images", counting)
+    assert run_checks(("permute-corpus",), Bounds(max_n=10))[0].ok
+    assert len(made) == len(set(made)) > len({key for _, key in made})  # rows recur across groups
+    for at, rows in tables.items():
+        assert {key for g, key in made if g == at} == set(rows)
+    held = list(tables.values())
+    assert len(held) == len(set(map(id, held))) and all(held)
+    tables.clear()
+    gc.collect()
+    assert gc.get_referrers(*held) == [held]
+
+
+def test_rank_orbit_is_every_signed_permutation():
+    def orbit(m):  # the definition: every permutation times every sign product
+        return {tuple(s * x for s, x in zip(signs, perm))
+                for perm in permutations(m) for signs in product((1, -1), repeat=len(m))}
+
+    for k in range(1, 5):
+        for m in product(range(-3, 4), repeat=k):
+            assert verify_mod._rank_orbit(m) == orbit(m), m
+
+
 def test_a_raising_check_is_its_own_fail_row(capsys, monkeypatch):
     # A library ValueError inside one check is that check's FAIL row, the
     # other checks still report, and the run exits 1, not 2.
-    def raising(permuter, block, flavor):
+    def raising(permuter, block, flavor, rows):
         raise ValueError("vector 1: not strict shifted")
 
     rows = _phi_rows_with_permute_block(capsys, monkeypatch, raising)
@@ -601,7 +659,7 @@ def test_a_value_error_in_a_later_case_is_the_rows_detail(monkeypatch):
 
 
 def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
-    def unpermuted(permuter, block, flavor):
+    def unpermuted(permuter, block, flavor, rows):
         d, upper, lows = block
         return ((d, flavor, repeat((pair, *upper))) for pair in lows)  # each member, per perm
 

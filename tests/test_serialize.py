@@ -124,6 +124,23 @@ def test_malformed_documents_name_the_field(doc, message):
     assert str(raised.value) == f"malformed symbol document: {message}"
 
 
+# A key that no field of the document defines, at each level, is an error
+# that names it: the symbol it sits in is valid and would otherwise be mapped.
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(extra=1), "unknown key 'extra'"),
+    (lambda doc: doc["vectors"][0].update(gamma=[1]), "vectors[0]: unknown key 'gamma'"),
+    (lambda doc: doc["vectors"][2].update(Alpha=[4]), "vectors[2]: unknown key 'Alpha'"),
+    (lambda doc: doc["derived"].update(junk=5), "derived: unknown key 'junk'"),
+], ids=["top-level", "vector", "later-vector", "derived"])
+def test_unknown_keys_rejected(edit, message):
+    doc = json.loads(next(document_lines([marked._block(SYM55)], Flavor.ORDINARY)))
+    assert document_to_symbol(doc) == SYM55
+    edit(doc)
+    with pytest.raises(ValueError) as raised:
+        document_to_symbol(doc)
+    assert str(raised.value) == f"malformed symbol document: {message}"
+
+
 # Each would read as the valid one-vector symbol ((1) / ())_1 under int().
 @pytest.mark.parametrize(
     "field, value", [("alpha", [1.9]), ("alpha", [True]), ("alpha", ["1"]), ("d", 1.5)]
