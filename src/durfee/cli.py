@@ -13,9 +13,18 @@ Every bad input (a malformed flag, an out-of-range bound, an unreadable or
 invalid symbol document, a pole among the evaluation values, a weight or
 series order too large to hold in memory) prints one ``error:`` line to
 stderr and exits 2; exit 1 only ever means that an identity failed.  A reader
-that closes stdout early (``| head -1``) stops the command silently with
-status 141, as a shell reports for a writer stopped by SIGPIPE.
-Count tables and reports are byte-deterministic for fixed flags.
+that closes stdout early (``| head -1``) stops the command, ``--help``
+included, silently with status 141, as a shell reports for a writer stopped
+by SIGPIPE.  Count tables and reports are byte-deterministic for fixed flags.
+
+The ``durfee`` script and ``python -m durfee.cli`` call :func:`run`, which
+runs :func:`main`, flushes stdout and stderr, and ends the process with
+``os._exit``.  :func:`main` returns its exit code and never ends the
+process: tests and library callers use it.  Skipping interpreter teardown
+is safe because durfee starts no thread, registers no ``atexit`` handler and
+opens files only to read them, and both streams are flushed before the
+exit; teardown would only free the modules and caches that the exit frees
+anyway.
 
 Each command imports only what it runs: loading this module imports the
 marked symbols and their counting DP; ``series`` imports the series code,
@@ -342,5 +351,29 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run(argv: list[str] | None = None) -> NoReturn:
+    """The ``durfee`` process: run ``main(argv)``, flush both streams and end
+    the process with the exit code, without interpreter teardown."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's --help and parser errors
+        code = exc.code
+    if code is None:  # the codes as ``sys.exit`` reads them
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    except OSError as exc:
+        if code != 2:  # a failed write that main caught has had its error line
+            print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

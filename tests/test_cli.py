@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from itertools import permutations, product, repeat
 from pathlib import Path
 
@@ -1235,6 +1236,115 @@ def test_closed_stdout_is_not_a_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert err == b"" and code == 141
+
+
+def _process(*args, stdout=subprocess.PIPE):
+    """``python *args`` from the source tree, run to its end, with buffered
+    streams as a plain ``python`` has them.  Unbuffered (``PYTHONUNBUFFERED``),
+    argparse itself swallows a failed write of ``--help``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60
+    )
+
+
+def _in_process(capsys, argv):
+    """``cli.main(argv)``'s exit code, stdout and stderr, its SystemExit read as a code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out.encode(), out.err.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["count", "--n", "6", "--k", "2"], 0),
+        (["series", "--gf", "rk-product", "--x", "2,3", "--order", "8"], 0),
+        (["verify", "--suite", "cor13", "--max-n", "5"], 0),
+        (["--help"], 0),
+        (["count", "--n", "abc"], 2),
+        (["count", "--n", "5", "--k", "0"], 2),
+    ],
+    ids=["count", "series", "verify", "help", "parser-error", "value-error"],
+)
+def test_process_exits_as_main_returns(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    expected = _in_process(capsys, argv)
+    done = _process("-m", "durfee.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+    assert expected[0] == code
+    if code == 2:
+        assert_usage_error(code, done.stdout.decode(), done.stderr.decode())
+
+
+def test_process_exits_1_on_a_failed_identity(capsys, monkeypatch):
+    failed = ("solution-count", "patched", False, "counterexample: patched")
+    argv = ["verify", "--suite", "cor13", "--max-n", "5"]
+    probe = (
+        "from durfee import cli, verify\n"
+        f"verify.CHECKS['solution-count'] = lambda b: verify.CheckResult(*{failed!r})\n"
+        f"cli.run({argv!r})"
+    )
+    monkeypatch.setitem(verify_mod.CHECKS, "solution-count", lambda b: CheckResult(*failed))
+    expected = _in_process(capsys, argv)
+    done = _process("-c", probe)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+    assert expected[0] == 1 and expected[1].endswith(b"RESULT\tFAIL\t2/3 checks passed\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["count", "--n", "5", "--k", "2"], ["verify", "--suite", "cor13", "--max-n", "5"]],
+    ids=["help", "count", "verify"],
+)
+def test_closed_stdout_exits_141_silently(argv):
+    read, write = os.pipe()
+    os.close(read)  # before the spawn, so the process's first write or flush fails
+    try:
+        done = _process("-m", "durfee.cli", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["count", "--n", "12", "--k", "3"], ["verify", "--suite", "cor13", "--max-n", "4"]],
+    ids=["help", "count", "verify"],
+)
+def test_full_stdout_is_one_usage_error(argv):
+    with open("/dev/full", "wb") as full:
+        done = _process("-m", "durfee.cli", *argv, stdout=full)
+    assert done.returncode == 2
+    assert done.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+def test_main_never_ends_the_process(capsys, monkeypatch, tmp_path):
+    def refuse(code):
+        raise AssertionError(f"os._exit({code}) reached from main")
+
+    monkeypatch.setattr(os, "_exit", refuse)
+    path = tmp_path / "eta.json"
+    path.write_text(render(ETA))
+    for argv in (
+        ["count", "--n", "6", "--k", "2"],
+        ["enumerate", "--n", "5", "--k", "2"],
+        ["map", "--map", "phi", "--in", str(path)],
+        ["verify", "--suite", "cor13", "--max-n", "4"],
+        ["series", "--gf", "partition", "--order", "6"],
+    ):
+        assert type(cli.main(argv)) is int
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert threading.active_count() == 1
 
 
 def test_run_checks_returns_results_in_order():
