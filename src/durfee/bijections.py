@@ -13,32 +13,31 @@ Four families of maps live here, each with its inverse:
 * :func:`flip_rank` - negate one coordinate of the rank vector.
 
 Each stage is one private core (flip, raise, lower, merge, cut, and the
-one-pass top-part labels).  The vector-wise maps and the composite that
-permutes the rank vector each take one block ``(d, upper, lows)`` of
-:func:`durfee.marked.blocks`, in which only vector 1 varies, and do the work
-for vectors 2..k once per block and vector 1's per member:
-:func:`flip_block` and :func:`lift_block` return the image block, and
-:func:`permute_block` yields per member.  Each vector-wise symbol map but
-:func:`symbol_from_strict_shifted` is its block map's one-block case, as
-:func:`durfee.serialize.format_symbol` is for the corpus writers, and checks
-its arguments; a block map that yields raises in the turn of the first
-member whose map raises, with that member's message.
+one-pass top-part labels).  The vector-wise maps each take one block
+``(d, upper, lows)`` of :func:`durfee.marked.blocks`, in which only vector 1
+varies, and do the work for vectors 2..k once per block and vector 1's per
+member: :func:`flip_block` and :func:`lift_block` return the image block.
+Each vector-wise symbol map but :func:`symbol_from_strict_shifted` is its
+block map's one-block case, as :func:`durfee.serialize.format_symbol` is for
+the corpus writers, and checks its arguments.
 
 :func:`rank_permuter` checks its perms once and returns the map from a
-symbol to its images, which :func:`permute_block` reads: it lifts each
-member once (flip each negative rank, raise, merge) and reads each image
-from one flat row of cut and lowered vectors, each beside its flip, through
-the permuter's getter for the member's sign pattern;
-:func:`permute_ranks` is its one-permutation case.  Every stage preserves
-validity: rank flips and balanced transfers rearrange entries within one
-vector, so the whole-vector interlacing bounds never move.
+symbol to its images; the map's ``images(vectors, rows)`` maps one member of
+a corpus.  It lifts the member once (flip each negative rank, raise, and
+merge the rows of vectors k..1 end to end) and reads each image from one
+flat row of cut and lowered vectors, each beside its flip, through the
+permuter's getter for the member's sign pattern; :func:`permute_ranks` is
+its one-permutation case.  Every stage preserves validity: rank flips and
+balanced transfers rearrange entries within one vector, so the whole-vector
+interlacing bounds never move.
 
 The stages are pure functions of immutable tuples, and a corpus holds few
 distinct vectors, so the four per-vector stages (flip, raise, lower, a
 vector's facts) are memoized, each in a least-recently-used cache of
-``_MEMO_SIZE`` entries.  The image rows, keyed by merged rows, are too many
-for such a cache: they go in a table that lives as long as its caller needs
-it, one per call of :func:`permute_block` unless the caller passes its own
+``_MEMO_SIZE`` entries, and the facts of vectors 2..k in a cache of one
+entry, which the members of a block, mapped one after another, all hit.
+The image rows, keyed by merged rows, are too many for such a cache: they
+go in a table that the caller of ``images`` keeps as long as it needs it
 (verify's permute-corpus keeps one per subscript, so each row is made once
 there).  Every guard raises on every call, since an exception is neither
 cached nor stored, and every kept value is a tuple, so no caller can change
@@ -50,11 +49,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import marked
 from .marked import Block, KMarkedSymbol, PartitionPair, _new
-from .symbols import DurfeeSymbol, Flavor
+from .symbols import DurfeeSymbol
 
 #: Entries of each stage memo: above the keys the verify corpora reuse, and bounded.
 _MEMO_SIZE = 512
@@ -186,15 +185,6 @@ def _images(gamma: tuple, delta: tuple, mags: tuple, t: tuple) -> tuple[Partitio
     *low, top = _cut(gamma, delta, tuple(map(add, mags, map(add, t, t))))
     low = _drop(low, t)
     return (*chain(*zip(low, map(_flip_pair, low))), top, _new(PartitionPair, top[::-1]))
-
-
-def _join(high: tuple, low: tuple) -> tuple:
-    """The entries of two non-increasing rows in one non-increasing row:
-    ``low`` after ``high`` when none of its entries is larger, as the
-    marking conditions keep vector 1 below vector 2."""
-    if high and low and low[0] > high[-1]:
-        return tuple(sorted(high + low, reverse=True))
-    return high + low
 
 
 def merge_marks(s: KMarkedSymbol) -> DurfeeSymbol:
@@ -346,9 +336,7 @@ def flip_block(block: Block, p: int) -> Block:
 def _picks(getters: Sequence[Callable], neg: tuple[bool, ...]) -> tuple[tuple[Callable, ...], ...]:
     """Per perm getter, that getter beside the getter of an image's vectors
     from a flat row of :func:`_images`: the flip at each position that a
-    negative rank moves to (a slice keeps the one vector of k = 1 in a tuple)."""
-    if len(neg) == 1:
-        return tuple((get, itemgetter(slice(neg[0], neg[0] + 1))) for get in getters)
+    negative rank moves to."""
     return tuple((get, itemgetter(*[2 * i + f for i, f in enumerate(get(neg))])) for get in getters)
 
 
@@ -367,29 +355,27 @@ def _vector_facts(pair: PartitionPair, top: bool) -> tuple:
     return x < 0, abs(x), r, *lifted, marked.is_strict_shifted_pair(lifted)
 
 
+@lru_cache(maxsize=1)  # a block's members come together, so one entry takes every hit
 def _upper_facts(upper: tuple[PartitionPair, ...]) -> tuple:
     """The :func:`_vector_facts` of vectors 2..k joined: the tuples of their
     signs, magnitudes and balanced numbers, their merged rows, and whether
-    they are all strict shifted.  Every flip guard comes before every raise."""
+    they are all strict shifted.  Every flip guard comes before every raise.
+    A merged row is the rows of vectors k..2 end to end: the marking
+    conditions keep each vector's entries at or below the next one's, and a
+    flip or a raise moves entries only within one vector."""
     for i, (alpha, _) in enumerate(upper[:-1], 2):
         if not alpha:
             raise ValueError(f"vector {i} has no top part")
-    if not upper:  # k = 1: vector 1 is vector k
-        return (), (), (), (), (), True
     last = len(upper) - 1
     facts = [_vector_facts(v, i == last) for i, v in enumerate(upper)]
     neg, mags, t, alphas, betas, oks = zip(*facts)
-    gamma, delta = alphas[-1], betas[-1]
-    for alpha, beta in zip(alphas[-2::-1], betas[-2::-1]):
-        gamma, delta = _join(gamma, alpha), _join(delta, beta)
-    return neg, mags, t, gamma, delta, all(oks)
+    return neg, mags, t, sum(alphas[::-1], ()), sum(betas[::-1], ()), all(oks)
 
 
 class _Permuter:
     """The checked perms of :func:`rank_permuter`: per perm a getter of a
     length-k sequence in perm order, and per sign pattern of the ranks met,
-    the getters of :func:`_picks`.  Called on a symbol, it returns the
-    symbol's images: the one-block case of :func:`permute_block`."""
+    the getters of :func:`_picks`."""
 
     __slots__ = ("k", "getters", "picks")
 
@@ -397,8 +383,36 @@ class _Permuter:
         self.k, self.getters, self.picks = k, getters, {}
 
     def __call__(self, s: KMarkedSymbol) -> tuple[KMarkedSymbol, ...]:
-        d, flavor, images = next(permute_block(self, marked._block(s), s.flavor))
-        return tuple(KMarkedSymbol(vectors, d, flavor) for vectors in images)
+        return tuple(KMarkedSymbol(v, s.d, s.flavor) for v in self.images(s.vectors, {}))
+
+    def images(self, vectors: tuple[PartitionPair, ...], rows: dict) -> list[tuple]:
+        """The vectors of each image of a symbol with ``vectors``, one per perm,
+        under the symbol's own subscript and flavor.  Each is read from a flat
+        row of :func:`_images` in ``rows``, the caller's table of rows by key,
+        made there when the table lacks it: a row depends on neither the
+        subscript nor the signs, so one table may serve many symbols."""
+        k = self.k
+        if len(vectors) != k:
+            raise ValueError(f"symbol has {len(vectors)} vectors, not k = {k}")
+        if k == 1:  # the one perm of 1..1 is the identity
+            return [vectors] * len(self.getters)
+        pair = vectors[0]
+        if not pair[0]:
+            raise ValueError("vector 1 has no top part")
+        neg_up, mags_up, t_up, gamma, delta, shifted = _upper_facts(vectors[1:])
+        neg, mag, r, alpha, beta, ok = _vector_facts(pair, False)
+        if not (ok and shifted):
+            raise ValueError("not strict shifted")
+        neg, mags, t = (neg, *neg_up), (mag, *mags_up), (r, *t_up)
+        gamma, delta = gamma + alpha, delta + beta
+        pick = self.picks.get(neg)
+        if pick is None:
+            pick = self.picks[neg] = _picks(self.getters, neg)
+        return [  # a row is a nonempty tuple, made only when the table lacks it
+            select(rows.get(key := (gamma, delta, get(mags), t))
+                   or rows.setdefault(key, _images(*key)))
+            for get, select in pick
+        ]
 
 
 def rank_permuter(
@@ -413,8 +427,8 @@ def rank_permuter(
     merge the marks, all once per symbol; then per permutation split the
     marks again with the permuted magnitudes (the balanced-number budget
     stays attached to positions, so the k-th stays 0), drop back, and restore
-    the signs at their new positions.  :func:`permute_block` maps a whole
-    block with the returned permuter.
+    the signs at their new positions.  The returned map's ``images(vectors,
+    rows)`` maps one member of a corpus with the caller's table of rows.
     """
     perms = tuple(map(tuple, perms))
     _require_ints(chain.from_iterable(perms), "perm must be a permutation of 1..k")
@@ -424,51 +438,7 @@ def rank_permuter(
             raise ValueError("perm must be a permutation of 1..k")
     if k < 1:
         raise ValueError("need at least one rank target")
-    # an itemgetter of one index returns a bare item; the one perm of 1..1 is the identity
-    return _Permuter(k, [itemgetter(*[p - 1 for p in perm]) if k > 1 else tuple for perm in perms])
-
-
-def permute_block(
-    permuter: _Permuter, block: Block, flavor: Flavor, rows: dict | None = None
-) -> Iterator[tuple[int, Flavor, list[tuple[PartitionPair, ...]]]]:
-    """Yield, per member of ``block`` in order, the subscript and flavor of
-    its images under ``permuter`` (of :func:`rank_permuter`) and the vectors
-    of each image, one per perm.
-
-    The signs, magnitudes, raises and merged rows of vectors 2..k are made
-    once per block, in the first member's turn after its own flip guard;
-    each member adds vector 1's and reads each image from one flat row of
-    :func:`_images`, keyed without signs, through the getter of its sign
-    pattern.  ``rows`` is the table of flat rows by key, read and filled in
-    the member's turn, a fresh one per call by default: a row depends on
-    neither the subscript nor the signs, so a caller that maps many blocks
-    may pass one table to them all and drop it when it is done.
-    """
-    if rows is None:
-        rows = {}
-    d, upper, lows = block
-    k, getters, picks = permuter.k, permuter.getters, permuter.picks
-    if len(upper) + 1 != k:
-        raise ValueError(f"symbol has {len(upper) + 1} vectors, not k = {k}")
-    shared = None
-    for pair in lows:
-        if k > 1 and not pair[0]:
-            raise ValueError("vector 1 has no top part")
-        if shared is None:  # in the first member's turn, after its own flip guard
-            neg_up, mags_up, t_up, gamma_up, delta_up, shifted = shared = _upper_facts(upper)
-        neg, mag, r, alpha, beta, ok = _vector_facts(pair, k == 1)
-        if not (ok and shifted):
-            raise ValueError("not strict shifted")
-        neg, mags, t = (neg,) + neg_up, (mag,) + mags_up, (r,) + t_up
-        gamma, delta = _join(gamma_up, alpha), _join(delta_up, beta)
-        pick = picks.get(neg)
-        if pick is None:
-            pick = picks[neg] = _picks(getters, neg)
-        yield d, flavor, [  # a row is a nonempty tuple, made only when the table lacks it
-            select(rows.get(key := (gamma, delta, get(mags), t))
-                   or rows.setdefault(key, _images(*key)))
-            for get, select in pick
-        ]
+    return _Permuter(k, [itemgetter(*[p - 1 for p in perm]) for perm in perms])
 
 
 def permute_ranks(s: KMarkedSymbol, perm: Sequence[int]) -> KMarkedSymbol:

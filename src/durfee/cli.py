@@ -274,6 +274,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"error: {message}\n")
 
+    def print_help(self, file=None) -> None:
+        # argparse's own write swallows an OSError; this one lets it reach main
+        (file or sys.stdout).write(self.format_help())
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -334,14 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # --help writes, so may fail, in here
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
-    except BrokenPipeError:
-        # Later flushes, at exit too, go to devnull instead of failing again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # fd 1 is left as it is: run's own flush fails again, as 141
         return 141
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

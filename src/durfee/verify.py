@@ -19,13 +19,14 @@ only: :mod:`durfee.serialize` binds ``_block`` by name and :mod:`durfee.cli`
 binds ``blocks``, ``count_kmarked`` and ``rank_rows``, so a patch of those
 on :mod:`durfee.marked` misses the corpus writers and the CLI.  The corpus checks
 read the block walk of :mod:`durfee.marked` with each member's ranks.
-permute-corpus, flip-involution and lift-roundtrip give each block to the
-block maps of :mod:`durfee.bijections`, whose work for vectors 2..k is done
-once per block, and still meet the members, and each member's failures, in
-enumeration order; permute-corpus passes one table of image rows to all the
-blocks of a subscript, so each row is made once there, in the turn of the
-first member that reads it.  lift-roundtrip drops each member back through
-its symbol map, and merge-split-roundtrips calls its maps once per member.
+flip-involution and lift-roundtrip give each block to the block maps of
+:mod:`durfee.bijections`, whose work for vectors 2..k is done once per
+block, and still meet the members, and each member's failures, in
+enumeration order.  permute-corpus reads each subscript in one pass, then
+maps its members in that order, one call each, with one table of image rows
+for the subscript, so each row is made once there.  lift-roundtrip drops
+each member back through its symbol map, and merge-split-roundtrips calls
+its maps once per member.
 """
 
 from __future__ import annotations
@@ -193,19 +194,18 @@ def _blocks(n: int, k: int, strict: bool = False) -> Iterator[tuple]:
 def _permute_corpus(b: Bounds, k: int, n: int):
     """The composite rank-permuting map is a bijection of each corpus onto
     itself, realizing every transposition.  The map keeps the subscript, so
-    the corpus is read from the block walk a subscript at a time: its vector
-    tuples mapped to their positions, with a rank vector each.  One byte per
-    member and transposition records the images met so far; the map takes a
-    block at a time."""
+    the corpus is read from the block walk a subscript at a time, in one
+    pass: its vector tuples mapped to their positions, with a rank vector
+    each, then each member mapped with one table of image rows, so each row
+    is made once per subscript.  One byte per member and transposition
+    records the images met so far."""
     transpositions = tuple(
         tuple({i: j, j: i}.get(p, p) for p in range(1, k + 1))
         for i, j in combinations(range(1, k + 1), 2)
     )
     permuted = [itemgetter(*(p - 1 for p in perm)) for perm in transpositions]
-    permuter = bijections.rank_permuter(transpositions, k)
-    ordinary = Flavor.ORDINARY
+    images = bijections.rank_permuter(transpositions, k).images
     for d, walk in groupby(_blocks(n, k), lambda found: found[0][0]):
-        walk = list(walk)
         index: dict[tuple[PartitionPair, ...], int] = {}
         rank_of, shared = [], {}  # equal rank vectors are one tuple
         for (_, upper, lows), ranks, high in walk:
@@ -214,22 +214,18 @@ def _permute_corpus(b: Bounds, k: int, n: int):
                 ranks = (r, *high)
                 rank_of.append(shared.setdefault(ranks, ranks))
         checks = tuple(zip(transpositions, permuted, [bytearray(len(index)) for _ in permuted]))
-        member = iter(rank_of)
         rows: dict = {}  # the image rows of this subscript, each made once
-        for block, _, _ in walk:
-            _, upper, lows = block
-            images = bijections.permute_block(permuter, block, ordinary, rows)
-            for pair, ranks, (image_d, flavor, vectors) in zip(lows, member, images):
-                for (perm, want, hit), im in zip(checks, vectors):
-                    j = index.get(im)
-                    got = KMarkedSymbol(im, image_d).ranks if j is None else rank_of[j]
-                    if got != want(ranks):
-                        yield f"n={n} k={k} perm={perm} ranks {ranks} -> {got}"
-                    if j is None or image_d != d or flavor is not ordinary or hit[j]:
-                        s = KMarkedSymbol((pair, *upper), d)
-                        yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
-                    else:
-                        hit[j] = 1
+        for vectors, ranks in zip(index, rank_of):
+            for (perm, want, hit), im in zip(checks, images(vectors, rows)):
+                j = index.get(im)
+                got = KMarkedSymbol(im, d).ranks if j is None else rank_of[j]
+                if got != want(ranks):
+                    yield f"n={n} k={k} perm={perm} ranks {ranks} -> {got}"
+                if j is None or hit[j]:
+                    s = KMarkedSymbol(vectors, d)
+                    yield f"n={n} k={k} perm={perm} image not fresh member for {s}"
+                else:
+                    hit[j] = 1
 
 
 @_check("moment-identity-odd", lambda b: f"k = 1, n <= {b.max_n}", _grid((1,)), flavor=Flavor.ODD)

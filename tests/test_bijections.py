@@ -10,7 +10,6 @@ from durfee.bijections import (
     from_strict_shifted,
     lift_block,
     merge_marks,
-    permute_block,
     permute_ranks,
     rank_permuter,
     split_marks,
@@ -332,6 +331,12 @@ SIX_DS = DurfeeSymbol((3, 2, 1), (1,), 3)  # rank 2: targets (1, 0) split it
         (lambda: [flip_rank(TWO_ONES, 1), flip_rank(TWO_ONES, 1.0)], "^vector index must be an int$"),
         (lambda: [flip_rank(TWO_ONES, 1), flip_rank(TWO_ONES, True)], "^vector index must be an int$"),
         (lambda: rank_permuter(((1, 2),), 2)(ETA), "^symbol has 3 vectors, not k = 2$"),
+        (lambda: flip_rank(KMarkedSymbol((), 1), 1), "^symbol must have at least one vector$"),
+        (lambda: symbol_to_strict_shifted(KMarkedSymbol((), 1)),
+         "^symbol must have at least one vector$"),
+        (lambda: flip_rank(
+            KMarkedSymbol((PartitionPair((1,), ()), NO_TOP, PartitionPair((3,), ())), 3), 2),
+         "^vector 2 has no top part$"),
     ],
     ids=[
         "split-no-targets", "from-negative-r", "subscripts-not-shifted", "minima-not-shifted",
@@ -340,7 +345,8 @@ SIX_DS = DurfeeSymbol((3, 2, 1), (1,), 3)  # rank 2: targets (1, 0) split it
         "permute-oversized-bottom", "permute-no-vectors", "permute-float-entry",
         "permute-bool-entry", "from-float-r", "from-bool-r", "symbol-from-float-t",
         "symbol-from-bool-t", "symbol-from-no-vectors", "split-float-target", "split-bool-target", "flip-float-p",
-        "flip-bool-p", "permuter-other-k",
+        "flip-bool-p", "permuter-other-k", "flip-no-vectors", "lift-no-vectors",
+        "flip-p2-no-top-part",
     ],
 )
 def test_public_maps_keep_their_errors(call, match):
@@ -355,9 +361,6 @@ def _one_block(s):
     return s.d, s.vectors[1:], s.vectors[:1]
 
 
-ORDINARY = Flavor.ORDINARY
-
-
 # the block form of each error case above that a block map meets, and the
 # drop's own cases: it lowers one symbol and names the vector at fault
 @pytest.mark.parametrize(
@@ -369,18 +372,6 @@ ORDINARY = Flavor.ORDINARY
          "vector 1 has no top part"),
         (lambda: lift_block((1, (PartitionPair((3,), ()),), (PartitionPair((2,), (3,)),))),
          "largest bottom part exceeds"),
-        (lambda: list(permute_block(rank_permuter([(2, 1, 3)], 3), _one_block(
-            KMarkedSymbol((PartitionPair((1,), ()), NO_TOP, PartitionPair((3,), ())), 3)), ORDINARY)),
-         "^vector 2 has no top part$"),
-        (lambda: list(permute_block(rank_permuter([(2, 1)], 2), _one_block(
-            KMarkedSymbol((NO_TOP, PartitionPair((1,), ())), 1)), ORDINARY)),
-         "^vector 1 has no top part$"),
-        (lambda: list(permute_block(rank_permuter([(1, 2, 3)], 3), _one_block(
-            KMarkedSymbol((TOO_LOW, NO_TOP, PartitionPair((3,), ())), 3)), ORDINARY)),
-         "^vector 2 has no top part$"),
-        (lambda: list(permute_block(rank_permuter([(2, 1)], 2), _one_block(
-            KMarkedSymbol((TOO_LOW, PartitionPair((2,), ())), 2)), ORDINARY)),
-         "^largest bottom part exceeds largest top part$"),
         (lambda: [symbol_from_strict_shifted(TWO_ONES, (0, 0)),
                   symbol_from_strict_shifted(TWO_ONES, (0, 0.0))],
          "^balanced numbers must be ints$"),
@@ -395,14 +386,11 @@ ORDINARY = Flavor.ORDINARY
          "^vector index must be an int$"),
         (lambda: [flip_block(_one_block(TWO_ONES), 1), flip_block(_one_block(TWO_ONES), True)],
          "^vector index must be an int$"),
-        (lambda: list(permute_block(rank_permuter(((1, 2),), 2), _one_block(ETA), ORDINARY)),
-         "^symbol has 3 vectors, not k = 2$"),
     ],
     ids=[
         "flip-p-low", "flip-p-high", "flip-no-top-part", "to-oversized-bottom",
-        "permute-no-top-part", "permute-no-top-part-first", "permute-flip-before-lift",
-        "permute-oversized-bottom", "symbol-from-float-t", "symbol-from-bool-t",
-        "from-not-shifted", "from-negative-r", "flip-float-p", "flip-bool-p", "permuter-other-k",
+        "symbol-from-float-t", "symbol-from-bool-t", "from-not-shifted", "from-negative-r",
+        "flip-float-p", "flip-bool-p",
     ],
 )
 def test_block_maps_keep_the_symbol_maps_errors(call, match):
@@ -414,15 +402,12 @@ def test_block_maps_keep_the_symbol_maps_errors(call, match):
 @pytest.mark.parametrize("flavor", list(Flavor))
 def test_block_maps_are_their_members_one_block_cases(flavor):
     # On every block of two or more members, each block map gives what its
-    # symbol map gives each member alone, with a permuter of its own: no
-    # state of one member reaches the next.
+    # symbol map gives each member alone: no state of one member reaches the next.
     def symbols_of(block):
         d, upper, lows = block
         return [KMarkedSymbol((pair, *upper), d, flavor) for pair in lows]
 
     for k in (1, 2, 3, 4):
-        perms = list(permutations(range(1, k + 1)))[: 6 if k == 4 else None]
-        permuter = rank_permuter(perms, k)
         for n in range(13):
             for block in blocks(n, k, flavor):
                 members = symbols_of(block)
@@ -436,11 +421,6 @@ def test_block_maps_are_their_members_one_block_cases(flavor):
                     symbol_from_strict_shifted(image, balanced_numbers(s))
                     for image, s in zip(symbols_of(lifted), members)
                 ] == members
-                images = [
-                    tuple(KMarkedSymbol(v, d, image_flavor) for v in vectors)
-                    for d, image_flavor, vectors in permute_block(permuter, block, flavor)
-                ]
-                assert images == [rank_permuter(perms, k)(s) for s in members]
 
 
 def test_rank_permuter_reads_any_sequence_of_perms():
@@ -452,6 +432,30 @@ def test_rank_permuter_reads_any_sequence_of_perms():
     # the perms are read once, when the map is built, and serve every symbol
     assert list(map(rank_permuter([list(p) for p in perms], 3), corpus)) == want
     assert list(map(rank_permuter((list(p) for p in perms), 3), corpus)) == want
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_the_composite_joins_lifted_rows_end_to_end(flavor):
+    # The composite's two shortcuts, through the public maps.  Flipping each
+    # negative rank, lifting and merging gives the lifted rows of vectors
+    # k..1 end to end, unsorted: the marking conditions keep each vector's
+    # entries at or below the next one's, and a flip or a raise moves entries
+    # only within one vector.  For k = 1 every image is the symbol itself.
+    one = rank_permuter([(1,), (1,)], 1)
+    for n in range(11):
+        for s in enumerate_kmarked(n, 1, flavor):
+            assert one(s) == (s, s)
+        for k in (2, 3, 4):
+            for s in enumerate_kmarked(n, k, flavor):
+                flipped = s
+                for p, r in enumerate(s.ranks, 1):
+                    if r < 0:
+                        flipped = flip_rank(flipped, p)
+                lifted = symbol_to_strict_shifted(flipped)
+                merged = merge_marks(lifted)
+                high = lifted.vectors[::-1]
+                assert merged.alpha == sum((v.alpha for v in high), ()), s
+                assert merged.beta == sum((v.beta for v in high), ()), s
 
 
 # sha256 of every image of permute_ranks over each corpus, recorded before the
@@ -479,10 +483,12 @@ def test_permute_ranks_images_are_pinned():
     assert got == PINNED_IMAGES
 
 
-# the memoized stage cores, each per vector: raise, lower, the flip and the
-# composite's facts (the composite's image rows live in a caller's table)
+# the memoized stage cores: per vector raise, lower, the flip and the
+# composite's facts, and the composite's facts of vectors 2..k at one entry
+# (its image rows live in a caller's table)
 STAGE_CACHES = (
     bijections._raise, bijections._lower, bijections._flip_pair, bijections._vector_facts,
+    bijections._upper_facts,
 )
 
 

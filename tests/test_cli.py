@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import threading
-from itertools import permutations, product, repeat
+from itertools import groupby, permutations, product, repeat
 from pathlib import Path
 
 import pytest
@@ -380,6 +380,32 @@ def test_map_missing_parameter(tmp_path, capsys):
     assert code == 2 and "needs --p" in err
 
 
+def _symbol_document(flavor="ordinary", d=1, alpha=(1,), beta=()):
+    return {"flavor": flavor, "d": d, "vectors": [{"alpha": list(alpha), "beta": list(beta)}]}
+
+
+# usage errors that no other case reaches, each with its one line
+@pytest.mark.parametrize("argv, doc, message", [
+    (["series", "--gf", "rk", "--order", "3"], None, "rk needs --x"),
+    (["map", "--map", "phi"], _symbol_document(d=0, alpha=()),
+     "invalid symbol document: subscript 0 below minimum for the ordinary flavor"),
+    (["map", "--map", "phi"], _symbol_document("odd", d=-1, alpha=()),
+     "invalid symbol document: subscript -1 below minimum for the odd flavor"),
+    (["map", "--map", "phi"], _symbol_document(alpha=(1, 2)),
+     "invalid symbol document: vector 1: top row is not a partition"),
+    (["map", "--map", "phi"], _symbol_document(beta=(0,)),
+     "invalid symbol document: vector 1: bottom row is not a partition"),
+    (["map", "--map", "phi"], {"flavor": "ordinary", "d": 1, "vectors": []},
+     "invalid symbol document: symbol must have at least one vector"),
+], ids=["rk-without-x", "d-0", "odd-d-negative", "alpha-increasing", "beta-zero",
+        "no-vectors"])
+def test_each_usage_error_is_its_line(capsys, monkeypatch, argv, doc, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_map_precondition_error(tmp_path, capsys):
     path = tmp_path / "eta.json"
     path.write_text(render(ETA))
@@ -536,8 +562,8 @@ def test_verify_reports_counterexample_when_core_is_corrupted(capsys, monkeypatc
     assert "FAIL" in out and "counterexample" in out and "m=(0, 0)" in out
 
 
-def _phi_rows_with_permute_block(capsys, monkeypatch, patched):
-    monkeypatch.setattr(verify_mod.bijections, "permute_block", patched)
+def _phi_rows_with_permuted_images(capsys, monkeypatch, patched):
+    monkeypatch.setattr(verify_mod.bijections._Permuter, "images", patched)
     code, out, _ = run_cli(capsys, "verify", "--suite", "phi", "--max-n", "6")
     assert code == 1
     return {line.split("\t")[0]: line for line in out.splitlines()[1:-1]}
@@ -555,60 +581,48 @@ GOLDEN_PHI_PASS = {
 def test_permute_corpus_fails_on_a_repeated_image(capsys, monkeypatch):
     # Two symbols of one weight and rank vector get the same images: every
     # image still has the right ranks, but one is no longer fresh.
-    original = bijections.permute_block
+    original = bijections._Permuter.images
     first: dict = {}
 
-    def repeating(permuter, block, flavor, rows):
-        d, upper, lows = block
-        for pair, images in zip(lows, original(permuter, block, flavor, rows)):
-            s = KMarkedSymbol((pair, *upper), d, flavor)
-            yield first.setdefault((s.k, s.weight, s.ranks), images)
+    def repeating(permuter, vectors, rows):
+        images = original(permuter, vectors, rows)
+        s = KMarkedSymbol(vectors, 1)  # one subscript: the weights differ by a constant
+        return first.setdefault((s.k, s.weight, s.ranks), images)
 
-    rows = _phi_rows_with_permute_block(capsys, monkeypatch, repeating)
-    fail = rows.pop("permute-corpus").split("\t")
-    assert fail[2] == "FAIL" and "image not fresh member" in fail[3]
-    assert rows == GOLDEN_PHI_PASS
-
-
-def test_permute_corpus_fails_on_a_wrong_subscript(capsys, monkeypatch):
-    # The right vectors under the next subscript: the vectors alone are found
-    # in the corpus index, so the subscript must be compared as well.
-    original = bijections.permute_block
-
-    def shifted(permuter, block, flavor, rows):
-        for d, image_flavor, images in original(permuter, block, flavor, rows):
-            yield d + 1, image_flavor, images
-
-    rows = _phi_rows_with_permute_block(capsys, monkeypatch, shifted)
+    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, repeating)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2] == "FAIL" and "image not fresh member" in fail[3]
     assert rows == GOLDEN_PHI_PASS
 
 
 def test_permute_corpus_makes_each_image_row_once_per_subscript(monkeypatch):
-    # permute-corpus passes one row table per (k, n, d) to every block of that
-    # subscript: each row it reads is made once there, the table holds just
-    # the rows made, and no table outlives the check.
-    made, tables, group = [], {}, [None]
-    make_row, original = bijections._images, bijections.permute_block
+    # permute-corpus passes one row table per (k, n, d) to every member of
+    # that subscript, in enumeration order: each row it reads is made once
+    # there, the table holds just the rows made, and no table outlives the check.
+    made, tables, table = [], {}, [None]  # tables: id -> (table, members mapped with it)
+    make_row, original = bijections._images, bijections._Permuter.images
 
-    def tracking(permuter, block, flavor, rows):
-        d, upper, lows = block
-        group[0] = permuter.k, KMarkedSymbol((lows[0], *upper), d).weight, d
-        assert tables.setdefault(group[0], rows) is rows
-        yield from original(permuter, block, flavor, rows)
+    def tracking(permuter, vectors, rows):
+        table[0] = id(rows)
+        tables.setdefault(id(rows), (rows, []))[1].append(vectors)
+        return original(permuter, vectors, rows)
 
     def counting(*key):
-        made.append((group[0], key))
+        made.append((table[0], key))
         return make_row(*key)
 
-    monkeypatch.setattr(bijections, "permute_block", tracking)
+    monkeypatch.setattr(bijections._Permuter, "images", tracking)
     monkeypatch.setattr(bijections, "_images", counting)
     assert run_checks(("permute-corpus",), Bounds(max_n=10))[0].ok
-    assert len(made) == len(set(made)) > len({key for _, key in made})  # rows recur across groups
-    for at, rows in tables.items():
-        assert {key for g, key in made if g == at} == set(rows)
-    held = list(tables.values())
+    assert [members for _, members in tables.values()] == [
+        [(pair, *upper) for (_, upper, lows), _, _ in walk for pair in lows]
+        for k in (2, 3) for n in range(11)
+        for _, walk in groupby(verify_mod._blocks(n, k), lambda found: found[0][0])
+    ]
+    assert len(made) == len(set(made)) > len({key for _, key in made})  # rows recur across tables
+    for at, (rows, _) in tables.items():
+        assert {key for t, key in made if t == at} == set(rows)
+    held = [rows for rows, _ in tables.values()]
     assert len(held) == len(set(map(id, held))) and all(held)
     tables.clear()
     gc.collect()
@@ -628,10 +642,10 @@ def test_rank_orbit_is_every_signed_permutation():
 def test_a_raising_check_is_its_own_fail_row(capsys, monkeypatch):
     # A library ValueError inside one check is that check's FAIL row, the
     # other checks still report, and the run exits 1, not 2.
-    def raising(permuter, block, flavor, rows):
+    def raising(permuter, vectors, rows):
         raise ValueError("vector 1: not strict shifted")
 
-    rows = _phi_rows_with_permute_block(capsys, monkeypatch, raising)
+    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, raising)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2:] == ["FAIL", "counterexample: raised ValueError: vector 1: not strict shifted"]
     assert rows == GOLDEN_PHI_PASS
@@ -660,11 +674,10 @@ def test_a_value_error_in_a_later_case_is_the_rows_detail(monkeypatch):
 
 
 def test_permute_corpus_fails_on_unpermuted_ranks(capsys, monkeypatch):
-    def unpermuted(permuter, block, flavor, rows):
-        d, upper, lows = block
-        return ((d, flavor, repeat((pair, *upper))) for pair in lows)  # each member, per perm
+    def unpermuted(permuter, vectors, rows):
+        return repeat(vectors)  # the member itself, per perm
 
-    rows = _phi_rows_with_permute_block(capsys, monkeypatch, unpermuted)
+    rows = _phi_rows_with_permuted_images(capsys, monkeypatch, unpermuted)
     fail = rows.pop("permute-corpus").split("\t")
     assert fail[2] == "FAIL" and fail[3].startswith("counterexample: ")
     assert " ranks " in fail[3] and "not fresh" not in fail[3]
@@ -1188,6 +1201,8 @@ def test_usage_error_exit_code(capsys):
         (("enumerate", "--n", "3", "--zzz"), "unrecognized arguments: --zzz"),
         (("bogus",), "argument command: invalid choice: 'bogus'"),
         ((), "the following arguments are required: command"),
+        (("count", "--n", "3", "--flavor", "bogus"),
+         "argument --flavor: choose from ordinary, odd (got 'bogus')"),
     ],
 )
 def test_parser_errors_are_one_error_line(capsys, argv, message):
@@ -1238,13 +1253,15 @@ def test_closed_stdout_is_not_a_traceback():
     assert err == b"" and code == 141
 
 
-def _process(*args, stdout=subprocess.PIPE):
+def _process(*args, stdout=subprocess.PIPE, unbuffered=False):
     """``python *args`` from the source tree, run to its end, with buffered
-    streams as a plain ``python`` has them.  Unbuffered (``PYTHONUNBUFFERED``),
-    argparse itself swallows a failed write of ``--help``."""
+    streams as a plain ``python`` has them, or given ``unbuffered`` as
+    ``PYTHONUNBUFFERED=1`` has them: then a write fails where it is made."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60
     )
@@ -1297,32 +1314,64 @@ def test_process_exits_1_on_a_failed_identity(capsys, monkeypatch):
     assert expected[0] == 1 and expected[1].endswith(b"RESULT\tFAIL\t2/3 checks passed\n")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--help"], ["count", "--n", "5", "--k", "2"], ["verify", "--suite", "cor13", "--max-n", "5"]],
-    ids=["help", "count", "verify"],
-)
-def test_closed_stdout_exits_141_silently(argv):
+def _each_buffering(cases: dict) -> pytest.MarkDecorator:
+    """Parametrize ``argv, unbuffered`` with each case buffered, then each unbuffered."""
+    return pytest.mark.parametrize(
+        "argv, unbuffered",
+        [(argv, u) for u in (False, True) for argv in cases.values()],
+        ids=[name + ("-unbuffered" if u else "") for u in (False, True) for name in cases],
+    )
+
+
+@_each_buffering({
+    "help": ["--help"], "count-help": ["count", "--help"], "count": ["count", "--n", "5", "--k", "2"],
+    "verify": ["verify", "--suite", "cor13", "--max-n", "5"],
+})
+def test_closed_stdout_exits_141_silently(argv, unbuffered):
     read, write = os.pipe()
     os.close(read)  # before the spawn, so the process's first write or flush fails
     try:
-        done = _process("-m", "durfee.cli", *argv, stdout=write)
+        done = _process("-m", "durfee.cli", *argv, stdout=write, unbuffered=unbuffered)
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (141, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize(
-    "argv",
-    [["--help"], ["count", "--n", "12", "--k", "3"], ["verify", "--suite", "cor13", "--max-n", "4"]],
-    ids=["help", "count", "verify"],
-)
-def test_full_stdout_is_one_usage_error(argv):
+@_each_buffering({
+    "help": ["--help"], "count-help": ["count", "--help"], "count": ["count", "--n", "12", "--k", "3"],
+    "verify": ["verify", "--suite", "cor13", "--max-n", "4"],
+})
+def test_full_stdout_is_one_usage_error(argv, unbuffered):
     with open("/dev/full", "wb") as full:
-        done = _process("-m", "durfee.cli", *argv, stdout=full)
+        done = _process("-m", "durfee.cli", *argv, stdout=full, unbuffered=unbuffered)
     assert done.returncode == 2
     assert done.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+def test_main_leaves_fd_1_alone_on_a_broken_pipe(monkeypatch):
+    # main returns 141 for a stdout that a reader closed, and does not point
+    # fd 1 elsewhere: the process's fd 1 is not a library call's to replace.
+    # --help meets the closed pipe in its own write, as unbuffered.
+    class Closed(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return 1
+
+    class Unbuffered(Closed):
+        def write(self, text):
+            self.flush()
+
+    def refuse(*args):
+        raise AssertionError(f"os.dup2{args} reached from main")
+
+    for stdout, argv in ((Closed(), ["count", "--n", "5", "--k", "2"]), (Unbuffered(), ["--help"])):
+        with monkeypatch.context() as patch:  # undone before pytest's own capture dup2s again
+            patch.setattr(os, "dup2", refuse)
+            patch.setattr(sys, "stdout", stdout)
+            assert cli.main(argv) == 141
 
 
 def test_main_never_ends_the_process(capsys, monkeypatch, tmp_path):

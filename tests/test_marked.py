@@ -170,6 +170,11 @@ def test_count_examples():
     assert total_kmarked(4, 2) == 10
 
 
+def test_count_kmarked_rejects_an_empty_rank_vector():
+    with pytest.raises(ValueError, match="^rank vector must have length k >= 1$"):
+        count_kmarked((), 4)
+
+
 @pytest.mark.parametrize("m", [(1, 0.0), (1.0, 0), (True, 0)], ids=["float-last", "float", "bool"])
 def test_count_kmarked_rejects_entries_that_are_not_ints(m):
     # after the equal int vector, whose table is cached: a table key takes 1.0 and True for 1

@@ -91,7 +91,8 @@ def test_marked_count_formula_examples():
         marked_count_formula((1,), 4)
 
 
-# a negative weight raises in every counting entry point, the formula included
+# a negative weight raises in every counting entry point, the formula included,
+# and so does an order or a k below 1
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -101,10 +102,17 @@ def test_marked_count_formula_examples():
         (lambda: kmarked_rank_counts(-1, 2), "^weight must be nonnegative$"),
         (lambda: symmetrized_moment(2, -1), "^weight must be nonnegative$"),
         (lambda: marked_count_formula((1,), -1), "^rank vector must have length k >= 2$"),
+        (lambda: rank_moment(0, 5), "^moment order must be positive$"),
+        (lambda: symmetrized_moment(0, 5), "^moment order must be positive$"),
+        (lambda: check_moment_identity(0, 5), "^k must be >= 1$"),
+        (lambda: solution_count(-1, 2), "^need n >= 0 and k >= 1$"),
+        (lambda: solution_count_brute(-1, 2), "^need n >= 0 and k >= 1$"),
     ],
     ids=[
         "formula-negative-n", "formula-odd-negative-n", "count-negative-n", "counts-negative-n",
-        "moment-negative-n", "formula-short-vector-first",
+        "moment-negative-n", "formula-short-vector-first", "rank-moment-order-0",
+        "symmetrized-moment-order-0", "moment-identity-k-0", "solution-count-negative-n",
+        "solution-count-brute-negative-n",
     ],
 )
 def test_public_errors(call, match):

@@ -63,6 +63,11 @@ def test_reciprocal_inverts(a):
     assert a * a.reciprocal() == identity(6)
 
 
+def test_coefficient_count_must_match_the_order():
+    with pytest.raises(ValueError, match=r"^need exactly order \+ 1 coefficients$"):
+        QSeries(2, [1])
+
+
 def test_mismatched_orders_rejected():
     with pytest.raises(ValueError, match="truncation orders differ"):
         identity(3) * identity(4)

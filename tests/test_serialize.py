@@ -171,6 +171,8 @@ def test_format_symbol():
         == "( 4₃ 4₃ 3₂ 3₂ 2₂ 2₁ / 5₃ 3₂ 2₂ 2₁ )₅"
     )
     assert format_symbol(DurfeeSymbol((2, 2), (1,), 2)) == "( 2 2 / 1 )₂"
+    with pytest.raises(ValueError, match="^symbol must have at least one vector$"):
+        format_symbol(KMarkedSymbol((), 1))
 
 
 def test_json_documents_are_valid_json():

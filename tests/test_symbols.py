@@ -50,6 +50,11 @@ def test_from_durfee_rejects_odd_flavor():
         from_durfee(DurfeeSymbol((1,), (), 0, Flavor.ODD))
 
 
+def test_from_durfee_rejects_subscript_0():
+    with pytest.raises(ValueError, match="^no Durfee square$"):
+        from_durfee(DurfeeSymbol((), (), 0))
+
+
 def test_round_trips():
     for n in range(1, 21):
         for p in enumerate_partitions(n):
