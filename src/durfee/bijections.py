@@ -13,13 +13,8 @@ Four families of maps live here, each with its inverse:
 * :func:`flip_rank` - negate one coordinate of the rank vector.
 
 Each stage is one private core (flip, raise, lower, merge, cut, and the
-one-pass top-part labels).  The vector-wise maps each take one block
-``(d, upper, lows)`` of :func:`durfee.marked.blocks`, in which only vector 1
-varies, and do the work for vectors 2..k once per block and vector 1's per
-member: :func:`flip_block` and :func:`lift_block` return the image block.
-Each vector-wise symbol map but :func:`symbol_from_strict_shifted` is its
-block map's one-block case, as :func:`durfee.serialize.format_symbol` is for
-the corpus writers, and checks its arguments.
+one-pass top-part labels).  Each vector-wise symbol map checks its arguments
+and applies its core to the symbol's vectors one at a time.
 
 :func:`rank_permuter` checks its perms once and returns the map from a
 symbol to its images; the map's ``images(vectors, rows)`` maps one member of
@@ -52,7 +47,7 @@ from operator import add, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from . import marked
-from .marked import Block, KMarkedSymbol, PartitionPair, _new
+from .marked import KMarkedSymbol, PartitionPair, _new
 from .symbols import DurfeeSymbol
 
 #: Entries of each stage memo: above the keys the verify corpora reuse, and bounded.
@@ -269,18 +264,11 @@ def symbol_to_strict_shifted(s: KMarkedSymbol) -> KMarkedSymbol:
 
     The i-th rank grows by twice the i-th balanced number for i < k.
     """
-    d, upper, lows = lift_block(marked._block(s))
-    return KMarkedSymbol((*lows, *upper), d, s.flavor)
-
-
-def lift_block(block: Block) -> Block:
-    """The image block of ``block`` under :func:`symbol_to_strict_shifted`:
-    vectors 2..k-1 raised once, each vector 1 raised, vector k kept."""
-    d, upper, lows = block
-    if not upper:  # k = 1: vector 1 is vector k, which stays
-        return block
-    raised = [_raise(pair, False)[0] for pair in upper[:-1]]
-    return d, (*raised, upper[-1]), [_raise(pair, False)[0] for pair in lows]
+    vecs = s.vectors
+    if not vecs:
+        raise ValueError("symbol must have at least one vector")
+    lifted = [_raise(pair, False)[0] for pair in vecs[:-1]]
+    return KMarkedSymbol((*lifted, vecs[-1]), s.d, s.flavor)
 
 
 def symbol_from_strict_shifted(s: KMarkedSymbol, t: Sequence[int]) -> KMarkedSymbol:
@@ -304,33 +292,22 @@ def flip_rank(s: KMarkedSymbol, p: int) -> KMarkedSymbol:
     the top row's largest part as the new top, and the rest of the old top
     becomes the new bottom.  Applying the map twice restores the symbol.
     """
-    d, upper, lows = flip_block(marked._block(s), p)
-    return KMarkedSymbol((*lows, *upper), d, s.flavor)
-
-
-def flip_block(block: Block, p: int) -> Block:
-    """The image block of ``block`` under :func:`flip_rank` at ``p``: for
-    p >= 2 vector p flips once, for p = 1 each vector 1 flips."""
-    d, upper, lows = block
+    vecs = s.vectors
+    if not vecs:
+        raise ValueError("symbol must have at least one vector")
     if type(p) is not int:  # a memo key takes 1.0 and True for 1
         raise ValueError("vector index must be an int")
-    k = len(upper) + 1
+    k = len(vecs)
     if not 1 <= p <= k:
         raise ValueError(f"vector index {p} out of range 1..{k}")
-    if p == 1 and k == 1:
-        return d, upper, [_new(PartitionPair, pair[::-1]) for pair in lows]
-    if p == 1:
-        if not all(map(itemgetter(0), lows)):
-            raise ValueError("vector 1 has no top part")
-        return d, upper, list(map(_flip_pair, lows))
-    pair = upper[p - 2]
+    pair = vecs[p - 1]
     if p == k:
         pair = _new(PartitionPair, pair[::-1])
     elif not pair[0]:
         raise ValueError(f"vector {p} has no top part")
     else:
         pair = _flip_pair(pair)
-    return d, (*upper[:p - 2], pair, *upper[p - 1:]), lows
+    return KMarkedSymbol((*vecs[:p - 1], pair, *vecs[p:]), s.d, s.flavor)
 
 
 def _picks(getters: Sequence[Callable], neg: tuple[bool, ...]) -> tuple[tuple[Callable, ...], ...]:

@@ -41,7 +41,7 @@ import re
 import sys
 from typing import Iterable, Iterator, NoReturn
 
-from .marked import KMarkedSymbol, blocks, count_kmarked, rank_rows
+from . import marked
 from .symbols import DurfeeSymbol, Flavor
 
 
@@ -142,11 +142,11 @@ def cmd_count(args: argparse.Namespace) -> int:
     _check_k(args)
     # Both calls run the DP, so bad input raises before the header is written.
     if args.ranks is None:
-        rows = rank_rows(args.n, args.k, args.flavor)
+        rows = marked.rank_rows(args.n, args.k, args.flavor)
     elif len(args.ranks) != args.k:
         raise ValueError(f"--ranks needs {args.k} entries")
     else:  # a tuple, as ``_int_list`` parses it
-        count = count_kmarked(args.ranks, args.n, args.flavor)
+        count = marked.count_kmarked(args.ranks, args.n, args.flavor)
         rows = [(args.ranks[:-1], args.ranks[-1:], [count])]
     _write_lines(_count_lines(args, rows))
     return 0
@@ -156,7 +156,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_k(args)
     from .serialize import display_lines, document_lines
 
-    walk = blocks(args.n, args.k, args.flavor)
+    walk = marked.blocks(args.n, args.k, args.flavor)
     _write_lines(display_lines(walk) if args.pretty else document_lines(walk, args.flavor))
     return 0
 
@@ -179,7 +179,7 @@ _MAPS = {
 }
 
 
-def _ranks(x: KMarkedSymbol | DurfeeSymbol) -> tuple[int, ...]:
+def _ranks(x: marked.KMarkedSymbol | DurfeeSymbol) -> tuple[int, ...]:
     return (x.rank,) if isinstance(x, DurfeeSymbol) else x.ranks
 
 

@@ -233,14 +233,6 @@ def blocks(
                 ]
 
 
-def _block(s: KMarkedSymbol) -> Block:
-    """The one block of ``s``, as :func:`blocks` would yield it: vector 1 is
-    its only choice."""
-    if not s.vectors:
-        raise ValueError("symbol must have at least one vector")
-    return s.d, s.vectors[1:], s.vectors[:1]
-
-
 def _upper_ranks(upper: tuple[PartitionPair, ...], k: int) -> tuple[int, ...]:
     """Ranks of the vectors 2..k of a block of :func:`blocks`."""
     return tuple([len(alpha) - len(beta) - (i < k) for i, (alpha, beta) in enumerate(upper, 2)])

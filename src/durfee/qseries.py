@@ -16,8 +16,8 @@ substitution q -> q/L, under which the factor (1 - c q^a) becomes
 (1 - c L^a q^a) with an integer coefficient, so the kernels never touch a
 ``Fraction``.  :func:`_unscaled` divides once, entry e by L^e, when the
 series is wrapped.  The partial-fraction form sums its k scaled singly-marked
-series on one list of fractions.  Nothing is cached, so every call returns a
-fresh series.
+product forms on one list of fractions.  Nothing is cached, so every call
+returns a fresh series.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ def marked_rank_gf_product(
 def marked_rank_gf_partial_fractions(
     x: Sequence[Rational], k: int, order: int, flavor: Flavor = Flavor.ORDINARY
 ) -> QSeries:
-    """Partial-fraction form: the singly-marked series at each x_i, scaled by
-    the product over j != i of 1 / ((x_i - x_j)(1 - 1/(x_i x_j))).
+    """Partial-fraction form: the singly-marked product form at each x_i,
+    scaled by the product over j != i of 1 / ((x_i - x_j)(1 - 1/(x_i x_j))).
 
     Requires the x_i pairwise distinct with x_i * x_j != 1.
     """
@@ -264,6 +264,6 @@ def marked_rank_gf_partial_fractions(
             if j == i:
                 continue
             scale /= (xi - xj) * (1 - Fraction(1) / (xi * xj))
-        series = marked_rank_gf((xi,), 1, order, flavor)
+        series = marked_rank_gf_product((xi,), 1, order, flavor)
         out = [a + scale * c for a, c in zip(out, series.coeffs)]
     return QSeries(order, out)

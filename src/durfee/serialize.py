@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
 from . import marked
-from .marked import Block, KMarkedSymbol, PartitionPair, _block
+from .marked import Block, KMarkedSymbol, PartitionPair
 from .symbols import DurfeeSymbol, Flavor, frame_weight
 
 _SUBSCRIPT_DIGITS = "₀₁₂₃₄₅₆₇₈₉"
@@ -236,4 +236,6 @@ def format_symbol(s: KMarkedSymbol | DurfeeSymbol) -> str:
         top = " ".join(str(x) for x in s.alpha)
         bottom = " ".join(str(x) for x in s.beta)
         return f"( {top} / {bottom} ){_subscript(s.d)}"
-    return next(display_lines([_block(s)]))
+    if not s.vectors:
+        raise ValueError("symbol must have at least one vector")
+    return next(display_lines([(s.d, s.vectors[1:], s.vectors[:1])]))

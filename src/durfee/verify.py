@@ -11,22 +11,19 @@ several names.  The one driver that ``_check`` builds calls the check once
 per case and makes the report row from the chained details: PASS when there
 are none, else FAIL with ``counterexample: `` and the first, or ``raised
 ValueError: `` and its message if a case raised one first.  A check that
-rejects its bounds raises when called instead: a usage error.  Checks look
-library routines up on their modules as they run, and so do the library
-routines that they call, so a routine patched or traced on its module is
-the one that every verify route calls.  This holds on the verify routes
-only: :mod:`durfee.serialize` binds ``_block`` by name and :mod:`durfee.cli`
-binds ``blocks``, ``count_kmarked`` and ``rank_rows``, so a patch of those
-on :mod:`durfee.marked` misses the corpus writers and the CLI.  The corpus checks
-read the block walk of :mod:`durfee.marked` with each member's ranks.
-flip-involution and lift-roundtrip give each block to the block maps of
-:mod:`durfee.bijections`, whose work for vectors 2..k is done once per
-block, and still meet the members, and each member's failures, in
-enumeration order.  permute-corpus reads each subscript in one pass, then
-maps its members in that order, one call each, with one table of image rows
-for the subscript, so each row is made once there.  lift-roundtrip drops
-each member back through its symbol map, and merge-split-roundtrips calls
-its maps once per member.
+rejects its bounds raises when called instead: a usage error.  Checks, the
+CLI and the library look routines up on their modules as they run, so a
+routine patched or traced on its module is the one that every route calls,
+but for the routines of :mod:`durfee.partitions` and :mod:`durfee.symbols`
+that other modules import by name.  The corpus checks read the block
+walk of :mod:`durfee.marked` with each member's ranks, and meet the members,
+and each member's failures, in enumeration order.  flip-involution and
+lift-roundtrip call their symbol maps once per block, on its first member,
+for vectors 2..k, and map each vector 1 alone; lift-roundtrip drops each
+member back through its symbol map.  permute-corpus reads each subscript in
+one pass, then maps its members in that order, one call each, with one table
+of image rows for the subscript, so each row is made once there.
+merge-split-roundtrips calls its maps once per member.
 """
 
 from __future__ import annotations
@@ -169,11 +166,11 @@ def _rank_symmetry_tables(b: Bounds, k: int, n: int):
 
 def _blocks(n: int, k: int, strict: bool = False) -> Iterator[tuple]:
     """``(block, ranks, high)`` for each block ``(d, upper, lows)`` of the walk
-    of the k-marked symbols of ``n``, k >= 2, in enumeration order: ``ranks``
-    holds the rank of each vector 1 in ``lows``, and ``high`` the ranks of
-    vectors 2..k.  Given ``strict``, of the strict shifted symbols with
-    nonnegative ranks: the walk tests each pair of its tables once and prunes
-    at every vector."""
+    of the k-marked symbols of ``n``, k >= 2, that has a member, in
+    enumeration order: ``ranks`` holds the rank of each vector 1 in ``lows``,
+    and ``high`` the ranks of vectors 2..k.  Given ``strict``, of the strict
+    shifted symbols with nonnegative ranks: the walk tests each pair of its
+    tables once and prunes at every vector."""
     shifted = marked.is_strict_shifted_pair
 
     def ranked(pairs):  # vector 1 with its rank, once per pair of the walk's table
@@ -187,7 +184,8 @@ def _blocks(n: int, k: int, strict: bool = False) -> Iterator[tuple]:
 
     keep = (lambda i, p: shifted(p) if i < k else len(p.alpha) >= len(p.beta)) if strict else None
     for d, upper, (lows, ranks) in marked.blocks(n, k, Flavor.ORDINARY, ranked, keep):
-        yield (d, upper, lows), ranks, marked._upper_ranks(upper, k)
+        if lows:
+            yield (d, upper, lows), ranks, marked._upper_ranks(upper, k)
 
 
 @_check("permute-corpus", lambda b: f"{_k_and_n(b)}, transpositions", _grid())
@@ -355,9 +353,9 @@ def _deficiencies(b: Bounds):
 @_check("lift-roundtrip", lambda b: f"k = 2, n <= {b.max_n}", _grid((2,)))
 def _lift_roundtrip(b: Bounds, k: int, n: int):
     """The lift is strict shifted, shifts each rank below k by twice its
-    balanced number, and drops back; a block at a time, each member's drop
-    through the symbol map after its own lift's details.  Each vector of a
-    case is counted once."""
+    balanced number, and drops back: vectors 2..k lifted once per block, in
+    its first member, and each vector 1 alone.  Each vector of a case is
+    counted once."""
     shifted, balanced = marked.is_strict_shifted_pair, marked.balanced_parts
     counts: dict[PartitionPair, int] = {}
 
@@ -367,13 +365,14 @@ def _lift_roundtrip(b: Bounds, k: int, n: int):
         return counts[v]
 
     for (d, upper, lows), ranks, high in _blocks(n, k):
-        _, lifted_upper, lifted = bijections.lift_block((d, upper, lows))
+        first = KMarkedSymbol((lows[0], *upper), d)
+        lifted_upper = bijections.symbol_to_strict_shifted(first).vectors[1:]
         upper_t = (*map(count, upper[:-1]), 0)
         upper_ok = all(map(shifted, lifted_upper[:-1]))
         shifts = tuple(x + 2 * t for x, t in zip(high, upper_t))
         high_ok = marked._upper_ranks(lifted_upper, k) == shifts
-        for pair, r, v in zip(lows, ranks, lifted):
-            t = count(pair)
+        for pair, r in zip(lows, ranks):
+            v, t = bijections.to_strict_shifted(pair), count(pair)
             if not (upper_ok and shifted(v)):
                 yield f"lift of {KMarkedSymbol((pair, *upper), d)} not strict shifted"
             if not high_ok or len(v[0]) - len(v[1]) - 1 != r + 2 * t:
@@ -385,25 +384,32 @@ def _lift_roundtrip(b: Bounds, k: int, n: int):
 
 @_check("flip-involution", lambda b: f"k = 2, n <= {b.max_n}, both positions", _grid((2,)))
 def _flip_involution(b: Bounds, k: int, n: int):
-    """The flip at each position negates that rank and undoes itself; a
-    block maps to a block, whose vectors 2..k are checked once."""
-    for block, ranks, high in _blocks(n, k):
-        d, upper, lows = block
-        flips = []
-        for p in range(1, k + 1):
-            _, image_upper, image_lows = image = bijections.flip_block(block, p)
-            back_d, back_upper, back_lows = bijections.flip_block(image, p)
+    """The flip at each position negates that rank and undoes itself.  At
+    positions 2..k the symbol map flips the first member of a block, and
+    the check reads its vectors 2..k for every member; at position 1 each
+    vector 1 flips through the core that the map applies below k."""
+    flip = bijections._flip_pair
+    for (d, upper, lows), ranks, high in _blocks(n, k):
+        first = KMarkedSymbol((lows[0], *upper), d)
+        flips = []  # per position 2..k: the image's vectors 2..k, and whether both flips hold
+        for p in range(2, k + 1):
+            image = bijections.flip_rank(first, p)
+            image_upper = image.vectors[1:]
             flipped = tuple(-x if i == p else x for i, x in enumerate(high, 2))
-            high_ok = marked._upper_ranks(image_upper, k) == flipped
-            back_ok = (back_d, back_upper) == (d, upper)
-            flips.append((p, image_upper, image_lows, high_ok, back_lows, back_ok))
-        for j, (pair, r) in enumerate(zip(lows, ranks)):
-            for p, image_upper, image_lows, high_ok, back_lows, back_ok in flips:
-                v = image_lows[j]
-                if not high_ok or len(v[0]) - len(v[1]) - 1 != (-r if p == 1 else r):
-                    got = KMarkedSymbol((v, *image_upper), d).ranks
+            ok = image.vectors[0] == lows[0] and marked._upper_ranks(image_upper, k) == flipped
+            flips.append((p, image_upper, ok, bijections.flip_rank(image, p) == first))
+        for pair, r in zip(lows, ranks):
+            v = flip(pair)
+            if len(v[0]) - len(v[1]) - 1 != -r:
+                got = KMarkedSymbol((v, *upper), d).ranks
+                yield f"{KMarkedSymbol((pair, *upper), d)} position 1 flips to {got}"
+            if flip(v) != pair:
+                yield f"{KMarkedSymbol((pair, *upper), d)} position 1 not an involution"
+            for p, image_upper, ok, back_ok in flips:
+                if not ok:
+                    got = KMarkedSymbol((pair, *image_upper), d).ranks
                     yield f"{KMarkedSymbol((pair, *upper), d)} position {p} flips to {got}"
-                if not back_ok or back_lows[j] != pair:
+                if not back_ok:
                     yield f"{KMarkedSymbol((pair, *upper), d)} position {p} not an involution"
 
 

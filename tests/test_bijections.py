@@ -5,10 +5,8 @@ import pytest
 
 from durfee import bijections
 from durfee.bijections import (
-    flip_block,
     flip_rank,
     from_strict_shifted,
-    lift_block,
     merge_marks,
     permute_ranks,
     rank_permuter,
@@ -24,7 +22,6 @@ from durfee.marked import (
     PartitionPair,
     balanced_numbers,
     balanced_parts,
-    blocks,
     enumerate_kmarked,
     is_strict_shifted_pair,
     is_strict_shifted_symbol,
@@ -324,6 +321,13 @@ SIX_DS = DurfeeSymbol((3, 2, 1), (1,), 3)  # rank 2: targets (1, 0) split it
          "^balanced numbers must be ints$"),
         (lambda: symbol_from_strict_shifted(KMarkedSymbol((), 1), ()),
          "^symbol must have at least one vector$"),
+        (lambda: symbol_from_strict_shifted(
+            KMarkedSymbol((NOT_SHIFTED, TWO_ONES.vectors[1]), 1), (1, 0)),
+         "^vector 1: not strict shifted$"),
+        (lambda: symbol_from_strict_shifted(TWO_ONES, (-1, 0)), "^vector 1: r must be nonnegative$"),
+        (lambda: symbol_to_strict_shifted(
+            KMarkedSymbol((PartitionPair((2,), (3,)), PartitionPair((3,), ())), 1)),
+         "^largest bottom part exceeds largest top part$"),
         (lambda: [split_marks(SIX_DS, (1, 0)), split_marks(SIX_DS, (1.0, 0))],
          "^rank targets must be ints$"),
         (lambda: [split_marks(SIX_DS, (1, 0)), split_marks(SIX_DS, (True, 0))],
@@ -344,9 +348,10 @@ SIX_DS = DurfeeSymbol((3, 2, 1), (1,), 3)  # rank 2: targets (1, 0) split it
         "permute-no-top-part", "permute-no-top-part-first", "permute-flip-before-lift",
         "permute-oversized-bottom", "permute-no-vectors", "permute-float-entry",
         "permute-bool-entry", "from-float-r", "from-bool-r", "symbol-from-float-t",
-        "symbol-from-bool-t", "symbol-from-no-vectors", "split-float-target", "split-bool-target", "flip-float-p",
-        "flip-bool-p", "permuter-other-k", "flip-no-vectors", "lift-no-vectors",
-        "flip-p2-no-top-part",
+        "symbol-from-bool-t", "symbol-from-no-vectors", "symbol-from-not-shifted",
+        "symbol-from-negative-r", "lift-oversized-bottom", "split-float-target",
+        "split-bool-target", "flip-float-p", "flip-bool-p", "permuter-other-k", "flip-no-vectors",
+        "lift-no-vectors", "flip-p2-no-top-part",
     ],
 )
 def test_public_maps_keep_their_errors(call, match):
@@ -356,41 +361,33 @@ def test_public_maps_keep_their_errors(call, match):
             call()
 
 
-def _one_block(s):
-    """The block of ``s`` alone, as the symbol maps make it."""
-    return s.d, s.vectors[1:], s.vectors[:1]
+SIBLING = KMarkedSymbol((PartitionPair((2,), ()), TWO_ONES.vectors[1]), 1)  # TWO_ONES's block
 
 
-# the block form of each error case above that a block map meets, and the
-# drop's own cases: it lowers one symbol and names the vector at fault
+# verify maps one member of a block through the symbol maps and the rest
+# through their vector 1 alone, so each error stays an error after a valid
+# call on another member of the same block (same d, same vectors 2..k)
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: flip_block(_one_block(TWO_ONES), 0), r"vector index 0 out of range 1\.\.2"),
-        (lambda: flip_block(_one_block(TWO_ONES), 3), r"vector index 3 out of range 1\.\.2"),
-        (lambda: flip_block((1, TWO_ONES.vectors[1:], (PartitionPair((), (1,)),)), 1),
-         "vector 1 has no top part"),
-        (lambda: lift_block((1, (PartitionPair((3,), ()),), (PartitionPair((2,), (3,)),))),
-         "largest bottom part exceeds"),
+        (lambda: [flip_rank(SIBLING, 1), flip_rank(TWO_ONES, 0)],
+         r"^vector index 0 out of range 1\.\.2$"),
+        (lambda: [flip_rank(SIBLING, 2), flip_rank(TWO_ONES, 3)],
+         r"^vector index 3 out of range 1\.\.2$"),
+        (lambda: [flip_rank(TWO_ONES, 1), flip_rank(KMarkedSymbol((NO_TOP, TWO_ONES.vectors[1]), 1), 1)],
+         "^vector 1 has no top part$"),
         (lambda: [symbol_from_strict_shifted(TWO_ONES, (0, 0)),
                   symbol_from_strict_shifted(TWO_ONES, (0, 0.0))],
          "^balanced numbers must be ints$"),
         (lambda: [symbol_from_strict_shifted(TWO_ONES, (0, 0)),
                   symbol_from_strict_shifted(TWO_ONES, (0, False))],
          "^balanced numbers must be ints$"),
-        (lambda: symbol_from_strict_shifted(
-            KMarkedSymbol((NOT_SHIFTED, TWO_ONES.vectors[1]), 1), (1, 0)),
-         "^vector 1: not strict shifted$"),
-        (lambda: symbol_from_strict_shifted(TWO_ONES, (-1, 0)), "^vector 1: r must be nonnegative$"),
-        (lambda: [flip_block(_one_block(TWO_ONES), 1), flip_block(_one_block(TWO_ONES), 1.0)],
-         "^vector index must be an int$"),
-        (lambda: [flip_block(_one_block(TWO_ONES), 1), flip_block(_one_block(TWO_ONES), True)],
-         "^vector index must be an int$"),
+        (lambda: [flip_rank(SIBLING, 1), flip_rank(TWO_ONES, 1.0)], "^vector index must be an int$"),
+        (lambda: [flip_rank(SIBLING, 1), flip_rank(TWO_ONES, True)], "^vector index must be an int$"),
     ],
     ids=[
-        "flip-p-low", "flip-p-high", "flip-no-top-part", "to-oversized-bottom",
-        "symbol-from-float-t", "symbol-from-bool-t", "from-not-shifted", "from-negative-r",
-        "flip-float-p", "flip-bool-p",
+        "flip-p-low", "flip-p-high", "flip-no-top-part", "symbol-from-float-t",
+        "symbol-from-bool-t", "flip-float-p", "flip-bool-p",
     ],
 )
 def test_block_maps_keep_the_symbol_maps_errors(call, match):
@@ -400,27 +397,14 @@ def test_block_maps_keep_the_symbol_maps_errors(call, match):
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
-def test_block_maps_are_their_members_one_block_cases(flavor):
-    # On every block of two or more members, each block map gives what its
-    # symbol map gives each member alone: no state of one member reaches the next.
-    def symbols_of(block):
-        d, upper, lows = block
-        return [KMarkedSymbol((pair, *upper), d, flavor) for pair in lows]
-
+def test_symbol_lift_drops_back_on_every_member(flavor):
+    # Each symbol lifts and drops back by its own balanced numbers, whatever
+    # symbol the maps met before it.
     for k in (1, 2, 3, 4):
         for n in range(13):
-            for block in blocks(n, k, flavor):
-                members = symbols_of(block)
-                if len(members) < 2:
-                    continue
-                for p in range(1, k + 1):
-                    assert symbols_of(flip_block(block, p)) == [flip_rank(s, p) for s in members]
-                lifted = lift_block(block)
-                assert symbols_of(lifted) == list(map(symbol_to_strict_shifted, members))
-                assert [
-                    symbol_from_strict_shifted(image, balanced_numbers(s))
-                    for image, s in zip(symbols_of(lifted), members)
-                ] == members
+            for s in enumerate_kmarked(n, k, flavor):
+                image = symbol_to_strict_shifted(s)
+                assert symbol_from_strict_shifted(image, balanced_numbers(s)) == s
 
 
 def test_rank_permuter_reads_any_sequence_of_perms():

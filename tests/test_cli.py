@@ -92,8 +92,8 @@ def test_count_checks_ranks_before_counting(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("the table was computed before --ranks was checked")
 
-    monkeypatch.setattr(cli, "rank_rows", fail)
-    monkeypatch.setattr(cli, "count_kmarked", fail)
+    monkeypatch.setattr(marked, "rank_rows", fail)
+    monkeypatch.setattr(marked, "count_kmarked", fail)
     code, out, err = run_cli(capsys, "count", "--n", "40", "--k", "3", "--ranks", "1")
     assert_usage_error(code, out, err)
     assert err == "error: --ranks needs 3 entries\n"
@@ -105,14 +105,31 @@ def test_count_rejects_k_above_n_plus_one_before_counting(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("--k was not checked before counting")
 
-    monkeypatch.setattr(cli, "rank_rows", fail)
-    monkeypatch.setattr(cli, "count_kmarked", fail)
+    monkeypatch.setattr(marked, "rank_rows", fail)
+    monkeypatch.setattr(marked, "count_kmarked", fail)
     monkeypatch.setattr(cli, "_count_lines", fail)
     huge = "100000000000000000000"
     for ranks in ((), ("--ranks", "0")):
         code, out, err = run_cli(capsys, "count", "--n", "5", "--k", huge, *ranks)
         assert_usage_error(code, out, err)
         assert err == f"error: --k must be at most n + 1 = 6, got {huge}\n"
+
+
+def test_count_and_enumerate_call_what_marked_holds(capsys, monkeypatch):
+    # The CLI looks its routines up on ``durfee.marked`` as it runs, so a
+    # routine patched there alone is the one that each command calls.
+    argv = ("--n", "4", "--k", "2")
+    monkeypatch.setattr(marked, "rank_rows", lambda n, k, flavor: iter([((0,), (0,), [7])]))
+    assert run_cli(capsys, "count", *argv) == (
+        0, "# n=4 k=2 flavor=ordinary\nm1\tm2\tcount\n0\t0\t7\ntotal\t\t7\n", "")
+    one = PartitionPair((1,), ())
+    monkeypatch.setattr(marked, "blocks", lambda n, k, flavor: iter([(1, (one,), [one])]))
+    code, out, _ = run_cli(capsys, "enumerate", *argv)
+    assert code == 0 and out.splitlines() == [
+        '{"flavor": "ordinary", "d": 1, "vectors": [{"alpha": [1], "beta": []}, '
+        '{"alpha": [1], "beta": []}], "derived": {"weight": 3, "ranks": [0, 1], '
+        '"balanced_numbers": [0, 0]}}'
+    ]
 
 
 def test_count_streams_rows_without_the_table(capsys, monkeypatch):
@@ -978,6 +995,17 @@ def _one_part_fewer(original):
     return lambda pair, r: original(pair, r - 1 if r > 1 else r)
 
 
+def _vector_k_unswapped(original):
+    return lambda s, p: s if p == s.k else original(s, p)
+
+
+def _vector_k_swapped(original):
+    def patched(s):
+        *low, (alpha, beta) = original(s).vectors
+        return KMarkedSymbol((*low, PartitionPair(beta, alpha)), s.d, s.flavor)
+    return patched
+
+
 _SERIES_ROWS = {"product-form-ordinary", "product-form-odd",
                 "partial-fractions-ordinary", "partial-fractions-odd"}
 
@@ -997,9 +1025,12 @@ _SERIES_ROWS = {"product-form-ordinary", "product-form-odd",
      {"deficiency-nonnegative", "lift-roundtrip", "pair-roundtrips", "permute-corpus"}),
     (bijections, "_flip_pair", _two_top_parts_unflipped, {"flip-involution", "permute-corpus"}),
     (bijections, "_lower", _one_part_fewer, {"lift-roundtrip", "pair-roundtrips", "permute-corpus"}),
+    (bijections, "flip_rank", _vector_k_unswapped, {"flip-involution"}),
+    (bijections, "symbol_to_strict_shifted", _vector_k_swapped, {"lift-roundtrip"}),
 ], ids=[
     "rank-numerator", "kmarked-rank-counts", "rank-rows", "count-rank", "count-durfee-rank",
     "split-point", "label-min-indices", "balanced-parts", "flip-pair", "lower",
+    "flip-rank", "symbol-to-strict-shifted",
 ])
 def test_one_patch_reaches_every_route(monkeypatch, module, name, corrupt, failed):
     # The checks and the library look each other's routines up on their

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from durfee import qseries
 from durfee.marked import kmarked_rank_distribution
 from durfee.partitions import count_rank
 from durfee.qseries import (
@@ -138,6 +139,18 @@ def test_triple_equality_odd():
 def test_product_form_matches_at_one_mark():
     for flavor in Flavor:
         assert marked_rank_gf((2,), 1, 8, flavor) == marked_rank_gf_product((2,), 1, 8, flavor)
+
+
+def test_partial_fractions_take_no_series_from_the_counting_dp(monkeypatch):
+    # The thm7 rows compare the DP's series with the partial fractions, so
+    # these take each singly-marked series from the product form.
+    def refuse(*args):
+        raise AssertionError("the partial-fraction form read the counting DP's series")
+
+    want = {flavor: marked_rank_gf_product((2, 3), 2, 20, flavor) for flavor in Flavor}
+    monkeypatch.setattr(qseries, "marked_rank_gf", refuse)
+    for flavor in Flavor:
+        assert marked_rank_gf_partial_fractions((2, 3), 2, 20, flavor) == want[flavor]
 
 
 def test_product_form_at_all_ones_gives_totals_and_moments():
@@ -322,9 +335,8 @@ GOLDEN_SERIES = {
 
 # sha256 of the coefficients, one str(c) per line, recorded from the dense
 # series products that the in-place sparse-factor kernels replaced.  The
-# partial-fraction form stops at order 60: at order 200 it reruns the k = 1
-# counting DP for every weight, and x = (2, 3) took 17.1 s ordinary and 5.3 s
-# odd (Python 3.11, 2 vCPUs), against 0.01 s for the product form.
+# partial-fraction form's digests are the product form's: both forms are the
+# same series.
 GOLDEN_DIGESTS = {
     ("partition", 8): "4a2b1064fb4fcfb15a494453841d9423da36776ab620fde17bb2a37c55705c23",
     ("partition", 60): "63252b634e674c2eb3bc82d7b41c9f268e04f61900206aa1dd656b65603e19f5",
@@ -349,21 +361,25 @@ GOLDEN_DIGESTS = {
     ("product x=2,3 ordinary", 200): "f347da298c64adda0e6dad6665bf550af29de1ae21dbe68cca933f17a097dee2",
     ("partial x=2,3 ordinary", 8): "bb6e509ac7525f340956e3fa315141ff9969d3f45d32d230ffe73e70dd0912c7",
     ("partial x=2,3 ordinary", 60): "b03eb9e4c7a08fedd8e4bc020c9021030d7a08b84e8226d8a836b5e73047c700",
+    ("partial x=2,3 ordinary", 200): "f347da298c64adda0e6dad6665bf550af29de1ae21dbe68cca933f17a097dee2",
     ("product x=2,3 odd", 8): "a1c833b02309ec4df9a6b3c3447571933f179d53738c6c245713573df736c248",
     ("product x=2,3 odd", 60): "58a386020dde854175393a89b01091facbcbe616230aaafd7f016cdf26f7becc",
     ("product x=2,3 odd", 200): "48fa9725f3b7585c71bd66ab78ef7e08d0ac1d0e31fa990bc0a84ff26bbb37de",
     ("partial x=2,3 odd", 8): "a1c833b02309ec4df9a6b3c3447571933f179d53738c6c245713573df736c248",
     ("partial x=2,3 odd", 60): "58a386020dde854175393a89b01091facbcbe616230aaafd7f016cdf26f7becc",
+    ("partial x=2,3 odd", 200): "48fa9725f3b7585c71bd66ab78ef7e08d0ac1d0e31fa990bc0a84ff26bbb37de",
     ("product x=2,3,5 ordinary", 8): "19dd82c76f7933fce33503d7eb42226b10f89c807354fe2b545224d66cac061d",
     ("product x=2,3,5 ordinary", 60): "aab3044d31946d2a8b6f9b1011e04f1b18de36d71cb7d6ae1dc0138f6c7851ea",
     ("product x=2,3,5 ordinary", 200): "288f6f379ab97260f58aafb4212fa98cf8f6d7da244b5b32185db0e0cdc5bcfa",
     ("partial x=2,3,5 ordinary", 8): "19dd82c76f7933fce33503d7eb42226b10f89c807354fe2b545224d66cac061d",
     ("partial x=2,3,5 ordinary", 60): "aab3044d31946d2a8b6f9b1011e04f1b18de36d71cb7d6ae1dc0138f6c7851ea",
+    ("partial x=2,3,5 ordinary", 200): "288f6f379ab97260f58aafb4212fa98cf8f6d7da244b5b32185db0e0cdc5bcfa",
     ("product x=2,3,5 odd", 8): "6de7268ada1913ef69aec40c8608612d1bf03d6c973b9ed811a0a0c73656b4d6",
     ("product x=2,3,5 odd", 60): "9725cdd68d1c8e0a20746c31667b966bde840e123790b917744321079d4bc81c",
     ("product x=2,3,5 odd", 200): "30971d3451ec08e0c348de2df29076dd0603748878b202b75053b4ed62e706b4",
     ("partial x=2,3,5 odd", 8): "6de7268ada1913ef69aec40c8608612d1bf03d6c973b9ed811a0a0c73656b4d6",
     ("partial x=2,3,5 odd", 60): "9725cdd68d1c8e0a20746c31667b966bde840e123790b917744321079d4bc81c",
+    ("partial x=2,3,5 odd", 200): "30971d3451ec08e0c348de2df29076dd0603748878b202b75053b4ed62e706b4",
 }
 
 

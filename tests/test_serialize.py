@@ -133,7 +133,8 @@ def test_malformed_documents_name_the_field(doc, message):
     (lambda doc: doc["derived"].update(junk=5), "derived: unknown key 'junk'"),
 ], ids=["top-level", "vector", "later-vector", "derived"])
 def test_unknown_keys_rejected(edit, message):
-    doc = json.loads(next(document_lines([marked._block(SYM55)], Flavor.ORDINARY)))
+    block = SYM55.d, SYM55.vectors[1:], SYM55.vectors[:1]
+    doc = json.loads(next(document_lines([block], Flavor.ORDINARY)))
     assert document_to_symbol(doc) == SYM55
     edit(doc)
     with pytest.raises(ValueError) as raised:
