@@ -199,7 +199,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             raise ValueError("phi-inv input must be a one-vector document")
         s = DurfeeSymbol(s.vectors[0].alpha, s.vectors[0].beta, s.d, s.flavor)
     out = getattr(bijections, function)(s, *extra)
-    print(render(out, indent=2))
+    print(render(out))
     print(f"# map: {name}", file=sys.stderr)
     if extra:
         print("# params:", {param: extra[0]}, file=sys.stderr)

@@ -34,28 +34,21 @@ polynomial time with no weight guard, and backs :func:`count_kmarked`,
 of vector k into one int per prefix of ranks 1..k-1, a layout no other module
 reads: :func:`rank_rows` decodes each int once into its prefix's run of rows,
 which ``durfee count`` streams in ascending order and :func:`total_kmarked`
-sums, and :func:`count_kmarked` reads one slot.
+sums, and :func:`count_kmarked` reads one slot.  Both read the routines of
+:mod:`durfee.partitions` and :mod:`durfee.symbols` off those modules.
 """
 
 from __future__ import annotations
 
 from collections import Counter, abc
 from functools import lru_cache
-from itertools import accumulate, islice
 from operator import gt
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .partitions import (
-    Partition,
-    _check_weight,
-    bounded_partitions,
-    bounded_partitions_upto,
-    is_partition,
-)
-from .symbols import (
-    Flavor, Record, frame_weight, min_subscript, part_cap, set_field, subscript_range
-)
+from . import partitions, symbols
+from .partitions import Partition
+from .symbols import Flavor, Record, set_field
 
 
 class PartitionPair(NamedTuple):
@@ -93,7 +86,7 @@ class KMarkedSymbol(Record):
     @property
     def weight(self) -> int:
         rows = sum(sum(v.alpha) + sum(v.beta) for v in self.vectors)
-        return rows + frame_weight(self.d, self.flavor)
+        return rows + symbols.frame_weight(self.d, self.flavor)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -132,14 +125,14 @@ def validate(s: KMarkedSymbol) -> ValidationResult:
     k = s.k
     if k < 1:
         return ValidationResult(False, "symbol must have at least one vector")
-    if s.d < min_subscript(s.flavor):
+    if s.d < symbols.min_subscript(s.flavor):
         return ValidationResult(
             False, f"subscript {s.d} below minimum for the {s.flavor.value} flavor"
         )
     for i, (alpha, beta) in enumerate(s.vectors, 1):
-        if not is_partition(alpha):
+        if not partitions.is_partition(alpha):
             return ValidationResult(False, f"vector {i}: top row is not a partition")
-        if not is_partition(beta):
+        if not partitions.is_partition(beta):
             return ValidationResult(False, f"vector {i}: bottom row is not a partition")
     if s.flavor is Flavor.ODD:
         for i, (alpha, beta) in enumerate(s.vectors, 1):
@@ -148,16 +141,12 @@ def validate(s: KMarkedSymbol) -> ValidationResult:
     for i in range(1, k):
         if not s.vectors[i - 1].alpha:
             return ValidationResult(False, f"condition (1): vector {i} top row empty")
-    cap = part_cap(s.d, s.flavor)
-    top_k, bottom_k = s.vectors[k - 1]
-    if top_k and top_k[0] > cap:
-        return ValidationResult(
-            False, f"condition (3): vector {k} top entry {top_k[0]} exceeds cap {cap}"
-        )
-    if bottom_k and bottom_k[0] > cap:
-        return ValidationResult(
-            False, f"condition (3): vector {k} bottom entry {bottom_k[0]} exceeds cap {cap}"
-        )
+    cap = symbols.part_cap(s.d, s.flavor)
+    for row, name in zip(s.vectors[k - 1], ("top", "bottom")):
+        if row and row[0] > cap:
+            return ValidationResult(
+                False, f"condition (3): vector {k} {name} entry {row[0]} exceeds cap {cap}"
+            )
     for i in range(1, k):
         (alpha, beta), above = s.vectors[i - 1], s.vectors[i]
         lo = beta[0] if beta else 0
@@ -189,7 +178,7 @@ def blocks(
     blocks beneath every other.  Vector i < k meets the vectors above only
     through the weight left and its top row's bound, so a table per subscript
     keyed by (i, weight, bound) holds its shared choices."""
-    _check_weight(n)
+    partitions._check_weight(n)
     if k < 1:
         raise ValueError("k must be >= 1")
     odd = flavor is Flavor.ODD
@@ -201,10 +190,10 @@ def blocks(
         if (i, budget, ub) in table:
             return table[i, budget, ub]
         avail = budget - (i - 1)
-        rows = bounded_partitions if i == 1 else bounded_partitions_upto
+        rows = partitions.bounded_partitions if i == 1 else partitions.bounded_partitions_upto
         pairs = [
             _new(PartitionPair, (alpha, beta))
-            for alpha in bounded_partitions_upto(avail, ub, odd)
+            for alpha in partitions.bounded_partitions_upto(avail, ub, odd)
             if alpha or i == k  # only vector k may have an empty top row
             for beta in rows(avail - sum(alpha), ub if i == k else alpha[0], odd)
         ]
@@ -218,10 +207,10 @@ def blocks(
             table[i, budget, ub] = made
         return made
 
-    for d in subscript_range(n, flavor):
+    for d in symbols.subscript_range(n, flavor):
         table.clear()  # keys shared with a later subscript are rebuilt: cheap, and less memory
         # Vector k is bounded by the cap; last in, first out, so children go on reversed.
-        stack = [(k, n - frame_weight(d, flavor), part_cap(d, flavor), ())]
+        stack = [(k, n - symbols.frame_weight(d, flavor), symbols.part_cap(d, flavor), ())]
         while stack:
             i, budget, ub, upper = stack.pop()
             if i == 1:
@@ -328,14 +317,11 @@ def _subscript_counts(
     row per (state, t, weight, rank of vector k - 1) counts them.
     """
     last = len(parts) - 1
-    columns = _pair_columns(parts, rem, range(last + 1) if k > 2 else (last,))
+    columns = _pair_columns(parts, rem, range(last + 1) if k > 1 else (last,))
     tops = columns[last]  # tops[j] = H(j, last), the series of vector k
     if k == 1:
         result[()] = result.get((), 0) + pack(tops[0][rem])
         return
-    if k == 2:  # the one state (0, 0) reads H(0, t): one running product
-        heads = accumulate(parts[:last], _times_pairs_of, initial=tops[-1])
-        columns.update(enumerate([head] for head in islice(heads, 1, None)))
     packed = [[pack(row) for row in series] for series in tops]
     # states[(j, used)]: ranks of vectors 1..i -> count.  Vectors i + 1..k - 1
     # each hold a top part of at least parts[t], so that weight stays reserved.
@@ -377,8 +363,9 @@ def _packed_counts(n: int, k: int, flavor: Flavor) -> tuple[dict[tuple[int, ...]
     if n < 0 or k < 1:
         raise ValueError("weight must be nonnegative" if n < 0 else "k must be >= 1")
     step = 2 if flavor is Flavor.ODD else 1
-    frames = [(n - frame_weight(d, flavor), list(range(1, part_cap(d, flavor) + 1, step)))
-              for d in subscript_range(n, flavor)]
+    frames = [(n - symbols.frame_weight(d, flavor),
+               list(range(1, symbols.part_cap(d, flavor) + 1, step)))
+              for d in symbols.subscript_range(n, flavor)]
     durfee = 0  # the Durfee symbols of n: two partitions into a subscript's parts
     for rem, parts in frames:
         pairs = [1] + [0] * rem

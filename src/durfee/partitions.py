@@ -56,8 +56,7 @@ def _descending(n: int, max_part: int, odd_only: bool):
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """Every partition of ``n`` exactly once, in decreasing lexicographic order."""
-    _check_weight(n)
-    return tuple(_descending(n, n, False))
+    return bounded_partitions(n, n, False)
 
 
 @lru_cache(maxsize=None)

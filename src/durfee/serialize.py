@@ -31,9 +31,9 @@ import sys
 from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
-from . import marked
+from . import marked, symbols
 from .marked import Block, KMarkedSymbol, PartitionPair
-from .symbols import DurfeeSymbol, Flavor, frame_weight
+from .symbols import DurfeeSymbol, Flavor
 
 _SUBSCRIPT_DIGITS = "₀₁₂₃₄₅₆₇₈₉"
 
@@ -148,8 +148,8 @@ def document_to_symbol(doc: dict[str, Any]) -> KMarkedSymbol:
     return s
 
 
-def render(s: KMarkedSymbol | DurfeeSymbol, indent: int | None = 2) -> str:
-    return json.dumps(symbol_to_document(s), indent=indent)
+def render(s: KMarkedSymbol | DurfeeSymbol) -> str:
+    return json.dumps(symbol_to_document(s), indent=2)
 
 
 def parse(text: str) -> KMarkedSymbol:
@@ -182,7 +182,7 @@ def document_lines(blocks: Iterable[Block], flavor: Flavor) -> Iterator[str]:
     for d, upper, lows in blocks:
         if d not in heads:
             head = f'{{"flavor": "{flavor.value}", "d": {d}, "vectors": ['
-            heads[d] = head, frame_weight(d, flavor)
+            heads[d] = head, symbols.frame_weight(d, flavor)
         head, frame = heads[d]
         k = len(upper) + 1
         fragments = ranks = balanced = ""

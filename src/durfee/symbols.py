@@ -19,14 +19,8 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .partitions import (
-    Partition,
-    _check_weight,
-    bounded_partitions,
-    bounded_partitions_upto,
-    conjugate,
-    durfee_side,
-)
+from . import partitions
+from .partitions import Partition
 
 
 class Flavor(str, Enum):
@@ -126,9 +120,9 @@ def to_durfee(p: Partition) -> DurfeeSymbol:
     """
     if not p:
         raise ValueError("no Durfee square")
-    d = durfee_side(p)
+    d = partitions.durfee_side(p)
     strip = tuple(x - d for x in p[:d] if x > d)
-    return DurfeeSymbol(conjugate(strip), p[d:], d)
+    return DurfeeSymbol(partitions.conjugate(strip), p[d:], d)
 
 
 def from_durfee(s: DurfeeSymbol) -> Partition:
@@ -137,7 +131,7 @@ def from_durfee(s: DurfeeSymbol) -> Partition:
         raise ValueError("no partition preimage defined")
     if s.d < 1:
         raise ValueError("no Durfee square")
-    strip = conjugate(s.alpha)
+    strip = partitions.conjugate(s.alpha)
     head = tuple(strip[i] + s.d if i < len(strip) else s.d for i in range(s.d))
     return head + s.beta
 
@@ -150,13 +144,13 @@ def enumerate_durfee(n: int, flavor: Flavor = Flavor.ORDINARY) -> Iterator[Durfe
     likewise.  A weight outside the enumeration guard raises before the
     first symbol.
     """
-    _check_weight(n)
+    partitions._check_weight(n)
     for d in subscript_range(n, flavor):
         rem = n - frame_weight(d, flavor)
         cap = part_cap(d, flavor)
         odd = flavor is Flavor.ODD
-        for alpha in bounded_partitions_upto(rem, cap, odd):
-            for beta in bounded_partitions(rem - sum(alpha), cap, odd):
+        for alpha in partitions.bounded_partitions_upto(rem, cap, odd):
+            for beta in partitions.bounded_partitions(rem - sum(alpha), cap, odd):
                 yield DurfeeSymbol(alpha, beta, d, flavor)
 
 

@@ -13,17 +13,17 @@ are none, else FAIL with ``counterexample: `` and the first, or ``raised
 ValueError: `` and its message if a case raised one first.  A check that
 rejects its bounds raises when called instead: a usage error.  Checks, the
 CLI and the library look routines up on their modules as they run, so a
-routine patched or traced on its module is the one that every route calls,
-but for the routines of :mod:`durfee.partitions` and :mod:`durfee.symbols`
-that other modules import by name.  The corpus checks read the block
-walk of :mod:`durfee.marked` with each member's ranks, and meet the members,
-and each member's failures, in enumeration order.  flip-involution and
-lift-roundtrip call their symbol maps once per block, on its first member,
-for vectors 2..k, and map each vector 1 alone; lift-roundtrip drops each
-member back through its symbol map.  permute-corpus reads each subscript in
-one pass, then maps its members in that order, one call each, with one table
-of image rows for the subscript, so each row is made once there.
-merge-split-roundtrips calls its maps once per member.
+routine patched or traced on its module is the one that every route calls.
+The corpus checks read the block walk of :mod:`durfee.marked` with each
+member's ranks, and meet the members, and each member's failures, in
+enumeration order.  flip-involution calls its symbol map once per block
+and position on the block's first member, and at position 1 on its last
+too; lift-roundtrip calls its map on the last member; both map each vector
+1 alone as well.  lift-roundtrip drops each member back through its map,
+and it and pair-roundtrips read each balanced number from the lift's core.
+permute-corpus reads each subscript in one pass, then maps each member in
+that order, one call each, with one table of image rows per subscript, so
+each row is made once there.  merge-split-roundtrips maps once per member.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ def _pair_roundtrips(b: Bounds):
             targets[pair] = (1 << len(pair.alpha) - len(pair.beta)) - 1
         if pair.alpha:
             image = bijections.to_strict_shifted(pair)
-            r = len(marked.balanced_parts(pair))
+            r = bijections._raise(pair, False)[1]  # the lift's own memo entry
             if not marked.is_strict_shifted_pair(image):
                 yield f"image of {pair} not strict shifted"
             if bijections.from_strict_shifted(image, r) != pair:
@@ -354,19 +354,12 @@ def _deficiencies(b: Bounds):
 def _lift_roundtrip(b: Bounds, k: int, n: int):
     """The lift is strict shifted, shifts each rank below k by twice its
     balanced number, and drops back: vectors 2..k lifted once per block, in
-    its first member, and each vector 1 alone.  Each vector of a case is
-    counted once."""
-    shifted, balanced = marked.is_strict_shifted_pair, marked.balanced_parts
-    counts: dict[PartitionPair, int] = {}
-
-    def count(v: PartitionPair) -> int:
-        if v not in counts:
-            counts[v] = len(balanced(v))
-        return counts[v]
-
+    its last member (the first one's vector 1 has no bottom row to lift),
+    whose vector 1 must lift as it does alone, and each vector 1 alone."""
+    shifted, count = marked.is_strict_shifted_pair, lambda v: bijections._raise(v, False)[1]
     for (d, upper, lows), ranks, high in _blocks(n, k):
-        first = KMarkedSymbol((lows[0], *upper), d)
-        lifted_upper = bijections.symbol_to_strict_shifted(first).vectors[1:]
+        last = KMarkedSymbol((lows[-1], *upper), d)
+        lifted_low, *lifted_upper = bijections.symbol_to_strict_shifted(last).vectors
         upper_t = (*map(count, upper[:-1]), 0)
         upper_ok = all(map(shifted, lifted_upper[:-1]))
         shifts = tuple(x + 2 * t for x, t in zip(high, upper_t))
@@ -380,6 +373,8 @@ def _lift_roundtrip(b: Bounds, k: int, n: int):
             lift = KMarkedSymbol((v, *lifted_upper), d)
             if bijections.symbol_from_strict_shifted(lift, (t, *upper_t)).vectors != (pair, *upper):
                 yield f"{KMarkedSymbol((pair, *upper), d)} fails the round trip"
+        if lifted_low != v:  # v is the last member's vector 1, lifted alone
+            yield f"lift of {last} lifts vector 1 otherwise than alone"
 
 
 @_check("flip-involution", lambda b: f"k = 2, n <= {b.max_n}, both positions", _grid((2,)))
@@ -387,7 +382,8 @@ def _flip_involution(b: Bounds, k: int, n: int):
     """The flip at each position negates that rank and undoes itself.  At
     positions 2..k the symbol map flips the first member of a block, and
     the check reads its vectors 2..k for every member; at position 1 each
-    vector 1 flips through the core that the map applies below k."""
+    vector 1 flips through the core that the map applies below k, as the
+    symbol map must flip vector 1 of the first and the last member."""
     flip = bijections._flip_pair
     for (d, upper, lows), ranks, high in _blocks(n, k):
         first = KMarkedSymbol((lows[0], *upper), d)
@@ -398,13 +394,17 @@ def _flip_involution(b: Bounds, k: int, n: int):
             flipped = tuple(-x if i == p else x for i, x in enumerate(high, 2))
             ok = image.vectors[0] == lows[0] and marked._upper_ranks(image_upper, k) == flipped
             flips.append((p, image_upper, ok, bijections.flip_rank(image, p) == first))
-        for pair, r in zip(lows, ranks):
+        for i, (pair, r) in enumerate(zip(lows, ranks)):
             v = flip(pair)
             if len(v[0]) - len(v[1]) - 1 != -r:
                 got = KMarkedSymbol((v, *upper), d).ranks
                 yield f"{KMarkedSymbol((pair, *upper), d)} position 1 flips to {got}"
             if flip(v) != pair:
                 yield f"{KMarkedSymbol((pair, *upper), d)} position 1 not an involution"
+            if i in (0, len(lows) - 1):  # the symbol map, on the first and the last member
+                s = KMarkedSymbol((pair, *upper), d)
+                if bijections.flip_rank(s, 1).vectors != (v, *upper):
+                    yield f"{s} position 1 flips otherwise than its vector 1 alone"
             for p, image_upper, ok, back_ok in flips:
                 if not ok:
                     got = KMarkedSymbol((pair, *image_upper), d).ranks

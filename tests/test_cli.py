@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from durfee import bijections, cli, marked, partitions, qseries, symbols
+from durfee import bijections, cli, marked, moments, partitions, qseries, symbols
 from durfee.marked import KMarkedSymbol, PartitionPair, enumerate_kmarked, is_strict_shifted_symbol
 from durfee.serialize import parse, render
 from durfee.symbols import DurfeeSymbol, Flavor
@@ -1006,11 +1006,43 @@ def _vector_k_swapped(original):
     return patched
 
 
+def _vector_one_unflipped(original):
+    return lambda s, p: s if p == 1 else original(s, p)
+
+
+def _vector_one_bottom_dropped(original):
+    def patched(s, p):
+        if p != 1 or s.k == 1:
+            return original(s, p)
+        low = bijections._flip_pair(PartitionPair(s.vectors[0].alpha, ()))
+        return KMarkedSymbol((low, *s.vectors[1:]), s.d, s.flavor)
+    return patched
+
+
+def _vector_one_unlifted(original):
+    return lambda s: KMarkedSymbol((s.vectors[0], *original(s).vectors[1:]), s.d, s.flavor)
+
+
+def _first_rank_negated_at_one(original):
+    # The count at (1, 0, ...) booked at (-1, 0, ...), where an equal count already is.
+    def patched(n, k, flavor=Flavor.ORDINARY):
+        counts = dict(original(n, k, flavor))
+        one = (1,) + (0,) * (k - 1)
+        if one in counts:
+            counts[(-1, *one[1:])] = counts.pop(one)
+        return counts
+    return patched
+
+
+def _last_part_dropped(original):
+    return lambda s: original(s)[:-1]
+
+
 _SERIES_ROWS = {"product-form-ordinary", "product-form-odd",
                 "partial-fractions-ordinary", "partial-fractions-odd"}
 
 
-@pytest.mark.parametrize("module, name, corrupt, failed", [
+_ROUTE_MUTANTS = [
     (qseries, "_rank_numerator", _numerator_off_at_q5,
      {"rank-gf", "odd-rank-gf", "theorem-main-ordinary", "theorem-main-odd",
       "moment-identity-ordinary", "moment-identity-odd"}),
@@ -1027,10 +1059,22 @@ _SERIES_ROWS = {"product-form-ordinary", "product-form-odd",
     (bijections, "_lower", _one_part_fewer, {"lift-roundtrip", "pair-roundtrips", "permute-corpus"}),
     (bijections, "flip_rank", _vector_k_unswapped, {"flip-involution"}),
     (bijections, "symbol_to_strict_shifted", _vector_k_swapped, {"lift-roundtrip"}),
-], ids=[
+    (bijections, "flip_rank", _vector_one_unflipped, {"flip-involution"}),
+    (bijections, "flip_rank", _vector_one_bottom_dropped, {"flip-involution"}),
+    (bijections, "symbol_to_strict_shifted", _vector_one_unlifted, {"lift-roundtrip"}),
+    (marked, "kmarked_rank_distribution", _first_rank_negated_at_one,
+     {"theorem-main-ordinary", "theorem-main-odd", "rank-symmetry-tables"}),
+    (moments, "solution_count", _count_off_by_one, {"solution-count"}),
+    (symbols, "from_durfee", _last_part_dropped, {"durfee-bijection"}),
+]
+
+
+@pytest.mark.parametrize("module, name, corrupt, failed", _ROUTE_MUTANTS, ids=[
     "rank-numerator", "kmarked-rank-counts", "rank-rows", "count-rank", "count-durfee-rank",
     "split-point", "label-min-indices", "balanced-parts", "flip-pair", "lower",
-    "flip-rank", "symbol-to-strict-shifted",
+    "flip-rank", "symbol-to-strict-shifted", "flip-rank-position-1",
+    "flip-rank-position-1-bottom-row", "symbol-to-strict-shifted-vector-1",
+    "kmarked-rank-distribution", "solution-count", "from-durfee",
 ])
 def test_one_patch_reaches_every_route(monkeypatch, module, name, corrupt, failed):
     # The checks and the library look each other's routines up on their
@@ -1043,6 +1087,10 @@ def test_one_patch_reaches_every_route(monkeypatch, module, name, corrupt, faile
     finally:
         _clear_memos()
     assert {r.name for r in results if not r.ok} == failed
+
+
+def test_every_row_fails_under_some_pinned_mutant():
+    assert set().union(*(failed for *_, failed in _ROUTE_MUTANTS)) == set(verify_mod.SUITES["all"])
 
 
 def _symbol_text(*pairs):

@@ -1,8 +1,10 @@
 import hashlib
+import json
 from collections import Counter
 
 import pytest
 
+from durfee import marked, partitions, serialize, symbols
 from durfee.marked import (
     KMarkedSymbol,
     PartitionPair,
@@ -78,10 +80,10 @@ def test_weight_55_symbol():
 
 
 def test_cap_violation_reported():
-    bad = KMarkedSymbol(SYM55.vectors[:2] + (PartitionPair((4, 4), (6,)),), 5)
-    res = validate(bad)
-    assert not res
-    assert "condition (3)" in res.reason and "6" in res.reason
+    for top, bottom, name in [((4, 4), (6,), "bottom"), ((6,), (4, 4), "top")]:
+        res = validate(KMarkedSymbol(SYM55.vectors[:2] + (PartitionPair(top, bottom),), 5))
+        assert not res
+        assert res.reason == f"condition (3): vector 3 {name} entry 6 exceeds cap 5"
 
 
 def test_interlacing_edge_cases():
@@ -328,6 +330,20 @@ def test_enumerate_guard_raises_before_the_first_symbol():
         next(enumerate_kmarked(-1, 2))
 
 
+def test_partitions_and_symbols_routines_are_read_off_their_modules(monkeypatch):
+    # marked, symbols and serialize call these routines through their modules,
+    # so a routine patched where it is defined reaches the walks and the writers.
+    assert len(list(marked.blocks(6, 2, Flavor.ORDINARY))) == 18
+    monkeypatch.setattr(partitions, "bounded_partitions_upto", lambda *args: ())
+    assert list(marked.blocks(6, 2, Flavor.ORDINARY)) == []
+    assert list(enumerate_durfee(6)) == []
+    monkeypatch.setattr(symbols, "frame_weight", lambda d, flavor: 0)
+    pair = PartitionPair((1,), ())
+    assert KMarkedSymbol((pair,), 1).weight == 1
+    line = next(serialize.document_lines([(1, (), [pair])], Flavor.ORDINARY))
+    assert json.loads(line)["derived"]["weight"] == 1
+
+
 @pytest.mark.parametrize(
     "flavor,k,max_n",
     [
@@ -375,7 +391,7 @@ def _vectors_within(k, budget):
 
 
 @pytest.mark.parametrize("flavor,series", [(Flavor.ORDINARY, rank_gf), (Flavor.ODD, odd_rank_gf)])
-@pytest.mark.parametrize("n,k", [(30, 3), (22, 4), (20, 5)])
+@pytest.mark.parametrize("n,k", [(40, 2), (30, 3), (22, 4), (20, 5)])
 def test_marked_rank_counts_match_formula_past_enumeration(flavor, series, n, k):
     # The whole table against sum_j binom(j + k - 2, k - 2) N(|m|_1 + 2j + k - 1, n),
     # with N from the rank series.  The formula vanishes once |m|_1 + k - 1

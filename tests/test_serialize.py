@@ -325,9 +325,9 @@ MIXED_CORPUS = [
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(MIXED_CORPUS), min_size=1, max_size=80))
 def test_line_writers_on_shuffled_mixed_streams(stream):
-    # One-line render and the display writer's one-symbol form, over draws
-    # that repeat symbols and mix flavors, k and plain symbols.
+    # The indented render and the display writer's one-symbol form, over
+    # draws that repeat symbols and mix flavors, k and plain symbols.
     for s in stream:
-        assert render(s, indent=None) == json.dumps(symbol_to_document(s))
+        assert render(s) == json.dumps(symbol_to_document(s), indent=2)
         if isinstance(s, KMarkedSymbol):
             assert format_symbol(s) == _display(s)
